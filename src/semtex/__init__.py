@@ -23,7 +23,6 @@ from .metadata import (
     detect_constraints,
     detect_substitutions,
     extract_document,
-    harvest_names_and_notes,
     inline_substitutions,
     segment_formulae,
 )
@@ -76,7 +75,6 @@ __all__ = [
     "emit_dump",
     "extract_document",
     "extract_math",
-    "harvest_names_and_notes",
     "inline_substitutions",
     "load_bibliography",
     "load_config",

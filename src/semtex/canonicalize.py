@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 from .errors import MismatchedLeftRightError
-from .lexer import Group, Node, Token, TokenKind, build_groups, flatten, tokenize
+from .lexer import Group, Node, Token, TokenKind, build_groups, tokenize
 
 DEFAULT_SPACING_TOKENS = (
     "\\,", "\\!", "\\;", "\\:", "~", "\\ ",
@@ -94,14 +94,6 @@ def _class_map(classes) -> dict[str, str]:
 DEFAULT_SETTINGS = CanonicalSettings()
 
 
-def _spans(t: Token) -> tuple[tuple[int, int], ...]:
-    if t.origin:
-        return t.origin
-    if t.span is not None:
-        return (t.span,)
-    return ()
-
-
 def strip_spacing(
     nodes: Iterable[Node], settings: CanonicalSettings = DEFAULT_SETTINGS
 ) -> list[Node]:
@@ -139,11 +131,11 @@ def strip_spacing(
 def _canonical_delimiter(t: Token, settings: CanonicalSettings) -> Token:
     """Canonical token for a delimiter spelling (without size prefix)."""
     if t.kind is TokenKind.CONTROL and t.name in settings.bar_synonyms:
-        return Token(TokenKind.CHAR, "|", origin=_spans(t))
+        return Token(TokenKind.CHAR, "|")
     mapped = settings.delimiter_map.get(t.text)
     if mapped is not None:
         kind = TokenKind.CONTROL if mapped.startswith("\\") else TokenKind.CHAR
-        return Token(kind, mapped, origin=_spans(t))
+        return Token(kind, mapped)
     return t
 
 
@@ -186,14 +178,7 @@ def normalize_delimiters(
                             node.span[0] if node.span else None
                         )
                 if not (node.name in ("left", "right") and nxt.text == "."):
-                    canon = _canonical_delimiter(nxt, settings)
-                    out.append(
-                        Token(
-                            canon.kind,
-                            canon.text,
-                            origin=_spans(node) + _spans(nxt),
-                        )
-                    )
+                    out.append(_canonical_delimiter(nxt, settings))
                 i += 2
                 continue
             out.append(node)
@@ -247,23 +232,9 @@ def _drop_kinds(nodes: Iterable[Node], kinds: tuple[TokenKind, ...]) -> list[Nod
 
 @dataclass(frozen=True)
 class CanonicalTree:
-    """Canonical node sequence plus a trace back to source offsets.
-
-    provenance maps flattened-leaf index -> source spans that produced
-    that leaf.  It is excluded from equality so trees compare by content.
-    """
+    """Canonical node sequence; trees compare by content."""
 
     nodes: tuple[Node, ...]
-    provenance: dict = field(default_factory=dict, compare=False, repr=False)
-
-
-def build_provenance(nodes: Iterable[Node]) -> dict:
-    prov: dict[int, tuple[tuple[int, int], ...]] = {}
-    for i, t in enumerate(flatten(list(nodes))):
-        spans = _spans(t)
-        if spans:
-            prov[i] = spans
-    return prov
 
 
 def canonicalize(
@@ -275,7 +246,7 @@ def canonicalize(
     work = normalize_delimiters(work, settings)
     work = _drop_kinds(work, (TokenKind.ALIGN_TAB, TokenKind.COMMENT))
     work = _unwrap_singletons(work)
-    return CanonicalTree(tuple(work), build_provenance(work))
+    return CanonicalTree(tuple(work))
 
 
 def canonicalize_string(

@@ -93,7 +93,7 @@ def _config_from(args: argparse.Namespace) -> PipelineConfig:
         ("endpoint", "endpoint"),
     ):
         value = getattr(args, flag, None)
-        if value:
+        if value is not None:
             setattr(cfg, attr, value)
     return cfg
 
@@ -139,6 +139,8 @@ def _cmd_replace(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify_render(args: argparse.Namespace) -> int:
+    if args.limit < 0:
+        raise ConfigInvalidError("limit must be a non-negative integer")
     cfg = _config_from(args)
     endpoint = cfg.endpoint or os.environ.get("SEMTEX_ENDPOINT")
     if not endpoint:

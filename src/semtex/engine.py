@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .canonicalize import CanonicalTree, build_provenance
+from .canonicalize import CanonicalTree
 from .errors import UnknownSemanticMacroError
 from .glossary import AtomKind, Glossary, MacroRule
 from .lexer import Group, Node, Token, TokenKind, tokenize
@@ -257,7 +257,7 @@ def replace_all(
     nodes = tree.nodes if isinstance(tree, CanonicalTree) else tuple(tree)
     out, counts = _rewrite(list(nodes), glossary)
     stats = ReplacementStats.from_counts(counts, formulae=1)
-    return CanonicalTree(tuple(out), build_provenance(out)), stats
+    return CanonicalTree(tuple(out)), stats
 
 
 def _token_for(text: str) -> Token:
@@ -414,4 +414,4 @@ def strip_semantics(
     """
     nodes = tree.nodes if isinstance(tree, CanonicalTree) else tuple(tree)
     out = _strip(nodes, glossary)
-    return CanonicalTree(tuple(out), build_provenance(out))
+    return CanonicalTree(tuple(out))

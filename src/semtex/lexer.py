@@ -34,15 +34,13 @@ class Token:
     """One lexical token.
 
     Equality and hashing use (kind, text) only, so canonical trees compare
-    by content.  span is the token's source offset range; origin carries
-    the source ranges a synthesized token was derived from; inert marks
+    by content.  span is the token's source offset range; inert marks
     rewriter output that must never be rematched.
     """
 
     kind: TokenKind
     text: str
     span: tuple[int, int] | None = field(default=None, compare=False)
-    origin: tuple[tuple[int, int], ...] = field(default=(), compare=False)
     inert: bool = field(default=False, compare=False)
 
     @property
@@ -327,7 +325,11 @@ def extract_math(source: str) -> list[MathSpan]:
     Alignment environments contribute one MathSpan per row.  Raises
     UnterminatedEnvironmentError when an opener has no closer.
     """
-    tokens = tokenize(source)
+    return _math_spans(tokenize(source))
+
+
+def _math_spans(tokens: list[Token]) -> list[MathSpan]:
+    """extract_math over an already lexed document."""
     spans: list[MathSpan] = []
     n = len(tokens)
     i = 0

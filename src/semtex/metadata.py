@@ -30,7 +30,7 @@ from .lexer import (
     Token,
     TokenKind,
     _group_text,
-    extract_math,
+    _math_spans,
     render,
     tokenize,
 )
@@ -161,8 +161,7 @@ class _Heading:
     title: str
 
 
-def _scan_sections(source: str) -> list[_Heading]:
-    tokens = tokenize(source)
+def _scan_sections(tokens: list[Token]) -> list[_Heading]:
     out: list[_Heading] = []
     i = 0
     n = len(tokens)
@@ -225,17 +224,17 @@ def _strip_markup(nodes: Sequence[Node]) -> list[Node]:
 
 
 def _segment(
-    source: str,
+    tokens: list[Token],
+    sections: Sequence[_Heading],
     glossary: Glossary,
     citation_key: str,
     settings: CanonicalSettings | None,
 ) -> tuple[list[Formula], list[tuple[str, str]]]:
     settings = settings or glossary.settings
-    sections = _scan_sections(source)
     formulae: list[Formula] = []
     failures: list[tuple[str, str]] = []
     ordinal = 0
-    for ms in extract_math(source):
+    for ms in _math_spans(tokens):
         if not ms.is_display:
             continue
         ordinal += 1
@@ -286,7 +285,8 @@ def segment_formulae(
     bodies cannot be canonicalized are dropped here; extract_document
     reports them as failures.
     """
-    return _segment(source, glossary, citation_key, settings)[0]
+    tokens = tokenize(source)
+    return _segment(tokens, _scan_sections(tokens), glossary, citation_key, settings)[0]
 
 
 def _split_trailing(nodes: Sequence[Node]) -> tuple[tuple[Node, ...], list[tuple[Node, ...]]]:
@@ -413,8 +413,7 @@ def detect_constraints(
         if not _begins_with_introducer(sentence, introducers):
             break
         anns.extend(_prose_constraints(sentence, settings, f.id))
-    tree = CanonicalTree(core, dict(f.source_canonical.provenance))
-    return tree, anns
+    return CanonicalTree(core), anns
 
 
 def _sequences(nodes: Sequence[Node]) -> Iterator[Sequence[Node]]:
@@ -645,6 +644,7 @@ def _env_edges(fs: Sequence[Formula]) -> tuple[set[int], set[int]]:
 
 def harvest_names_and_notes(
     source: str,
+    sections: Sequence[_Heading],
     fs: Sequence[Formula],
     keywords: Sequence[str] = DEFAULT_KEYWORDS,
     introducers: Sequence[str] = DEFAULT_INTRODUCERS,
@@ -657,9 +657,9 @@ def harvest_names_and_notes(
     sentences belong to the previous formula and are skipped.  The first
     keyword sentence names the formula as "<innermost section> <keyword
     phrase>"; other sentences of three or more words become Notes.
-    Formulae without an enclosing section get no Name.
+    Formulae without an enclosing section get no Name.  sections are
+    the document's headings, as _scan_sections finds them.
     """
-    sections = _scan_sections(source)
     ordered = sorted(fs, key=lambda f: (f.outer[0], f.ordinal))
     firsts, _ = _env_edges(ordered)
     prev_end = 0
@@ -710,8 +710,9 @@ def extract_document(
     and skipped; document-level errors propagate.
     """
     settings = settings or glossary.settings
-    fs, failures = _segment(source, glossary, citation_key, settings)
-    sections = _scan_sections(source)
+    tokens = tokenize(source)
+    sections = _scan_sections(tokens)
+    fs, failures = _segment(tokens, sections, glossary, citation_key, settings)
     ordered = sorted(fs, key=lambda f: (f.outer[0], f.ordinal))
     _, lasts = _env_edges(ordered)
 
@@ -745,7 +746,7 @@ def extract_document(
         except SemtexError as exc:
             failures.append((f.id, f"{type(exc).__name__}: {exc}"))
 
-    harvest_names_and_notes(source, ok, keywords, introducers)
+    harvest_names_and_notes(source, sections, ok, keywords, introducers)
     defs = detect_substitutions(ok, glossary)
     remaining = inline_substitutions(ok, defs)
     stats = ReplacementStats.combine(f.stats for f in ok)

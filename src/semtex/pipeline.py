@@ -352,15 +352,22 @@ def verify_render(
 
     Returns (formula id, status) pairs; service failures become warning
     entries instead of exceptions, so a down service never fails a run.
+    Once the service is unreachable the remaining formulae are skipped,
+    so a dead service costs one timeout rather than one per formula.
     """
     out = []
+    unreachable = False
     for f in formulae:
+        if unreachable:
+            out.append((f.id, "warning: service unreachable (skipped)"))
+            continue
         try:
             rendered = request_mathml(f.source_semantic, endpoint)
             ok = rendered.presentation and rendered.content
             out.append((f.id, "ok" if ok else "warning: empty rendering"))
         except ServiceUnreachableError as exc:
             out.append((f.id, f"warning: service unreachable: {exc}"))
+            unreachable = True
         except ServiceRejectedError as exc:
             out.append((f.id, f"warning: service rejected: {exc}"))
     return out

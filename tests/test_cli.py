@@ -85,6 +85,20 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     assert "WRONG" not in out.read_text()
 
 
+def test_workers_flag_is_checked_like_the_config_key(tmp_path, capsys):
+    rc = main(["convert", "--input", MINI, "--out", str(tmp_path / "d.xml"), "--workers", "0"])
+    assert rc == 2
+    assert "config error: workers must be a positive integer" in capsys.readouterr().err
+
+
+def test_verify_render_rejects_a_negative_limit(capsys):
+    rc = main(
+        ["verify-render", "--input", MINI, "--endpoint", "http://127.0.0.1:1/", "--limit", "-1"]
+    )
+    assert rc == 2
+    assert "config error: limit" in capsys.readouterr().err
+
+
 @pytest.fixture(scope="module")
 def mock_endpoint():
     server = start_server()
@@ -127,6 +141,33 @@ def test_verify_render_down_service_warns_but_passes(capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "checked 2 formulae, 2 warnings" in out
+
+
+def test_verify_render_stops_posting_to_a_dead_service(capsys, monkeypatch):
+    import semtex.pipeline
+
+    with socket.socket() as s:
+        s.bind(("127.0.0.1", 0))
+        port = s.getsockname()[1]
+    attempts = []
+    real = semtex.pipeline.request_mathml
+
+    def counting(latex, endpoint):
+        attempts.append(latex)
+        return real(latex, endpoint)
+
+    monkeypatch.setattr(semtex.pipeline, "request_mathml", counting)
+    rc = main(
+        ["verify-render", "--input", MINI, "--endpoint", f"http://127.0.0.1:{port}/", "--limit", "3"]
+    )
+    assert rc == 0
+    assert len(attempts) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1:] == [
+        "1.1.2: warning: service unreachable (skipped)",
+        "1.1.3: warning: service unreachable (skipped)",
+        "checked 3 formulae, 3 warnings",
+    ]
 
 
 def test_console_script_installed():

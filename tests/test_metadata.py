@@ -37,6 +37,24 @@ def by_id(result):
 # ---------------------------------------------------------------- segmentation
 
 
+def test_extract_document_lexes_the_source_once(glossary, mini_source, monkeypatch):
+    import semtex.lexer
+    import semtex.metadata
+
+    real = semtex.lexer.tokenize
+    whole = []
+
+    def counting(source):
+        if source == mini_source:
+            whole.append(source)
+        return real(source)
+
+    monkeypatch.setattr(semtex.lexer, "tokenize", counting)
+    monkeypatch.setattr(semtex.metadata, "tokenize", counting)
+    extract_document(mini_source, glossary, citation_key="KLS")
+    assert len(whole) == 1
+
+
 def test_segment_ids_and_order(glossary, mini_source):
     fs = segment_formulae(mini_source, glossary, "KLS")
     assert len(fs) == 30
