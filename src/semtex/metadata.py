@@ -12,7 +12,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .canonicalize import (
     DEFAULT_SETTINGS,
@@ -377,17 +377,29 @@ def _begins_with_introducer(sentence: str, introducers: Sequence[str]) -> bool:
     return m is not None and m.group(0).lower() in introducers
 
 
-def _prose_constraints(
-    sentence: str, settings: CanonicalSettings, origin: str
-) -> list[Annotation]:
+def _prose_constraints(sentence: str, settings: CanonicalSettings) -> list[tuple[Node, ...]]:
     out = []
     for m in re.finditer(r"\$([^$]+)\$", sentence):
         tree = canonicalize_string(m.group(1), settings)
         if contains_relational(tree.nodes):
-            out.append(
-                Annotation(AnnotationKind.CONSTRAINT, render(tree.nodes), origin=origin)
-            )
+            out.append(tree.nodes)
     return out
+
+
+def _split_constraints(
+    f: Formula,
+    following_prose: str,
+    introducers: Sequence[str],
+    settings: CanonicalSettings,
+) -> tuple[CanonicalTree, list[tuple[Node, ...]]]:
+    """detect_constraints with the constraint bodies left as canonical
+    nodes."""
+    core, clauses = _split_trailing(f.source_canonical.nodes)
+    for sentence in _sentences(following_prose):
+        if not _begins_with_introducer(sentence, introducers):
+            break
+        clauses.extend(_prose_constraints(sentence, settings))
+    return CanonicalTree(core), clauses
 
 
 def detect_constraints(
@@ -404,16 +416,10 @@ def detect_constraints(
     and contain inline math with a relational token.  Annotation bodies
     are canonical presentation text; replacement is the caller's step.
     """
-    core, clauses = _split_trailing(f.source_canonical.nodes)
-    anns = [
-        Annotation(AnnotationKind.CONSTRAINT, render(cl), origin=f.id)
-        for cl in clauses
+    core, clauses = _split_constraints(f, following_prose, introducers, settings)
+    return core, [
+        Annotation(AnnotationKind.CONSTRAINT, render(cl), origin=f.id) for cl in clauses
     ]
-    for sentence in _sentences(following_prose):
-        if not _begins_with_introducer(sentence, introducers):
-            break
-        anns.extend(_prose_constraints(sentence, settings, f.id))
-    return CanonicalTree(core), anns
 
 
 def _sequences(nodes: Sequence[Node]) -> Iterator[Sequence[Node]]:
@@ -423,17 +429,47 @@ def _sequences(nodes: Sequence[Node]) -> Iterator[Sequence[Node]]:
             yield from _sequences(nd.children)
 
 
-def _run_occurs(nodes: Sequence[Node], run: Sequence[Node], as_call: bool) -> bool:
-    want = len(run)
-    for seq in _sequences(nodes):
-        for i in range(len(seq) - want + 1):
-            if all(seq[i + k] == run[k] for k in range(want)):
-                if not as_call:
-                    return True
-                nxt = seq[i + want] if i + want < len(seq) else None
-                if isinstance(nxt, Token) and nxt.is_char("("):
-                    return True
-    return False
+def _head_finder(
+    heads: Sequence[tuple[str, tuple[Node, ...], bool]]
+) -> Callable[[Sequence[Node], str], list[int]]:
+    """A search for many (unit, head run, is_function) entries at once.
+
+    The search takes nodes and their unit and returns, in order, the
+    positions in heads of the unit's entries whose run occurs in the
+    nodes or any nested group; a function head counts only where "("
+    follows it.  It walks the nodes once: only a token whose text starts
+    some run of the unit starts a full comparison with those runs.
+    """
+    # unit -> text of the first token -> distinct runs
+    index: dict[str, dict[str, list[tuple[Node, ...]]]] = {}
+    positions: dict[tuple[str, tuple[Node, ...], bool], list[int]] = {}
+    for k, (unit, run, is_function) in enumerate(heads):
+        bucket = index.setdefault(unit, {}).setdefault(run[0].text, [])
+        if run not in bucket:
+            bucket.append(run)
+        positions.setdefault((unit, run, is_function), []).append(k)
+
+    def find(nodes: Sequence[Node], unit: str) -> list[int]:
+        runs = index.get(unit)
+        if runs is None:
+            return []
+        hits: set[tuple[tuple[Node, ...], bool]] = set()
+        for seq in _sequences(nodes):
+            n = len(seq)
+            for i, nd in enumerate(seq):
+                if not isinstance(nd, Token) or nd.text not in runs:
+                    continue
+                for run in runs[nd.text]:
+                    end = i + len(run)
+                    if end > n or any(seq[i + k] != r for k, r in enumerate(run)):
+                        continue
+                    hits.add((run, False))
+                    nxt = seq[end] if end < n else None
+                    if isinstance(nxt, Token) and nxt.is_char("("):
+                        hits.add((run, True))
+        return sorted(k for run, call in hits for k in positions.get((unit, run, call), ()))
+
+    return find
 
 
 def _simple_symbol(nodes: Sequence[Node], i: int) -> int | None:
@@ -513,12 +549,10 @@ def detect_substitutions(
 
     The core must be a single equation H = RHS with H a simple symbol or
     an application of simple symbols; glossary macro heads never
-    qualify.
+    qualify.  A function head counts as used only where a call "("
+    follows it.
     """
-    by_unit: dict[str, list[Formula]] = {}
-    for f in fs:
-        by_unit.setdefault(f.unit, []).append(f)
-    defs: list[SubstitutionDef] = []
+    candidates: list[tuple[Formula, int, tuple[Node, ...], bool]] = []
     for f in fs:
         nodes = f.semantic_nodes
         eq = _top_level_equation(nodes)
@@ -533,14 +567,24 @@ def detect_substitutions(
             head.kind is TokenKind.CONTROL and head.name in glossary.heads
         ):
             continue
-        others = [g for g in by_unit[f.unit] if g.id != f.id]
-        if not any(_run_occurs(g.semantic_nodes, run, is_function) for g in others):
+        candidates.append((f, eq, run, is_function))
+
+    find = _head_finder([(f.unit, run, is_function) for f, _, run, is_function in candidates])
+    # ids of the formulae that use each candidate's head
+    users: list[set[str]] = [set() for _ in candidates]
+    for g in fs:
+        for k in find(g.semantic_nodes, g.unit):
+            users[k].add(g.id)
+
+    defs: list[SubstitutionDef] = []
+    for (f, eq, run, is_function), ids in zip(candidates, users):
+        if ids <= {f.id}:
             continue
         defs.append(
             SubstitutionDef(
                 lhs_head=run,
                 is_function=is_function,
-                rhs=tuple(nodes[eq + 1 :]),
+                rhs=tuple(f.semantic_nodes[eq + 1 :]),
                 def_formula_id=f.id,
                 equation=f.source_semantic,
                 unit=f.unit,
@@ -549,25 +593,52 @@ def detect_substitutions(
     return defs
 
 
-def _expand_def(
-    d: SubstitutionDef,
-    defs: Sequence[SubstitutionDef],
-    seen: dict[str, SubstitutionDef],
-    path: tuple[str, ...],
-) -> None:
-    if d.def_formula_id in path:
-        cycle = path[path.index(d.def_formula_id) :] + (d.def_formula_id,)
-        raise SubstitutionCycleError(cycle)
-    if d.def_formula_id in seen:
-        return
-    seen[d.def_formula_id] = d
-    for e in defs:
-        if (
-            e.def_formula_id != d.def_formula_id
-            and e.unit == d.unit
-            and _run_occurs(d.rhs, e.lhs_head, e.is_function)
-        ):
-            _expand_def(e, defs, seen, path + (d.def_formula_id,))
+def _closures(
+    defs: Sequence[SubstitutionDef], edges: Sequence[list[int]]
+) -> list[dict[str, SubstitutionDef]]:
+    """Each def's transitive closure over edges, keyed by formula id in
+    depth-first preorder.
+
+    One three-colour depth-first search, roots and edges in defs order.
+    An edge back to a def still on the search path raises
+    SubstitutionCycleError with the ids from that def to the end of the
+    path, then that def again.
+    """
+    closures: list[dict[str, SubstitutionDef] | None] = [None] * len(defs)
+    on_path = [False] * len(defs)
+    for root in range(len(defs)):
+        if closures[root] is not None:
+            continue
+        path = [root]
+        todo = [iter(edges[root])]
+        on_path[root] = True
+        while path:
+            for e in todo[-1]:
+                if on_path[e]:
+                    cycle = path[path.index(e) :] + [e]
+                    raise SubstitutionCycleError(tuple(defs[k].def_formula_id for k in cycle))
+                if closures[e] is None:
+                    path.append(e)
+                    todo.append(iter(edges[e]))
+                    on_path[e] = True
+                    break
+            else:
+                k = path.pop()
+                todo.pop()
+                on_path[k] = False
+                closures[k] = _merge(
+                    [{defs[k].def_formula_id: defs[k]}] + [closures[e] for e in edges[k]]
+                )
+    return closures
+
+
+def _merge(parts: Iterable[dict[str, SubstitutionDef]]) -> dict[str, SubstitutionDef]:
+    """Union of parts, each key where it is first seen."""
+    out: dict[str, SubstitutionDef] = {}
+    for part in parts:
+        for key, d in part.items():
+            out.setdefault(key, d)
+    return out
 
 
 def inline_substitutions(
@@ -577,21 +648,26 @@ def inline_substitutions(
 
     A formula referencing a def's head gains that def's equation as an
     annotation; defs referenced by a def's right side are inlined
-    transitively.  |fs| == |result| + |defs|.
+    transitively, in depth-first preorder over the used defs in defs
+    order.  A def may mention its own head, but defs of one unit that
+    reference each other in a ring raise SubstitutionCycleError, even
+    when no formula uses them; its ids run from the first def of the
+    ring the search reaches, round the ring and back to it.
+    |fs| == |result| + |defs|.
     """
-    # surface mutually recursive definitions even when nothing uses them
-    for d in defs:
-        _expand_def(d, defs, {}, ())
+    find = _head_finder([(d.unit, d.lhs_head, d.is_function) for d in defs])
+    edges = [
+        [k for k in find(d.rhs, d.unit) if defs[k].def_formula_id != d.def_formula_id]
+        for d in defs
+    ]
+    closures = _closures(defs, edges)
     def_ids = {d.def_formula_id for d in defs}
     out = []
     for f in fs:
         if f.id in def_ids:
             continue
-        seen: dict[str, SubstitutionDef] = {}
-        for d in defs:
-            if d.unit == f.unit and _run_occurs(f.semantic_nodes, d.lhs_head, d.is_function):
-                _expand_def(d, defs, seen, ())
-        for d in seen.values():
+        merged = _merge(closures[k] for k in find(f.semantic_nodes, f.unit))
+        for d in merged.values():
             f.annotations.append(
                 Annotation(
                     AnnotationKind.SUBSTITUTION, d.equation, origin=d.def_formula_id
@@ -720,23 +796,21 @@ def extract_document(
     for idx, f in enumerate(ordered):
         prose = ""
         if f.ordinal in lasts:
-            nxt = next(
-                (g.outer[0] for g in ordered[idx + 1 :] if g.outer != f.outer),
-                len(source),
-            )
+            # ordered keeps each environment's rows together, so the row
+            # after an environment's last row starts the next environment
+            nxt = ordered[idx + 1].outer[0] if idx + 1 < len(ordered) else len(source)
             chunks = _gap_chunks(source, sections, f.outer[1], nxt)
             prose = chunks[0]
         try:
-            core, raw_anns = detect_constraints(f, prose, introducers, settings)
+            core, clauses = _split_constraints(f, prose, introducers, settings)
             counts: Counter = Counter()
             sem, stats = replace_all(core, glossary)
             counts.update(stats.per_rule)
             anns = []
-            for ann in raw_anns:
-                tree = canonicalize_string(ann.body, settings)
-                rep, st = replace_all(tree, glossary)
+            for clause in clauses:
+                rep, st = replace_all(CanonicalTree(clause), glossary)
                 counts.update(st.per_rule)
-                anns.append(Annotation(ann.kind, render(rep.nodes), ann.origin))
+                anns.append(Annotation(AnnotationKind.CONSTRAINT, render(rep.nodes), f.id))
             f.source_canonical = core
             f.semantic_nodes = sem.nodes
             f.source_semantic = render(sem.nodes)

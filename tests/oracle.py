@@ -1,15 +1,30 @@
-"""Brute-force reference scanner used to cross-check replace_all.
+"""Brute-force references used to cross-check semtex.
 
-Re-implements the documented matching semantics from scratch, without
-importing anything from semtex.engine: at every position try each rule
-in glossary order, count the first match, consume it, then recurse into
-captured sequences and unmatched groups.  Slow and simple on purpose.
+scan() re-implements the documented matching semantics of replace_all
+from scratch, without importing anything from semtex.engine: at every
+position try each rule in glossary order, count the first match, consume
+it, then recurse into captured sequences and unmatched groups.
+
+detect_substitutions() and inline_substitutions() test every formula
+against every other formula and every def, and walk the def graph afresh
+for each formula and each def.  They share only the def parsing helpers
+with semtex.metadata.
+
+Slow and simple on purpose.
 """
 
 from collections import Counter
 
+from semtex.errors import SubstitutionCycleError
 from semtex.glossary import AtomKind
 from semtex.lexer import Group, Token, TokenKind
+from semtex.metadata import (
+    Annotation,
+    AnnotationKind,
+    SubstitutionDef,
+    _parse_def_lhs,
+    _top_level_equation,
+)
 
 _SEPARATORS = frozenset({",", ";", "|"})
 _CLOSER = {"(": ")", "[": "]"}
@@ -136,3 +151,82 @@ def scan(nodes, glossary):
             counts.update(scan(seq, glossary))
         i = end
     return counts
+
+
+def _run_occurs(nodes, run, as_call):
+    """Whether run occurs in nodes or in any nested group; with as_call,
+    only an occurrence followed by "(" counts."""
+    seqs = [nodes]
+    while seqs:
+        seq = seqs.pop()
+        seqs.extend(nd.children for nd in seq if isinstance(nd, Group))
+        for i in range(len(seq) - len(run) + 1):
+            if all(seq[i + k] == run[k] for k in range(len(run))):
+                if not as_call:
+                    return True
+                nxt = seq[i + len(run)] if i + len(run) < len(seq) else None
+                if isinstance(nxt, Token) and nxt.is_char("("):
+                    return True
+    return False
+
+
+def detect_substitutions(fs, glossary):
+    """Each formula H = RHS whose head some other formula of its unit uses."""
+    defs = []
+    for f in fs:
+        nodes = f.semantic_nodes
+        eq = _top_level_equation(nodes)
+        if eq is None or eq == 0 or eq == len(nodes) - 1:
+            continue
+        parsed = _parse_def_lhs(nodes[:eq])
+        if parsed is None:
+            continue
+        run, is_function = parsed
+        head = run[0]
+        if head.inert or (head.kind is TokenKind.CONTROL and head.name in glossary.heads):
+            continue
+        others = [g for g in fs if g.unit == f.unit and g.id != f.id]
+        if any(_run_occurs(g.semantic_nodes, run, is_function) for g in others):
+            defs.append(
+                SubstitutionDef(
+                    run, is_function, tuple(nodes[eq + 1 :]), f.id, f.source_semantic, f.unit
+                )
+            )
+    return defs
+
+
+def _expand_def(d, defs, seen, path):
+    if d.def_formula_id in path:
+        raise SubstitutionCycleError(path[path.index(d.def_formula_id) :] + (d.def_formula_id,))
+    if d.def_formula_id in seen:
+        return
+    seen[d.def_formula_id] = d
+    for e in defs:
+        if (
+            e.def_formula_id != d.def_formula_id
+            and e.unit == d.unit
+            and _run_occurs(d.rhs, e.lhs_head, e.is_function)
+        ):
+            _expand_def(e, defs, seen, path + (d.def_formula_id,))
+
+
+def inline_substitutions(fs, defs):
+    """Annotate each non-def formula with the defs it uses, transitively,
+    in the order one shared walk first reaches them."""
+    for d in defs:
+        _expand_def(d, defs, {}, ())
+    def_ids = {d.def_formula_id for d in defs}
+    out = []
+    for f in fs:
+        if f.id in def_ids:
+            continue
+        seen = {}
+        for d in defs:
+            if d.unit == f.unit and _run_occurs(f.semantic_nodes, d.lhs_head, d.is_function):
+                _expand_def(d, defs, seen, ())
+        f.annotations.extend(
+            Annotation(AnnotationKind.SUBSTITUTION, d.equation, origin=d.def_formula_id)
+            for d in seen.values()
+        )
+        out.append(f)
+    return out

@@ -1,8 +1,15 @@
 """Constraint splitting, substitutions, names, notes, proofs."""
 
+import dataclasses
+import random
+import sys
+
 import pytest
 
+import gen
+import oracle
 from conftest import DATA
+from semtex.engine import replace_all
 from semtex.errors import SubstitutionCycleError
 from semtex.lexer import render
 from semtex.metadata import (
@@ -38,21 +45,25 @@ def by_id(result):
 
 
 def test_extract_document_lexes_the_source_once(glossary, mini_source, monkeypatch):
-    import semtex.lexer
-    import semtex.metadata
-
-    real = semtex.lexer.tokenize
-    whole = []
+    # the package attribute semtex.canonicalize is the function, so take
+    # the modules from sys.modules
+    modules = [sys.modules[f"semtex.{m}"] for m in ("lexer", "metadata", "canonicalize")]
+    real = modules[0].tokenize
+    calls = []
 
     def counting(source):
-        if source == mini_source:
-            whole.append(source)
+        calls.append(source)
         return real(source)
 
-    monkeypatch.setattr(semtex.lexer, "tokenize", counting)
-    monkeypatch.setattr(semtex.metadata, "tokenize", counting)
+    for mod in modules:
+        monkeypatch.setattr(mod, "tokenize", counting)
     extract_document(mini_source, glossary, citation_key="KLS")
-    assert len(whole) == 1
+    assert calls.count(mini_source) == 1
+    # besides the document, only the $...$ snippets of the prose that
+    # follows a row are lexed; no constraint annotation is lexed again
+    snippets = [c for c in calls if c != mini_source]
+    assert all(f"${c}$" in mini_source for c in snippets)
+    assert len(snippets) == 5
 
 
 def test_segment_ids_and_order(glossary, mini_source):
@@ -217,16 +228,118 @@ def test_transitive_inlining(glossary):
     assert sorted(subs) == ["u=v+1", "v=2"]
 
 
+def cycle_ids(glossary, *rows):
+    with pytest.raises(SubstitutionCycleError) as err:
+        extract(glossary, wrap(*rows))
+    return err.value.ids
+
+
 def test_substitution_cycle_raises(glossary):
-    src = wrap("x=a", "a=b+1", "b=a-1")
-    with pytest.raises(SubstitutionCycleError):
-        extract(glossary, src)
+    assert cycle_ids(glossary, "x=a", "a=b+1", "b=a-1") == ("f2", "f3", "f2")
 
 
 def test_unused_cycle_still_raises(glossary):
     # defs that reference each other are rejected even with no other user
-    with pytest.raises(SubstitutionCycleError):
-        extract(glossary, wrap("a=b+1", "b=a-1", "y=1"))
+    assert cycle_ids(glossary, "a=b+1", "b=a-1", "y=1") == ("f1", "f2", "f1")
+
+
+def test_cycle_path_starts_at_the_revisited_def(glossary):
+    assert cycle_ids(glossary, "y=c", "c=b", "b=a", "a=b") == ("f3", "f4", "f3")
+
+
+def test_annotations_follow_the_walk_preorder(glossary):
+    res = extract(glossary, wrap("y=u+w", "u=v+1", "w=v", "v=2"))
+    assert [a.origin for a in res.formulae[0].annotations_of(AnnotationKind.SUBSTITUTION)] == [
+        "f2",
+        "f4",
+        "f3",
+    ]
+
+
+def test_def_mentioning_its_own_head_is_not_a_cycle(glossary):
+    res = extract(glossary, wrap("y=u", "u=u^2+1"))
+    assert [d.def_formula_id for d in res.defs] == ["f2"]
+    assert bodies(AnnotationKind.SUBSTITUTION, res.formulae[0]) == ["u=u^2+1"]
+
+
+_SYMBOL_HEADS = ("u", "w", "s", "\\rho", "\\theta", "h_n", "g^2", "\\sigma_k")
+_FUNCTION_HEADS = ("F", "\\psi", "G_m")
+
+
+def _use(rng, head):
+    """One use of head, sometimes inside a group; function heads are
+    sometimes named without a call."""
+    if head in _FUNCTION_HEADS:
+        head += "(t)" if rng.random() < 0.8 else ""
+    wraps = ("{}", "\\frac{{{}}}{{2}}", "{{{}+1}}^2", "\\sqrt{{{}}}")
+    return rng.choice(wraps).format(head)
+
+
+def _planted_rows(rng, cycle):
+    """One unit's rows: gen.py noise, defs whose right sides use earlier
+    heads (chains and diamonds), rows that use the heads, and with cycle
+    set a ring of two or three defs that use each other."""
+    heads = rng.sample(_SYMBOL_HEADS, 5) + rng.sample(_FUNCTION_HEADS, 2)
+    rng.shuffle(heads)
+    defs = []
+    for k, head in enumerate(heads):
+        lhs = head + rng.choice(("(x)", "(x,y)")) if head in _FUNCTION_HEADS else head
+        deps = rng.sample(heads[:k], min(k, rng.randint(0, 3)))
+        defs.append(lhs + "=" + "+".join([_use(rng, d) for d in deps] + ["1"]))
+    rows = [gen.formula(rng) for _ in range(rng.randint(3, 8))]
+    for _ in range(rng.randint(2, 6)):
+        rows.append("+".join(_use(rng, h) for h in rng.sample(heads, rng.randint(1, 3))))
+    if cycle:
+        ring = ("\\mu", "\\nu", "\\kappa")[: rng.randint(2, 3)]
+        rows += [f"{h}={_use(rng, ring[k - 1])}-1" for k, h in enumerate(ring)]
+        # reached from a planted def, from a plain row, or from nothing
+        pick = rng.randrange(3)
+        if pick == 0:
+            defs[-1] += "+" + ring[-1]
+        elif pick == 1:
+            rows.append("y+" + ring[0])
+    rows += defs
+    rng.shuffle(rows)
+    return rows
+
+
+def _replaced_rows(glossary, source):
+    fs = segment_formulae(source, glossary)
+    for f in fs:
+        sem, _ = replace_all(f.source_canonical, glossary)
+        f.semantic_nodes = sem.nodes
+        f.source_semantic = render(sem.nodes)
+    return fs
+
+
+def _substitute(detect, inline, fs, glossary):
+    fs = [dataclasses.replace(f, annotations=[]) for f in fs]
+    defs = detect(fs, glossary)
+    try:
+        kept = inline(fs, defs)
+    except SubstitutionCycleError as exc:
+        return defs, exc.ids
+    return defs, [(f.id, f.annotations) for f in kept]
+
+
+def test_substitutions_match_the_brute_force_reference(glossary):
+    cycles = annotated = 0
+    for seed in range(40):
+        rng = random.Random(seed)
+        source = "\\section{S}\n"
+        for unit in ("A", "B"):
+            rows = _planted_rows(rng, cycle=seed % 4 == 0)
+            source += f"\\subsection{{{unit}}}\n" + "\n".join(f"\\[ {r} \\]" for r in rows) + "\n"
+        fs = _replaced_rows(glossary, source)
+        want = _substitute(oracle.detect_substitutions, oracle.inline_substitutions, fs, glossary)
+        got = _substitute(detect_substitutions, inline_substitutions, fs, glossary)
+        assert got == want, seed
+        if isinstance(got[1], tuple):
+            cycles += 1
+        else:
+            annotated += sum(len(anns) > 1 for _, anns in got[1])
+    # both outcomes occur, and many formulae gain more than one annotation
+    assert cycles >= 8 and annotated >= 150, (cycles, annotated)
 
 
 def test_inline_substitutions_conserves_rows(glossary):
