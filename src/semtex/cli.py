@@ -44,7 +44,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bib", help="bibliography JSON")
     p.add_argument("--out", help="output dump path")
     p.add_argument("--report", help="report path (default: stdout only)")
-    p.add_argument("--workers", type=int, help="concurrent input files")
+    p.add_argument("--workers", type=int, help="validated only; files run in order")
     p.add_argument("--prefix", help="corpus prefix used in page titles")
     p.add_argument("--citation-key", dest="citation_key", help="bibliography key")
 
@@ -56,7 +56,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--bib", help="bibliography JSON")
     p.add_argument("--report", help="also write the report here")
-    p.add_argument("--workers", type=int, help="concurrent input files")
+    p.add_argument("--workers", type=int, help="validated only; files run in order")
     p.add_argument("--prefix", help="corpus prefix used in page titles")
     p.add_argument("--citation-key", dest="citation_key", help="bibliography key")
 

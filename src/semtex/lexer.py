@@ -60,14 +60,6 @@ class Token:
         return f"Token({self.kind.name}, {self.text!r})"
 
 
-def control(name: str, **kw) -> Token:
-    return Token(TokenKind.CONTROL, "\\" + name, **kw)
-
-
-def char(ch: str, **kw) -> Token:
-    return Token(TokenKind.CHAR, ch, **kw)
-
-
 _SINGLE = {
     "{": TokenKind.GROUP_OPEN,
     "}": TokenKind.GROUP_CLOSE,

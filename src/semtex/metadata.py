@@ -386,40 +386,26 @@ def _prose_constraints(sentence: str, settings: CanonicalSettings) -> list[tuple
     return out
 
 
-def _split_constraints(
+def detect_constraints(
     f: Formula,
-    following_prose: str,
-    introducers: Sequence[str],
-    settings: CanonicalSettings,
+    following_prose: str = "",
+    introducers: Sequence[str] = DEFAULT_INTRODUCERS,
+    settings: CanonicalSettings = DEFAULT_SETTINGS,
 ) -> tuple[CanonicalTree, list[tuple[Node, ...]]]:
-    """detect_constraints with the constraint bodies left as canonical
-    nodes."""
+    """Split constraints off a formula; the formula is not modified.
+
+    Returns the retained core and the constraint clauses, as canonical
+    nodes, from two sources: trailing top-level clauses of the body, and
+    leading sentences of the following prose that begin with an
+    introducer word and contain inline math with a relational token.
+    Replacement is the caller's step.
+    """
     core, clauses = _split_trailing(f.source_canonical.nodes)
     for sentence in _sentences(following_prose):
         if not _begins_with_introducer(sentence, introducers):
             break
         clauses.extend(_prose_constraints(sentence, settings))
     return CanonicalTree(core), clauses
-
-
-def detect_constraints(
-    f: Formula,
-    following_prose: str = "",
-    introducers: Sequence[str] = DEFAULT_INTRODUCERS,
-    settings: CanonicalSettings = DEFAULT_SETTINGS,
-) -> tuple[CanonicalTree, list[Annotation]]:
-    """Split constraints off a formula; the formula is not modified.
-
-    Returns the retained core and Constraint annotations from two
-    sources: trailing top-level clauses of the body, and leading
-    sentences of the following prose that begin with an introducer word
-    and contain inline math with a relational token.  Annotation bodies
-    are canonical presentation text; replacement is the caller's step.
-    """
-    core, clauses = _split_constraints(f, following_prose, introducers, settings)
-    return core, [
-        Annotation(AnnotationKind.CONSTRAINT, render(cl), origin=f.id) for cl in clauses
-    ]
 
 
 def _sequences(nodes: Sequence[Node]) -> Iterator[Sequence[Node]]:
@@ -595,16 +581,17 @@ def detect_substitutions(
 
 def _closures(
     defs: Sequence[SubstitutionDef], edges: Sequence[list[int]]
-) -> list[dict[str, SubstitutionDef]]:
-    """Each def's transitive closure over edges, keyed by formula id in
-    depth-first preorder.
+) -> list[dict[int, SubstitutionDef]]:
+    """Each def's transitive closure over edges, keyed by position in
+    defs, in depth-first preorder.  Positions, not formula ids, because
+    repeated labels give several defs one id.
 
     One three-colour depth-first search, roots and edges in defs order.
     An edge back to a def still on the search path raises
     SubstitutionCycleError with the ids from that def to the end of the
     path, then that def again.
     """
-    closures: list[dict[str, SubstitutionDef] | None] = [None] * len(defs)
+    closures: list[dict[int, SubstitutionDef] | None] = [None] * len(defs)
     on_path = [False] * len(defs)
     for root in range(len(defs)):
         if closures[root] is not None:
@@ -626,15 +613,13 @@ def _closures(
                 k = path.pop()
                 todo.pop()
                 on_path[k] = False
-                closures[k] = _merge(
-                    [{defs[k].def_formula_id: defs[k]}] + [closures[e] for e in edges[k]]
-                )
+                closures[k] = _merge([{k: defs[k]}] + [closures[e] for e in edges[k]])
     return closures
 
 
-def _merge(parts: Iterable[dict[str, SubstitutionDef]]) -> dict[str, SubstitutionDef]:
+def _merge(parts: Iterable[dict[int, SubstitutionDef]]) -> dict[int, SubstitutionDef]:
     """Union of parts, each key where it is first seen."""
-    out: dict[str, SubstitutionDef] = {}
+    out: dict[int, SubstitutionDef] = {}
     for part in parts:
         for key, d in part.items():
             out.setdefault(key, d)
@@ -656,10 +641,7 @@ def inline_substitutions(
     |fs| == |result| + |defs|.
     """
     find = _head_finder([(d.unit, d.lhs_head, d.is_function) for d in defs])
-    edges = [
-        [k for k in find(d.rhs, d.unit) if defs[k].def_formula_id != d.def_formula_id]
-        for d in defs
-    ]
+    edges = [[k for k in find(d.rhs, d.unit) if k != j] for j, d in enumerate(defs)]
     closures = _closures(defs, edges)
     def_ids = {d.def_formula_id for d in defs}
     out = []
@@ -802,7 +784,7 @@ def extract_document(
             chunks = _gap_chunks(source, sections, f.outer[1], nxt)
             prose = chunks[0]
         try:
-            core, clauses = _split_constraints(f, prose, introducers, settings)
+            core, clauses = detect_constraints(f, prose, introducers, settings)
             counts: Counter = Counter()
             sem, stats = replace_all(core, glossary)
             counts.update(stats.per_rule)

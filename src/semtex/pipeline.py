@@ -1,14 +1,13 @@
 """Pipeline orchestration: config, per-file conversion, dump and report
 assembly, and the optional rendering-service client.
 
-Files are processed concurrently but merged in input order, so the dump
-and report are identical for any worker count.
+Files are converted one after another, in input order, so the dump and
+report are identical for any worker count.
 """
 
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace as _dc_replace
 from pathlib import Path
 from typing import Sequence
@@ -28,7 +27,6 @@ from .lexer import extract_math, render
 from .metadata import (
     DEFAULT_INTRODUCERS,
     DEFAULT_KEYWORDS,
-    ExtractionResult,
     Formula,
     SubstitutionDef,
     extract_document,
@@ -126,7 +124,7 @@ def load_config(path: str | Path) -> PipelineConfig:
         if key in raw:
             if not isinstance(raw[key], str):
                 raise ConfigInvalidError(f"{key} must be a string")
-            setattr(cfg, key if key != "endpoint" else "endpoint", raw[key])
+            setattr(cfg, key, raw[key])
     if "keywords" in raw:
         cfg.keywords = _string_tuple(raw["keywords"], "keywords")
     if "introducers" in raw:
@@ -182,28 +180,6 @@ def _load_glossary(cfg: PipelineConfig) -> Glossary:
 
 
 @dataclass
-class FileOutcome:
-    path: Path
-    result: ExtractionResult | None
-    error: str | None = None
-
-
-def _process_file(path: Path, glossary: Glossary, cfg: PipelineConfig) -> FileOutcome:
-    try:
-        source = path.read_text(encoding="utf-8")
-        result = extract_document(
-            source,
-            glossary,
-            citation_key=cfg.citation_key,
-            keywords=cfg.keywords,
-            introducers=cfg.introducers,
-        )
-        return FileOutcome(path, result)
-    except (SemtexError, OSError) as exc:
-        return FileOutcome(path, None, error=f"{type(exc).__name__}: {exc}")
-
-
-@dataclass
 class RunResult:
     exit_code: int
     dump: str
@@ -230,25 +206,26 @@ def run_pipeline(cfg: PipelineConfig, write: bool = True) -> RunResult:
     )
     files = expand_inputs(cfg.inputs)
 
-    if files:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as ex:
-            outcomes = list(ex.map(lambda p: _process_file(p, glossary, cfg), files))
-    else:
-        outcomes = []
-
     multi = len(files) > 1
     formulae: list[Formula] = []
     defs: list[SubstitutionDef] = []
     failures: list[tuple[str, str]] = []
     parts: list[ReplacementStats] = []
     file_error = False
-    for oc in outcomes:
-        stem = oc.path.stem
-        if oc.result is None:
-            failures.append((str(oc.path), oc.error or "unknown error"))
+    for path in files:
+        try:
+            res = extract_document(
+                path.read_text(encoding="utf-8"),
+                glossary,
+                citation_key=cfg.citation_key,
+                keywords=cfg.keywords,
+                introducers=cfg.introducers,
+            )
+        except (SemtexError, OSError) as exc:
+            failures.append((str(path), f"{type(exc).__name__}: {exc}"))
             file_error = True
             continue
-        res = oc.result
+        stem = path.stem
         for f in res.formulae:
             if multi:
                 f.id = f"{stem}:{f.id}"

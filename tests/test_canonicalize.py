@@ -1,6 +1,9 @@
+import types
+
 import pytest
 
-from semtex import canonicalize, canonicalize_string, render
+from semtex import canonicalize_string, render
+from semtex.canonicalize import canonicalize
 from semtex.errors import MismatchedLeftRightError
 from semtex.lexer import Group, Token, TokenKind, build_groups, tokenize
 
@@ -89,3 +92,10 @@ def test_canonicalize_is_idempotent(source):
 def test_canonicalize_accepts_prebuilt_nodes():
     nodes = build_groups(tokenize(r"\sin \, z"))
     assert render(canonicalize(nodes).nodes) == r"\sin z"
+
+
+def test_package_attribute_is_the_module():
+    import semtex.canonicalize
+
+    assert isinstance(semtex.canonicalize, types.ModuleType)
+    assert semtex.canonicalize.canonicalize is canonicalize

@@ -2,7 +2,6 @@
 
 import dataclasses
 import random
-import sys
 
 import pytest
 
@@ -45,9 +44,11 @@ def by_id(result):
 
 
 def test_extract_document_lexes_the_source_once(glossary, mini_source, monkeypatch):
-    # the package attribute semtex.canonicalize is the function, so take
-    # the modules from sys.modules
-    modules = [sys.modules[f"semtex.{m}"] for m in ("lexer", "metadata", "canonicalize")]
+    import semtex.canonicalize
+    import semtex.lexer
+    import semtex.metadata
+
+    modules = [semtex.lexer, semtex.metadata, semtex.canonicalize]
     real = modules[0].tokenize
     calls = []
 
@@ -106,8 +107,8 @@ def test_relational_detector(glossary):
 
 def split(glossary, body, prose=""):
     fs = segment_formulae(f"\\[ {body} \\]", glossary)
-    core, anns = detect_constraints(fs[0], prose)
-    return render(core.nodes), [a.body for a in anns]
+    core, clauses = detect_constraints(fs[0], prose)
+    return render(core.nodes), [render(cl) for cl in clauses]
 
 
 def test_single_trailing_clause(glossary):
@@ -260,6 +261,13 @@ def test_def_mentioning_its_own_head_is_not_a_cycle(glossary):
     res = extract(glossary, wrap("y=u", "u=u^2+1"))
     assert [d.def_formula_id for d in res.defs] == ["f2"]
     assert bodies(AnnotationKind.SUBSTITUTION, res.formulae[0]) == ["u=u^2+1"]
+
+
+def test_defs_sharing_a_label_are_all_attached(glossary):
+    res = extract(glossary, wrap("y=u+w", "u=2 \\label{d}", "w=3 \\label{d}"))
+    assert [d.def_formula_id for d in res.defs] == ["d", "d"]
+    assert [f.id for f in res.formulae] == ["f1"]
+    assert bodies(AnnotationKind.SUBSTITUTION, res.formulae[0]) == ["u=2", "w=3"]
 
 
 _SYMBOL_HEADS = ("u", "w", "s", "\\rho", "\\theta", "h_n", "g^2", "\\sigma_k")

@@ -2,6 +2,7 @@
 
 import json
 import socket
+import threading
 
 import pytest
 
@@ -160,6 +161,25 @@ def test_worker_count_does_not_change_output():
     eight = run_pipeline(PipelineConfig(inputs=inputs, bibliography_path=DATA / "bib.json", workers=8), write=False)
     assert one.dump == eight.dump
     assert one.report == eight.report
+
+
+def test_files_are_converted_on_the_calling_thread(monkeypatch):
+    import semtex.pipeline
+
+    real = semtex.pipeline.extract_document
+    threads = []
+
+    def recording(*args, **kwargs):
+        threads.append(threading.get_ident())
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(semtex.pipeline, "extract_document", recording)
+    inputs = [DATA / "kls_mini.tex", DATA / "mixed_errors.tex"]
+    run_pipeline(
+        PipelineConfig(inputs=inputs, bibliography_path=DATA / "bib.json", workers=4),
+        write=False,
+    )
+    assert threads == [threading.get_ident()] * 2
 
 
 def test_row_failure_keeps_run_alive():
