@@ -94,40 +94,6 @@ def _class_map(classes) -> dict[str, str]:
 DEFAULT_SETTINGS = CanonicalSettings()
 
 
-def strip_spacing(
-    nodes: Iterable[Node], settings: CanonicalSettings = DEFAULT_SETTINGS
-) -> list[Node]:
-    """Drop whitespace tokens and explicit spacing commands."""
-    out: list[Node] = []
-    nodes = list(nodes)
-    i = 0
-    while i < len(nodes):
-        node = nodes[i]
-        if isinstance(node, Group):
-            out.append(
-                Group(
-                    tuple(strip_spacing(node.children, settings)),
-                    open_tok=node.open_tok,
-                    close_tok=node.close_tok,
-                )
-            )
-            i += 1
-            continue
-        if node.kind is TokenKind.WHITESPACE or node.text in settings.spacing_tokens:
-            i += 1
-            continue
-        if node.kind is TokenKind.CONTROL and node.name in _ARG_SPACING:
-            j = i + 1
-            if j < len(nodes) and isinstance(nodes[j], Token) and nodes[j].is_char("*"):
-                j += 1
-            if j < len(nodes) and isinstance(nodes[j], Group):
-                i = j + 1
-                continue
-        out.append(node)
-        i += 1
-    return out
-
-
 def _canonical_delimiter(t: Token, settings: CanonicalSettings) -> Token:
     """Canonical token for a delimiter spelling (without size prefix)."""
     if t.kind is TokenKind.CONTROL and t.name in settings.bar_synonyms:
@@ -139,34 +105,57 @@ def _canonical_delimiter(t: Token, settings: CanonicalSettings) -> Token:
     return t
 
 
-def normalize_delimiters(
-    nodes: Iterable[Node], settings: CanonicalSettings = DEFAULT_SETTINGS
-) -> list[Node]:
-    """Collapse sized/synonymous delimiters to one spelling per class.
+# Token kinds dropped after delimiter normalization, and kinds a one-leaf
+# brace group unwraps to.
+_DROPPED_KINDS = (TokenKind.ALIGN_TAB, TokenKind.COMMENT)
+_LEAF_KINDS = (TokenKind.CHAR, TokenKind.CONTROL)
 
-    \\left. and \\right. disappear.  Raises MismatchedLeftRightError when
-    \\left/\\right do not pair up within a group.
-    """
-    out: list[Node] = []
+
+def _canon(nodes: Iterable[Node], settings: CanonicalSettings) -> list[Node]:
+    """Canonical form of one node sequence, recursing into its groups."""
     nodes = list(nodes)
+    n = len(nodes)
+    # Spacing goes first, so a size prefix sees the delimiter behind it.
+    seq: list[Node] = []
+    i = 0
+    while i < n:
+        node = nodes[i]
+        i += 1
+        if isinstance(node, Token):
+            if node.kind is TokenKind.WHITESPACE or node.text in settings.spacing_tokens:
+                continue
+            if node.kind is TokenKind.CONTROL and node.name in _ARG_SPACING:
+                j = i
+                if j < n and isinstance(nodes[j], Token) and nodes[j].is_char("*"):
+                    j += 1
+                if j < n and isinstance(nodes[j], Group):
+                    i = j + 1
+                    continue
+        seq.append(node)
+    # Delimiters, tabs and comments, and groups in source order, so the
+    # first left/right mismatch in the tree is the one raised.  Tabs and
+    # comments still separate a size prefix from what follows them.
+    out: list[Node] = []
     depth = 0
     first_open: Token | None = None
+    n = len(seq)
     i = 0
-    while i < len(nodes):
-        node = nodes[i]
+    while i < n:
+        node = seq[i]
+        i += 1
         if isinstance(node, Group):
-            out.append(
-                Group(
-                    tuple(normalize_delimiters(node.children, settings)),
-                    open_tok=node.open_tok,
-                    close_tok=node.close_tok,
+            kids = _canon(node.children, settings)
+            if len(kids) == 1 and isinstance(kids[0], Token) and kids[0].kind in _LEAF_KINDS:
+                out.append(kids[0])
+            else:
+                out.append(
+                    Group(tuple(kids), open_tok=node.open_tok, close_tok=node.close_tok)
                 )
-            )
-            i += 1
             continue
         if node.kind is TokenKind.CONTROL and node.name in settings.size_prefixes:
-            nxt = nodes[i + 1] if i + 1 < len(nodes) else None
+            nxt = seq[i] if i < n else None
             if isinstance(nxt, Token) and nxt.text in _DELIMITER_TEXTS:
+                i += 1
                 if node.name == "left":
                     depth += 1
                     if first_open is None:
@@ -177,56 +166,17 @@ def normalize_delimiters(
                         raise MismatchedLeftRightError(
                             node.span[0] if node.span else None
                         )
-                if not (node.name in ("left", "right") and nxt.text == "."):
-                    out.append(_canonical_delimiter(nxt, settings))
-                i += 2
-                continue
+                if node.name in ("left", "right") and nxt.text == ".":
+                    continue
+                node = _canonical_delimiter(nxt, settings)
             out.append(node)
-            i += 1
             continue
-        out.append(_canonical_delimiter(node, settings))
-        i += 1
+        node = _canonical_delimiter(node, settings)
+        if node.kind not in _DROPPED_KINDS:
+            out.append(node)
     if depth != 0:
         pos = first_open.span[0] if first_open is not None and first_open.span else None
         raise MismatchedLeftRightError(pos)
-    return out
-
-
-def _unwrap_singletons(nodes: list[Node]) -> list[Node]:
-    """Drop redundant braces: {n} becomes n when the group holds a single
-    CHAR or CONTROL leaf.  Applied bottom-up so {{n}} fully collapses; a
-    canonical tree therefore never contains a one-leaf brace group."""
-    out: list[Node] = []
-    for node in nodes:
-        if isinstance(node, Group):
-            kids = _unwrap_singletons(list(node.children))
-            if (
-                len(kids) == 1
-                and isinstance(kids[0], Token)
-                and kids[0].kind in (TokenKind.CHAR, TokenKind.CONTROL)
-            ):
-                out.append(kids[0])
-                continue
-            node = Group(
-                tuple(kids), open_tok=node.open_tok, close_tok=node.close_tok
-            )
-        out.append(node)
-    return out
-
-
-def _drop_kinds(nodes: Iterable[Node], kinds: tuple[TokenKind, ...]) -> list[Node]:
-    out: list[Node] = []
-    for node in nodes:
-        if isinstance(node, Group):
-            out.append(
-                Group(
-                    tuple(_drop_kinds(node.children, kinds)),
-                    open_tok=node.open_tok,
-                    close_tok=node.close_tok,
-                )
-            )
-        elif node.kind not in kinds:
-            out.append(node)
     return out
 
 
@@ -240,13 +190,17 @@ class CanonicalTree:
 def canonicalize(
     nodes: Iterable[Node], settings: CanonicalSettings = DEFAULT_SETTINGS
 ) -> CanonicalTree:
-    """strip_spacing, normalize_delimiters, then drop alignment tabs and
-    comments and unwrap single-leaf brace groups."""
-    work = strip_spacing(nodes, settings)
-    work = normalize_delimiters(work, settings)
-    work = _drop_kinds(work, (TokenKind.ALIGN_TAB, TokenKind.COMMENT))
-    work = _unwrap_singletons(work)
-    return CanonicalTree(tuple(work))
+    """Canonicalize in one walk.  In each node sequence, in order:
+
+    1. drop whitespace, spacing tokens and \\hspace/\\mspace{...};
+    2. collapse sized and synonym delimiters to one spelling per class
+       (\\left. and \\right. disappear) and raise MismatchedLeftRightError
+       when \\left/\\right do not pair up within the sequence;
+    3. drop alignment tabs and comments;
+    4. canonicalize each group once and unwrap it when it holds a single
+       CHAR or CONTROL leaf, so {{n}} becomes n.
+    """
+    return CanonicalTree(tuple(_canon(nodes, settings)))
 
 
 def canonicalize_string(
