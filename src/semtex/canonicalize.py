@@ -111,6 +111,18 @@ _DROPPED_KINDS = (TokenKind.ALIGN_TAB, TokenKind.COMMENT)
 _LEAF_KINDS = (TokenKind.CHAR, TokenKind.CONTROL)
 
 
+def _skip_whitespace(nodes: list[Node], i: int) -> int:
+    """Index of the first node at or after i that is not whitespace; TeX
+    skips spaces after a control word and before an argument."""
+    while (
+        i < len(nodes)
+        and isinstance(nodes[i], Token)
+        and nodes[i].kind is TokenKind.WHITESPACE
+    ):
+        i += 1
+    return i
+
+
 def _canon(nodes: Iterable[Node], settings: CanonicalSettings) -> list[Node]:
     """Canonical form of one node sequence, recursing into its groups."""
     nodes = list(nodes)
@@ -125,9 +137,9 @@ def _canon(nodes: Iterable[Node], settings: CanonicalSettings) -> list[Node]:
             if node.kind is TokenKind.WHITESPACE or node.text in settings.spacing_tokens:
                 continue
             if node.kind is TokenKind.CONTROL and node.name in _ARG_SPACING:
-                j = i
+                j = _skip_whitespace(nodes, i)
                 if j < n and isinstance(nodes[j], Token) and nodes[j].is_char("*"):
-                    j += 1
+                    j = _skip_whitespace(nodes, j + 1)
                 if j < n and isinstance(nodes[j], Group):
                     i = j + 1
                     continue

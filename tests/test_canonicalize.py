@@ -18,6 +18,8 @@ def canon(source):
         (r"x \, y \; z \quad w \qquad v \! u", "xyzwvu"),
         ("x ~ y", "xy"),
         (r"x \hspace{2mm} y", "xy"),
+        (r"\hspace {2mm}x", "x"),
+        (r"\hspace *{2mm}x", "x"),
         (r"\sin  z", r"\sin z"),
     ],
 )
