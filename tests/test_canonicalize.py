@@ -34,6 +34,7 @@ def test_spacing_stripped(source, expected):
         (r"\bigl[ x \bigr]", "[x]"),
         (r"\Big| x \Big|", "|x|"),
         (r"a \mid b \vert c", "a|b|c"),
+        (r"\Bigl\lbrace x \Bigr\rbrace", r"\{x\}"),
         # a null delimiter disappears but the pairing still counts
         (r"\left. \frac{dy}{dx} \right|_{x=0}", r"\frac{dy}{dx}|_{x=0}"),
     ],
@@ -42,7 +43,16 @@ def test_delimiters_normalized(source, expected):
     assert canon(source) == expected
 
 
-@pytest.mark.parametrize("source", [r"\left( x", r"x \right)", r"\left( \left[ y \right]"])
+@pytest.mark.parametrize(
+    "source",
+    [
+        r"\left( x",
+        r"x \right)",
+        r"\left( \left[ y \right]",
+        # pairing is checked within one group
+        r"{\left( x} \right)",
+    ],
+)
 def test_left_right_mismatch_raises(source):
     with pytest.raises(MismatchedLeftRightError):
         canonicalize_string(source)
@@ -60,6 +70,10 @@ def test_alignment_tabs_and_comments_dropped():
         ("{{n}}", "n"),
         (r"{\alpha}", r"\alpha"),
         (r"\sqrt{2}", r"\sqrt2"),
+        # spacing, delimiters and null delimiters go before the unwrap
+        (r"{ \, n }", "n"),
+        (r"{\mid}", "|"),
+        (r"{\left. y \right.}", "y"),
         # multi-token groups keep their braces
         ("{n+1}", "{n+1}"),
         ("x^{z-1}", "x^{z-1}"),
