@@ -115,7 +115,11 @@ class Formula:
 
 @dataclass
 class SubstitutionDef:
-    """A formula that merely defines a symbol used by its neighbours."""
+    """A formula that merely defines a symbol used by its neighbours.
+
+    ordinal is the defining row's Formula.ordinal, which, unlike its id,
+    is unique in a document.
+    """
 
     lhs_head: tuple[Node, ...]
     is_function: bool
@@ -123,6 +127,7 @@ class SubstitutionDef:
     def_formula_id: str
     equation: str
     unit: str
+    ordinal: int
 
 
 @dataclass
@@ -556,15 +561,15 @@ def detect_substitutions(
         candidates.append((f, eq, run, is_function))
 
     find = _head_finder([(f.unit, run, is_function) for f, _, run, is_function in candidates])
-    # ids of the formulae that use each candidate's head
-    users: list[set[str]] = [set() for _ in candidates]
+    # ordinals of the rows that use each candidate's head; ids may repeat
+    users: list[set[int]] = [set() for _ in candidates]
     for g in fs:
         for k in find(g.semantic_nodes, g.unit):
-            users[k].add(g.id)
+            users[k].add(g.ordinal)
 
     defs: list[SubstitutionDef] = []
-    for (f, eq, run, is_function), ids in zip(candidates, users):
-        if ids <= {f.id}:
+    for (f, eq, run, is_function), rows in zip(candidates, users):
+        if rows <= {f.ordinal}:
             continue
         defs.append(
             SubstitutionDef(
@@ -574,6 +579,7 @@ def detect_substitutions(
                 def_formula_id=f.id,
                 equation=f.source_semantic,
                 unit=f.unit,
+                ordinal=f.ordinal,
             )
         )
     return defs
@@ -643,10 +649,10 @@ def inline_substitutions(
     find = _head_finder([(d.unit, d.lhs_head, d.is_function) for d in defs])
     edges = [[k for k in find(d.rhs, d.unit) if k != j] for j, d in enumerate(defs)]
     closures = _closures(defs, edges)
-    def_ids = {d.def_formula_id for d in defs}
+    def_rows = {d.ordinal for d in defs}
     out = []
     for f in fs:
-        if f.id in def_ids:
+        if f.ordinal in def_rows:
             continue
         merged = _merge(closures[k] for k in find(f.semantic_nodes, f.unit))
         for d in merged.values():

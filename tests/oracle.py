@@ -185,29 +185,38 @@ def detect_substitutions(fs, glossary):
         head = run[0]
         if head.inert or (head.kind is TokenKind.CONTROL and head.name in glossary.heads):
             continue
-        others = [g for g in fs if g.unit == f.unit and g.id != f.id]
+        others = [g for g in fs if g.unit == f.unit and g.ordinal != f.ordinal]
         if any(_run_occurs(g.semantic_nodes, run, is_function) for g in others):
             defs.append(
                 SubstitutionDef(
-                    run, is_function, tuple(nodes[eq + 1 :]), f.id, f.source_semantic, f.unit
+                    run,
+                    is_function,
+                    tuple(nodes[eq + 1 :]),
+                    f.id,
+                    f.source_semantic,
+                    f.unit,
+                    f.ordinal,
                 )
             )
     return defs
 
 
 def _expand_def(d, defs, seen, path):
-    if d.def_formula_id in path:
-        raise SubstitutionCycleError(path[path.index(d.def_formula_id) :] + (d.def_formula_id,))
-    if d.def_formula_id in seen:
+    """Walk the defs d reaches, keyed by row ordinal; path holds the defs
+    on the current search path."""
+    if d.ordinal in (p.ordinal for p in path):
+        ring = path[[p.ordinal for p in path].index(d.ordinal) :] + (d,)
+        raise SubstitutionCycleError(tuple(p.def_formula_id for p in ring))
+    if d.ordinal in seen:
         return
-    seen[d.def_formula_id] = d
+    seen[d.ordinal] = d
     for e in defs:
         if (
-            e.def_formula_id != d.def_formula_id
+            e.ordinal != d.ordinal
             and e.unit == d.unit
             and _run_occurs(d.rhs, e.lhs_head, e.is_function)
         ):
-            _expand_def(e, defs, seen, path + (d.def_formula_id,))
+            _expand_def(e, defs, seen, path + (d,))
 
 
 def inline_substitutions(fs, defs):
@@ -215,10 +224,10 @@ def inline_substitutions(fs, defs):
     in the order one shared walk first reaches them."""
     for d in defs:
         _expand_def(d, defs, {}, ())
-    def_ids = {d.def_formula_id for d in defs}
+    def_rows = {d.ordinal for d in defs}
     out = []
     for f in fs:
-        if f.id in def_ids:
+        if f.ordinal in def_rows:
             continue
         seen = {}
         for d in defs:

@@ -270,6 +270,21 @@ def test_defs_sharing_a_label_are_all_attached(glossary):
     assert bodies(AnnotationKind.SUBSTITUTION, res.formulae[0]) == ["u=2", "w=3"]
 
 
+
+def test_row_sharing_a_defs_label_is_kept(glossary):
+    res = extract(glossary, wrap("u=2 \\label{d}", "z+u", "z^2 \\label{d}"))
+    assert [(d.def_formula_id, d.ordinal) for d in res.defs] == [("d", 1)]
+    assert [(f.id, f.ordinal) for f in res.formulae] == [("f2", 2), ("d", 3)]
+    assert res.failures == []
+
+
+def test_use_from_a_row_sharing_the_defs_label_counts(glossary):
+    res = extract(glossary, wrap("y=u \\label{d}", "u=2 \\label{d}"))
+    assert [(d.def_formula_id, d.ordinal) for d in res.defs] == [("d", 2)]
+    assert [f.ordinal for f in res.formulae] == [1]
+    assert bodies(AnnotationKind.SUBSTITUTION, res.formulae[0]) == ["u=2"]
+
+
 _SYMBOL_HEADS = ("u", "w", "s", "\\rho", "\\theta", "h_n", "g^2", "\\sigma_k")
 _FUNCTION_HEADS = ("F", "\\psi", "G_m")
 
@@ -353,6 +368,32 @@ def test_substitutions_match_the_brute_force_reference(glossary):
 def test_inline_substitutions_conserves_rows(glossary):
     res = extract(glossary, wrap("y=u+1", "u=2", "z=u-1"))
     assert len(res.formulae) == 2 and len(res.defs) == 1
+
+
+def test_rows_with_repeated_labels_are_each_kept_once(glossary):
+    # Every display row becomes exactly one formula, def or failure, and
+    # the substitution stages agree with the brute-force reference.
+    defs_seen = 0
+    for seed in range(30):
+        rng = random.Random(seed)
+        rows = _planted_rows(rng, cycle=False)
+        labels = rng.sample("abcdefgh", rng.randint(1, 3))
+        rows = [
+            r + f" \\label{{{rng.choice(labels)}}}" if rng.random() < 0.6 else r
+            for r in rows
+        ]
+        source = wrap(*rows)
+        res = extract(glossary, source)
+        ordinals = [f.ordinal for f in res.formulae] + [d.ordinal for d in res.defs]
+        assert len(set(ordinals)) == len(ordinals), seed
+        assert len(ordinals) + len(res.failures) == len(rows), seed
+        defs_seen += len(res.defs)
+
+        fs = _replaced_rows(glossary, source)
+        want = _substitute(oracle.detect_substitutions, oracle.inline_substitutions, fs, glossary)
+        got = _substitute(detect_substitutions, inline_substitutions, fs, glossary)
+        assert got == want, seed
+    assert defs_seen >= 100, defs_seen
 
 
 # ---------------------------------------------------------- names and notes
