@@ -8,7 +8,7 @@ spelling instead of dozens.  canonicalize is idempotent.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .errors import MismatchedLeftRightError
 from .lexer import Group, Node, Token, TokenKind, build_groups, tokenize
@@ -111,7 +111,7 @@ _DROPPED_KINDS = (TokenKind.ALIGN_TAB, TokenKind.COMMENT)
 _LEAF_KINDS = (TokenKind.CHAR, TokenKind.CONTROL)
 
 
-def _skip_whitespace(nodes: list[Node], i: int) -> int:
+def _skip_whitespace(nodes: Sequence[Node], i: int) -> int:
     """Index of the first node at or after i that is not whitespace; TeX
     skips spaces after a control word and before an argument."""
     while (
@@ -123,9 +123,8 @@ def _skip_whitespace(nodes: list[Node], i: int) -> int:
     return i
 
 
-def _canon(nodes: Iterable[Node], settings: CanonicalSettings) -> list[Node]:
+def _canon(nodes: Sequence[Node], settings: CanonicalSettings) -> list[Node]:
     """Canonical form of one node sequence, recursing into its groups."""
-    nodes = list(nodes)
     n = len(nodes)
     # Spacing goes first, so a size prefix sees the delimiter behind it.
     seq: list[Node] = []
@@ -212,7 +211,7 @@ def canonicalize(
     4. canonicalize each group once and unwrap it when it holds a single
        CHAR or CONTROL leaf, so {{n}} becomes n.
     """
-    return CanonicalTree(tuple(_canon(nodes, settings)))
+    return CanonicalTree(tuple(_canon(list(nodes), settings)))
 
 
 def canonicalize_string(

@@ -202,11 +202,11 @@ def detect_substitutions(fs, glossary):
 
 
 def _expand_def(d, defs, seen, path):
-    """Walk the defs d reaches, keyed by row ordinal; path holds the defs
-    on the current search path."""
-    if d.ordinal in (p.ordinal for p in path):
-        ring = path[[p.ordinal for p in path].index(d.ordinal) :] + (d,)
-        raise SubstitutionCycleError(tuple(p.def_formula_id for p in ring))
+    """Walk the defs d reaches, keyed by row ordinal, since ids may repeat."""
+    if d.ordinal in path:
+        ids = {e.ordinal: e.def_formula_id for e in defs}
+        ring = path[path.index(d.ordinal) :] + (d.ordinal,)
+        raise SubstitutionCycleError(tuple(ids[k] for k in ring))
     if d.ordinal in seen:
         return
     seen[d.ordinal] = d
@@ -216,7 +216,7 @@ def _expand_def(d, defs, seen, path):
             and e.unit == d.unit
             and _run_occurs(d.rhs, e.lhs_head, e.is_function)
         ):
-            _expand_def(e, defs, seen, path + (d,))
+            _expand_def(e, defs, seen, path + (d.ordinal,))
 
 
 def inline_substitutions(fs, defs):
