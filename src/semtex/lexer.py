@@ -7,7 +7,7 @@ only places that can reject input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Union
 
@@ -29,19 +29,36 @@ class TokenKind(Enum):
     WHITESPACE = "whitespace"
 
 
-@dataclass(frozen=True)
 class Token:
     """One lexical token.
 
     Equality and hashing use (kind, text) only, so canonical trees compare
     by content.  span is the token's source offset range; inert marks
-    rewriter output that must never be rematched.
+    rewriter output that must never be rematched.  Tokens are never
+    mutated after construction.
     """
 
-    kind: TokenKind
-    text: str
-    span: tuple[int, int] | None = field(default=None, compare=False)
-    inert: bool = field(default=False, compare=False)
+    __slots__ = ("kind", "text", "span", "inert")
+
+    def __init__(
+        self,
+        kind: TokenKind,
+        text: str,
+        span: tuple[int, int] | None = None,
+        inert: bool = False,
+    ):
+        self.kind = kind
+        self.text = text
+        self.span = span
+        self.inert = inert
+
+    def __eq__(self, other):
+        if other.__class__ is not Token:
+            return NotImplemented
+        return self.kind is other.kind and self.text == other.text
+
+    def __hash__(self):
+        return hash((self.kind, self.text))
 
     @property
     def name(self) -> str:
@@ -118,14 +135,33 @@ def detokenize(tokens: Iterable[Token]) -> str:
     return "".join(t.text for t in tokens)
 
 
-@dataclass(frozen=True)
 class Group:
-    """A balanced {...} group.  Equality looks at children only."""
+    """A balanced {...} group.  Equality looks at children only.
 
-    children: tuple["Node", ...]
-    open_tok: Token | None = field(default=None, compare=False)
-    close_tok: Token | None = field(default=None, compare=False)
-    inert: bool = field(default=False, compare=False)
+    Like tokens, groups are never mutated after construction.
+    """
+
+    __slots__ = ("children", "open_tok", "close_tok", "inert")
+
+    def __init__(
+        self,
+        children: tuple["Node", ...],
+        open_tok: Token | None = None,
+        close_tok: Token | None = None,
+        inert: bool = False,
+    ):
+        self.children = children
+        self.open_tok = open_tok
+        self.close_tok = close_tok
+        self.inert = inert
+
+    def __eq__(self, other):
+        if other.__class__ is not Group:
+            return NotImplemented
+        return self.children == other.children
+
+    def __hash__(self):
+        return hash(self.children)
 
     def __repr__(self):
         return f"Group({list(self.children)!r})"

@@ -151,3 +151,34 @@ def test_render_inserts_space_after_control_word_before_letter():
     # no space needed before a non-letter
     toks[1] = Token(TokenKind.CHAR, "(")
     assert render(toks) == "\\sin("
+
+
+def test_token_and_group_value_semantics():
+    x = Token(TokenKind.CHAR, "x")
+    assert x.span is None and x.inert is False
+    placed = Token(TokenKind.CHAR, "x", span=(3, 4), inert=True)
+    assert placed == x and hash(placed) == hash(x)
+    assert Token(TokenKind.CHAR, "x") != Token(TokenKind.CONTROL, "x")
+    assert Token(TokenKind.CHAR, "x") != Token(TokenKind.CHAR, "y")
+
+    g = Group((x,))
+    assert g.open_tok is None and g.close_tok is None and g.inert is False
+    braced = Group(
+        (placed,),
+        open_tok=Token(TokenKind.GROUP_OPEN, "{", span=(2, 3)),
+        close_tok=Token(TokenKind.GROUP_CLOSE, "}", span=(4, 5)),
+        inert=True,
+    )
+    assert braced == g and hash(braced) == hash(g)
+    assert Group((x,)) != Group((x, x))
+
+    # a token never equals a group, even one that holds just that token
+    assert x != g and g != x
+    assert Group(()) != Token(TokenKind.CHAR, "")
+
+    table = {x: "token", g: "group"}
+    assert table[placed] == "token" and table[braced] == "group"
+    assert {x, placed, g, braced} == {x, g}
+    assert repr(x) == "Token(CHAR, 'x')" and repr(g) == "Group([Token(CHAR, 'x')])"
+    assert x.name == "x" and Token(TokenKind.CONTROL, "\\sin").name == "sin"
+    assert Token(TokenKind.CONTROL, "\\sin").is_control("sin") and x.is_char("x")
