@@ -3,7 +3,10 @@
 replace_all walks a canonical tree left to right; at each position the
 highest-ordered matching rule fires, its captures are rewritten
 recursively, and the instantiated template is spliced in marked inert so
-a second pass finds nothing to do.  strip_semantics is the inverse.
+a second pass finds nothing to do.  Only the rules whose first pattern
+atom can match the node at hand are tried (the glossary buckets them by
+that atom), in the same total order, so the rule that fires is the one a
+try-every-rule walk would pick.  strip_semantics is the inverse.
 """
 
 from __future__ import annotations
@@ -207,9 +210,15 @@ class ReplacementStats:
         )
 
 
-def _rewrite(nodes: list[Node], glossary: Glossary) -> tuple[list[Node], Counter]:
+def _rewrite(nodes: Sequence[Node], glossary: Glossary, counts: Counter) -> Sequence[Node]:
+    """Rewrite one node sequence, adding each firing to counts.
+
+    Returns nodes itself when no rule fired in it at any depth.
+    """
+    by_first = glossary._by_first
+    unkeyed = glossary._unkeyed
     out: list[Node] = []
-    counts: Counter = Counter()
+    fired = False
     i = 0
     while i < len(nodes):
         node = nodes[i]
@@ -217,33 +226,28 @@ def _rewrite(nodes: list[Node], glossary: Glossary) -> tuple[list[Node], Counter
             out.append(node)
             i += 1
             continue
-        hit = None
-        m = None
-        for rule in glossary.rules:
+        key = node.text if isinstance(node, Token) else Group
+        for rule in by_first.get(key, unkeyed):
             m = match_at(nodes, i, rule)
             if m is not None:
-                hit = rule
                 break
-        if m is None or hit is None:
+        else:
             if isinstance(node, Group):
-                kids, sub = _rewrite(list(node.children), glossary)
-                counts.update(sub)
-                out.append(
-                    Group(tuple(kids), open_tok=node.open_tok, close_tok=node.close_tok)
-                )
-            else:
-                out.append(node)
+                kids = _rewrite(node.children, glossary, counts)
+                if kids is not node.children:
+                    node = Group(tuple(kids), open_tok=node.open_tok, close_tok=node.close_tok)
+                    fired = True
+            out.append(node)
             i += 1
             continue
-        counts[hit.macro_name] += 1
-        rewritten: dict[str, list[Node]] = {}
-        for name, seq in m.captures.items():
-            sub_nodes, sub_counts = _rewrite(list(seq), glossary)
-            counts.update(sub_counts)
-            rewritten[name] = sub_nodes
-        out.extend(instantiate(hit, rewritten))
+        fired = True
+        counts[rule.macro_name] += 1
+        rewritten = {
+            name: _rewrite(seq, glossary, counts) for name, seq in m.captures.items()
+        }
+        out.extend(instantiate(rule, rewritten))
         i = m.end
-    return out, counts
+    return out if fired else nodes
 
 
 def replace_all(
@@ -251,11 +255,14 @@ def replace_all(
 ) -> tuple[CanonicalTree, ReplacementStats]:
     """Replace every matching presentation pattern, leftmost first.
 
-    Returns the rewritten tree and per-rule firing counts for this one
-    formula (formulae == 1 in the stats).
+    At each position only the rules whose first pattern atom can match
+    the node are tried, in the glossary's total order.  Returns the
+    rewritten tree and per-rule firing counts for this one formula
+    (formulae == 1 in the stats).
     """
     nodes = tree.nodes if isinstance(tree, CanonicalTree) else tuple(tree)
-    out, counts = _rewrite(list(nodes), glossary)
+    counts: Counter = Counter()
+    out = _rewrite(nodes, glossary, counts)
     stats = ReplacementStats.from_counts(counts, formulae=1)
     return CanonicalTree(tuple(out)), stats
 

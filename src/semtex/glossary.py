@@ -185,9 +185,30 @@ def _validate_rule(rule: MacroRule) -> None:
         )
 
 
+def _first_key(rule: MacroRule) -> object:
+    """The node key that a rule's first atom can match, or None.
+
+    A literal, separator or ( [ opener matches only a token of its text,
+    so it is keyed by that text.  A { opener matches only a non-inert
+    group, keyed by the Group class, which no token text can equal.  A
+    leading capture can match any node and gives None.
+    """
+    atom = rule.pattern[0]
+    if atom.kind is AtomKind.CAPTURE:
+        return None
+    if atom.kind is AtomKind.OPEN and atom.value == "{":
+        return Group
+    return atom.value
+
+
 @dataclass
 class Glossary:
-    """Rules in total order (priority desc, pattern length desc, name asc)."""
+    """Rules in total order (priority desc, pattern length desc, name asc).
+
+    _by_first buckets the rules by _first_key: the bucket of a key holds
+    the rules keyed by it plus every unkeyed rule, in the total order.
+    _unkeyed holds the unkeyed rules alone, for nodes no bucket names.
+    """
 
     rules: tuple[MacroRule, ...]
     settings: CanonicalSettings = field(default_factory=CanonicalSettings)
@@ -206,6 +227,18 @@ class Glossary:
                 raise DuplicateMacroError(rule.macro_name)
             self.by_name[rule.macro_name] = rule
             self.by_head.setdefault(rule.head, rule)
+        by_first: dict[object, list[MacroRule]] = {}
+        unkeyed: list[MacroRule] = []
+        for rule in self.rules:
+            key = _first_key(rule)
+            if key is None:
+                unkeyed.append(rule)
+                for bucket in by_first.values():
+                    bucket.append(rule)
+            else:
+                by_first.setdefault(key, list(unkeyed)).append(rule)
+        self._by_first = {k: tuple(b) for k, b in by_first.items()}
+        self._unkeyed = tuple(unkeyed)
 
     @property
     def macro_names(self) -> tuple[str, ...]:

@@ -1,15 +1,25 @@
 """replace_all / strip_semantics against the builtin glossary."""
 
+import json
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 import gen
 import oracle
+from semtex import engine
 from semtex.canonicalize import canonicalize_string
-from semtex.engine import ReplacementStats, replace_all, strip_semantics
+from semtex.engine import (
+    ReplacementStats,
+    instantiate,
+    match_at,
+    replace_all,
+    strip_semantics,
+)
 from semtex.errors import UnknownSemanticMacroError
-from semtex.lexer import flatten, render
+from semtex.glossary import builtin_glossary_path, loads_glossary
+from semtex.lexer import Group, flatten, render
 
 
 def convert(text, glossary):
@@ -155,3 +165,92 @@ def test_strip_rejects_unknown_semantics(glossary, bad):
     tree = canonicalize_string(bad, glossary.settings)
     with pytest.raises(UnknownSemanticMacroError):
         strip_semantics(tree, glossary)
+
+
+# Rules the bundled glossary lacks, so that first-atom dispatch meets every
+# kind of first atom: leading captures ranked above and below keyed rules,
+# a [ opener, a separator, and a literal shared with a higher-ranked rule.
+_EXTRA_RULES = [
+    # outranks EulerGamma (50) at \Gamma(z)
+    {"name": "Apply", "priority": 55, "template": "\\Apply{#f}@{#x}",
+     "pattern": [{"capture": "f", "mode": "single-token"}, {"open": "("},
+                 {"capture": "x"}, {"close": True}]},
+    {"name": "Power", "priority": 1, "template": "\\Power{#b}@{#e}",
+     "pattern": [{"capture": "b", "mode": "single-token"}, {"lit": "^"},
+                 {"capture": "e", "mode": "single-group"}]},
+    {"name": "Bracket", "priority": 60, "template": "\\Bracket{#n}@{#a}",
+     "pattern": [{"open": "["}, {"capture": "a"}, {"close": True}, {"lit": "_"},
+                 {"capture": "n", "mode": "single-group"}]},
+    {"name": "Comma", "priority": 5, "template": "\\Comma@{#a}",
+     "pattern": [{"sep": ","}, {"capture": "a", "mode": "single-token"}]},
+    # shares \sin with the bundled sin rule (40) and ranks below it
+    {"name": "SinExpr", "priority": 30, "template": "\\SinExpr@{#z}",
+     "pattern": [{"lit": "\\sin"}, {"capture": "z"}]},
+]
+
+
+@pytest.fixture(scope="module")
+def mixed_glossary():
+    data = json.loads(builtin_glossary_path().read_text(encoding="utf-8"))
+    for rule in _EXTRA_RULES:
+        data["rules"].append(dict(rule, at="@", url="http://example.org/" + rule["name"]))
+    return loads_glossary(json.dumps(data))
+
+
+def _every_rule_walk(nodes, glossary):
+    """Reference rewrite that tries every rule at every position."""
+    out = []
+    i = 0
+    while i < len(nodes):
+        node = nodes[i]
+        hit = None
+        if not node.inert:
+            for rule in glossary.rules:
+                m = match_at(nodes, i, rule)
+                if m is not None:
+                    hit = rule
+                    break
+        if hit is None:
+            if isinstance(node, Group) and not node.inert:
+                node = Group(tuple(_every_rule_walk(node.children, glossary)))
+            out.append(node)
+            i += 1
+            continue
+        caps = {k: _every_rule_walk(v, glossary) for k, v in m.captures.items()}
+        out.extend(instantiate(hit, caps))
+        i = m.end
+    return out
+
+
+def test_dispatch_keeps_the_global_rule_order(mixed_glossary):
+    texts = [r"\Gamma(z)", r"\sin -x", r"[a+b]_n", r"x , y", r"a^2"]
+    for seed in range(3):
+        for k, text in enumerate(gen.corpus(seed=1000 + seed, count=150)):
+            if k % 2:
+                text = text.replace("(", "[").replace(")", "]")
+            texts.append(text)
+    fired = Counter()
+    for text in texts:
+        tree = canonicalize_string(text, mixed_glossary.settings)
+        out, stats = replace_all(tree, mixed_glossary)
+        assert dict(stats.per_rule) == dict(oracle.scan(tree.nodes, mixed_glossary)), text
+        want = _every_rule_walk(tree.nodes, mixed_glossary)
+        assert render(out.nodes) == render(want), text
+        assert [n.inert for n in flatten(out.nodes)] == [n.inert for n in flatten(want)], text
+        fired.update(stats.per_rule)
+    assert set(fired) >= {r["name"] for r in _EXTRA_RULES}, fired
+    assert convert(r"\Gamma(z)", mixed_glossary)[0] == r"\Apply{\Gamma}@{z}"
+    assert convert(r"\sin z", mixed_glossary)[0] == r"\sin@@{z}"
+
+
+def test_only_rules_whose_first_atom_fits_are_tried(glossary, monkeypatch):
+    tried = []
+
+    def counting(nodes, pos, rule):
+        tried.append(rule.macro_name)
+        return match_at(nodes, pos, rule)
+
+    monkeypatch.setattr(engine, "match_at", counting)
+    out, stats = convert(r"\Gamma(z)+x", glossary)
+    assert out == r"\EulerGamma@{z}+x"
+    assert tried == ["EulerGamma"]
