@@ -22,7 +22,7 @@ from .canonicalize import (
     canonicalize_string,
 )
 from .engine import ReplacementStats, replace_all
-from .errors import SemtexError, SubstitutionCycleError
+from .errors import DuplicateTitleError, SemtexError, SubstitutionCycleError
 from .glossary import Glossary
 from .lexer import (
     Group,
@@ -771,7 +771,9 @@ def extract_document(
     Segment, split constraints, replace (cores and constraint bodies,
     counts merged per formula), harvest names and notes, then detect and
     inline substitutions.  Failures on individual formulae are recorded
-    and skipped; document-level errors propagate.
+    and skipped; document-level errors propagate.  A formula whose id
+    repeats that of an earlier one left after inlining is such a
+    failure, located by line:col, and the earlier one keeps the id.
     """
     settings = settings or glossary.settings
     tokens = tokenize(source)
@@ -811,5 +813,28 @@ def extract_document(
     harvest_names_and_notes(source, sections, ok, keywords, introducers)
     defs = detect_substitutions(ok, glossary)
     remaining = inline_substitutions(ok, defs)
-    stats = ReplacementStats.combine(f.stats for f in ok)
+    # ids become page titles, so a repeated id would fail the whole dump
+    kept: dict[str, Formula] = {}
+    repeated: set[int] = set()
+    for f in remaining:
+        first = kept.setdefault(f.id, f)
+        if first is not f:
+            repeated.add(f.ordinal)
+            failures.append(
+                (
+                    f.id,
+                    f"{DuplicateTitleError.__name__}: row at line "
+                    f"{_line_col(source, f.span[0])} repeats the label {f.id!r} "
+                    f"of the row at line {_line_col(source, first.span[0])}",
+                )
+            )
+    remaining = list(kept.values())
+    stats = ReplacementStats.combine(f.stats for f in ok if f.ordinal not in repeated)
     return ExtractionResult(remaining, defs, stats, failures)
+
+
+def _line_col(source: str, offset: int) -> str:
+    """1-based line:column of a source offset."""
+    line = source.count("\n", 0, offset) + 1
+    col = offset - source.rfind("\n", 0, offset)
+    return f"{line}:{col}"

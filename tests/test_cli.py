@@ -42,6 +42,23 @@ def test_convert_reports_file_failures(tmp_path, capsys):
     assert "failures: 1" in capsys.readouterr().out
 
 
+def test_convert_keeps_the_first_row_of_a_repeated_label(tmp_path, capsys):
+    src = tmp_path / "dup.tex"
+    src.write_text("\\[ x+1 \\label{d} \\]\n\\[ y+2 \\label{d} \\]\n")
+    out = tmp_path / "d.xml"
+    rc = main(["convert", "--prefix", "KLS", "--input", str(src), "--out", str(out)])
+    assert rc == 0
+    printed = capsys.readouterr().out
+    assert printed.startswith("pages: 1\n")
+    assert (
+        "failures: 1\n  d: DuplicateTitleError: row at line 2:4 repeats the "
+        "label 'd' of the row at line 1:4\n"
+    ) in printed
+    dump = out.read_text()
+    assert dump.count("<title>Formula:KLS:d</title>") == 1
+    assert "x+1" in dump and "y+2" not in dump
+
+
 def test_stats(capsys):
     rc = main(["stats", "--input", MINI, "--bib", BIB])
     assert rc == 0

@@ -285,6 +285,15 @@ def test_use_from_a_row_sharing_the_defs_label_counts(glossary):
     assert bodies(AnnotationKind.SUBSTITUTION, res.formulae[0]) == ["u=2"]
 
 
+def test_rows_repeating_a_label_fail_on_their_own(glossary):
+    res = extract(glossary, "\\[ x+1 \\label{d} \\]\n\\[ y+2 \\label{d} \\]\n")
+    assert [(f.id, f.ordinal) for f in res.formulae] == [("d", 1)]
+    assert res.failures == [
+        ("d", "DuplicateTitleError: row at line 2:4 repeats the label 'd' of the row at line 1:4")
+    ]
+    assert res.stats.formulae == 1
+
+
 _SYMBOL_HEADS = ("u", "w", "s", "\\rho", "\\theta", "h_n", "g^2", "\\sigma_k")
 _FUNCTION_HEADS = ("F", "\\psi", "G_m")
 
