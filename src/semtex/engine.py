@@ -175,7 +175,6 @@ class ReplacementStats:
     per_rule: dict[str, int] = field(default_factory=dict)
     total: int = 0
     formulae: int = 0
-    formulae_touched: int = 0
 
     @property
     def avg_per_formula(self) -> Fraction:
@@ -185,29 +184,20 @@ class ReplacementStats:
 
     @classmethod
     def from_counts(cls, counts: Mapping[str, int], formulae: int) -> "ReplacementStats":
-        total = sum(counts.values())
         return cls(
             per_rule=dict(sorted(counts.items())),
-            total=total,
+            total=sum(counts.values()),
             formulae=formulae,
-            formulae_touched=formulae if total and formulae else (1 if total else 0),
         )
 
     @classmethod
     def combine(cls, parts: Iterable["ReplacementStats"]) -> "ReplacementStats":
         per: Counter = Counter()
         formulae = 0
-        touched = 0
         for p in parts:
             per.update(p.per_rule)
             formulae += p.formulae
-            touched += p.formulae_touched
-        return cls(
-            per_rule=dict(sorted(per.items())),
-            total=sum(per.values()),
-            formulae=formulae,
-            formulae_touched=touched,
-        )
+        return cls.from_counts(per, formulae)
 
 
 def _rewrite(nodes: Sequence[Node], glossary: Glossary, counts: Counter) -> Sequence[Node]:

@@ -4,12 +4,19 @@ Turns a document into Formula records: one per display-math row, with
 trailing constraint clauses split off the body, prose constraints and
 names and notes harvested from surrounding text, and substitution
 definitions detected and inlined into the formulae that use them.
+
+Prose is cut at display environments and section headings.  The prose
+after an environment gives constraints to its last row; the prose
+before one gives names and notes to its first row that converts, less
+its leading introducer sentences, which belong to the previous
+environment's last row.  A failed row still bounds prose, so its
+source never becomes part of another formula's notes.
 """
 
 from __future__ import annotations
 
 import re
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Iterable, Iterator, Sequence
@@ -26,6 +33,7 @@ from .errors import DuplicateTitleError, SemtexError, SubstitutionCycleError
 from .glossary import Glossary
 from .lexer import (
     Group,
+    MathSpan,
     Node,
     Token,
     TokenKind,
@@ -106,7 +114,6 @@ class Formula:
     unit: str = "doc"
     ordinal: int = 0
     span: tuple[int, int] = (0, 0)
-    outer: tuple[int, int] = (0, 0)
     stats: ReplacementStats = field(default_factory=ReplacementStats)
 
     def annotations_of(self, kind: AnnotationKind) -> list[Annotation]:
@@ -228,51 +235,43 @@ def _strip_markup(nodes: Sequence[Node]) -> list[Node]:
     return out
 
 
-def _segment(
-    tokens: list[Token],
+def _row(
+    ms: MathSpan,
+    ordinal: int,
     sections: Sequence[_Heading],
-    glossary: Glossary,
     citation_key: str,
-    settings: CanonicalSettings | None,
-) -> tuple[list[Formula], list[tuple[str, str]]]:
-    settings = settings or glossary.settings
-    formulae: list[Formula] = []
-    failures: list[tuple[str, str]] = []
-    ordinal = 0
-    for ms in _math_spans(tokens):
-        if not ms.is_display:
-            continue
-        ordinal += 1
-        fid = ms.label or f"f{ordinal}"
-        proofs = [
-            Annotation(AnnotationKind.PROOF, m.group(1).strip(), origin=fid)
-            for t in _leaves(ms.body)
-            if t.kind is TokenKind.COMMENT
-            for m in [_PROOF_RE.match(t.text)]
-            if m is not None
-        ]
-        body = _strip_markup(list(ms.body))
-        path, unit = _locate(sections, ms.outer[0])
-        try:
-            core = canonicalize(body, settings)
-        except SemtexError as exc:
-            failures.append((fid, f"{type(exc).__name__}: {exc}"))
-            continue
-        formulae.append(
-            Formula(
-                id=fid,
-                source_canonical=core,
-                source_semantic="",
-                citation=Citation(citation_key, fid),
-                annotations=proofs,
-                section_path=path,
-                unit=unit,
-                ordinal=ordinal,
-                span=ms.span,
-                outer=ms.outer,
-            )
-        )
-    return formulae, failures
+    settings: CanonicalSettings,
+) -> Formula | tuple[str, str]:
+    """The Formula of one display row, or its (id, message) failure when
+    the body cannot be canonicalized."""
+    fid = ms.label or f"f{ordinal}"
+    proofs = [
+        Annotation(AnnotationKind.PROOF, m.group(1).strip(), origin=fid)
+        for t in _leaves(ms.body)
+        if t.kind is TokenKind.COMMENT
+        for m in [_PROOF_RE.match(t.text)]
+        if m is not None
+    ]
+    path, unit = _locate(sections, ms.outer[0])
+    try:
+        core = canonicalize(_strip_markup(list(ms.body)), settings)
+    except SemtexError as exc:
+        return fid, f"{type(exc).__name__}: {exc}"
+    return Formula(
+        id=fid,
+        source_canonical=core,
+        source_semantic="",
+        citation=Citation(citation_key, fid),
+        annotations=proofs,
+        section_path=path,
+        unit=unit,
+        ordinal=ordinal,
+        span=ms.span,
+    )
+
+
+def _display_rows(tokens: list[Token]) -> list[MathSpan]:
+    return [ms for ms in _math_spans(tokens) if ms.is_display]
 
 
 def segment_formulae(
@@ -290,8 +289,14 @@ def segment_formulae(
     bodies cannot be canonicalized are dropped here; extract_document
     reports them as failures.
     """
+    settings = settings or glossary.settings
     tokens = tokenize(source)
-    return _segment(tokens, _scan_sections(tokens), glossary, citation_key, settings)[0]
+    sections = _scan_sections(tokens)
+    rows = (
+        _row(ms, k, sections, citation_key, settings)
+        for k, ms in enumerate(_display_rows(tokens), 1)
+    )
+    return [f for f in rows if isinstance(f, Formula)]
 
 
 def _split_trailing(nodes: Sequence[Node]) -> tuple[tuple[Node, ...], list[tuple[Node, ...]]]:
@@ -696,66 +701,29 @@ def _gap_chunks(
     return chunks
 
 
-def _env_edges(fs: Sequence[Formula]) -> tuple[set[int], set[int]]:
-    """Ordinals of first and last rows per shared environment."""
-    by_outer: dict[tuple[int, int], list[int]] = {}
-    for f in fs:
-        by_outer.setdefault(f.outer, []).append(f.ordinal)
-    first = {min(v) for v in by_outer.values()}
-    last = {max(v) for v in by_outer.values()}
-    return first, last
+def _names_and_notes(
+    f: Formula, sentences: Sequence[str], keywords: Sequence[str]
+) -> list[Annotation]:
+    """Name and Note annotations for f from the prose before its
+    environment.
 
-
-def harvest_names_and_notes(
-    source: str,
-    sections: Sequence[_Heading],
-    fs: Sequence[Formula],
-    keywords: Sequence[str] = DEFAULT_KEYWORDS,
-    introducers: Sequence[str] = DEFAULT_INTRODUCERS,
-) -> list[Formula]:
-    """Attach Name and Note annotations from each formula's preceding
-    prose block.
-
-    The block runs from the previous environment (or the last section
-    heading, whichever is closer) to the formula; leading introducer
-    sentences belong to the previous formula and are skipped.  The first
-    keyword sentence names the formula as "<innermost section> <keyword
-    phrase>"; other sentences of three or more words become Notes.
-    Formulae without an enclosing section get no Name.  sections are
-    the document's headings, as _scan_sections finds them.
+    The first keyword sentence names the formula as "<innermost section>
+    <keyword phrase>"; other sentences of three or more words become
+    Notes.  Formulae without an enclosing section get no Name.
     """
-    ordered = sorted(fs, key=lambda f: (f.outer[0], f.ordinal))
-    firsts, _ = _env_edges(ordered)
-    prev_end = 0
-    prev_exists = False
-    for f in ordered:
-        start, end = f.outer
-        if f.ordinal in firsts:
-            chunks = _gap_chunks(source, sections, prev_end, start)
-            sentences = _sentences(chunks[-1])
-            if len(chunks) == 1 and prev_exists:
-                while sentences and _begins_with_introducer(sentences[0], introducers):
-                    sentences.pop(0)
-            named = False
-            for s in sentences:
-                phrase = _match_keyword(s, keywords)
-                if phrase is not None:
-                    if not named and f.section_path:
-                        f.annotations.append(
-                            Annotation(
-                                AnnotationKind.NAME,
-                                f"{f.section_path[-1]} {phrase}",
-                                origin=f.id,
-                            )
-                        )
-                    named = True
-                elif _noteworthy(s):
-                    f.annotations.append(
-                        Annotation(AnnotationKind.NOTE, s, origin=f.id)
-                    )
-        prev_end = max(prev_end, end)
-        prev_exists = True
-    return list(fs)
+    out = []
+    named = False
+    for s in sentences:
+        phrase = _match_keyword(s, keywords)
+        if phrase is not None:
+            if not named and f.section_path:
+                out.append(
+                    Annotation(AnnotationKind.NAME, f"{f.section_path[-1]} {phrase}", f.id)
+                )
+            named = True
+        elif _noteworthy(s):
+            out.append(Annotation(AnnotationKind.NOTE, s, f.id))
+    return out
 
 
 def extract_document(
@@ -768,49 +736,72 @@ def extract_document(
 ) -> ExtractionResult:
     """Full extraction for one document.
 
-    Segment, split constraints, replace (cores and constraint bodies,
-    counts merged per formula), harvest names and notes, then detect and
-    inline substitutions.  Failures on individual formulae are recorded
-    and skipped; document-level errors propagate.  A formula whose id
-    repeats that of an earlier one left after inlining is such a
-    failure, located by line:col, and the earlier one keeps the id.
+    One walk over the display rows, in source order, segments each row,
+    splits its constraints, replaces (cores and constraint bodies,
+    counts merged per formula) and attaches names and notes, with prose
+    bounded as the module docstring says; then substitutions are
+    detected and inlined.  Failures on individual formulae are recorded
+    and skipped; one in the prose after a row names the row's line:col.
+    Document-level errors propagate.  A formula whose id repeats that of
+    an earlier one left after inlining is such a failure, located by
+    line:col, and the earlier one keeps the id.
     """
     settings = settings or glossary.settings
     tokens = tokenize(source)
     sections = _scan_sections(tokens)
-    fs, failures = _segment(tokens, sections, glossary, citation_key, settings)
-    ordered = sorted(fs, key=lambda f: (f.outer[0], f.ordinal))
-    _, lasts = _env_edges(ordered)
-
+    # rows leave the queue as they are walked, so a walked row's body can
+    # be freed while later rows are replaced
+    rows = deque(_display_rows(tokens))
     ok: list[Formula] = []
-    for idx, f in enumerate(ordered):
+    failures: list[tuple[str, str]] = []
+    prev: tuple[int, int] | None = None
+    before: list[str] = []
+    ordinal = 0
+    while rows:
+        ms = rows.popleft()
+        ordinal += 1
+        if ms.outer != prev:
+            chunks = _gap_chunks(source, sections, prev[1] if prev else 0, ms.outer[0])
+            before = _sentences(chunks[-1])
+            if len(chunks) == 1 and prev is not None:
+                while before and _begins_with_introducer(before[0], introducers):
+                    before.pop(0)
+            prev = ms.outer
+        f = _row(ms, ordinal, sections, citation_key, settings)
+        if not isinstance(f, Formula):
+            failures.append(f)
+            continue
         prose = ""
-        if f.ordinal in lasts:
-            # ordered keeps each environment's rows together, so the row
-            # after an environment's last row starts the next environment
-            nxt = ordered[idx + 1].outer[0] if idx + 1 < len(ordered) else len(source)
-            chunks = _gap_chunks(source, sections, f.outer[1], nxt)
-            prose = chunks[0]
+        if not rows or rows[0].outer != ms.outer:
+            nxt = rows[0].outer[0] if rows else len(source)
+            prose = _gap_chunks(source, sections, ms.outer[1], nxt)[0]
         try:
             core, clauses = detect_constraints(f, prose, introducers, settings)
-            counts: Counter = Counter()
-            sem, stats = replace_all(core, glossary)
-            counts.update(stats.per_rule)
-            anns = []
-            for clause in clauses:
-                rep, st = replace_all(CanonicalTree(clause), glossary)
-                counts.update(st.per_rule)
-                anns.append(Annotation(AnnotationKind.CONSTRAINT, render(rep.nodes), f.id))
-            f.source_canonical = core
-            f.semantic_nodes = sem.nodes
-            f.source_semantic = render(sem.nodes)
-            f.stats = ReplacementStats.from_counts(counts, formulae=1)
-            f.annotations.extend(anns)
-            ok.append(f)
         except SemtexError as exc:
-            failures.append((f.id, f"{type(exc).__name__}: {exc}"))
+            # offsets in a prose snippet are not source offsets
+            what = str(exc).split(" at offset ")[0]
+            failures.append(
+                (
+                    f.id,
+                    f"{type(exc).__name__}: {what} in the prose after the row "
+                    f"at line {_line_col(source, f.span[0])}",
+                )
+            )
+            continue
+        sem, stats = replace_all(core, glossary)
+        counts = Counter(stats.per_rule)
+        for clause in clauses:
+            rep, st = replace_all(CanonicalTree(clause), glossary)
+            counts.update(st.per_rule)
+            f.annotations.append(Annotation(AnnotationKind.CONSTRAINT, render(rep.nodes), f.id))
+        f.source_canonical = core
+        f.semantic_nodes = sem.nodes
+        f.source_semantic = render(sem.nodes)
+        f.stats = ReplacementStats.from_counts(counts, formulae=1)
+        f.annotations.extend(_names_and_notes(f, before, keywords))
+        before = []
+        ok.append(f)
 
-    harvest_names_and_notes(source, sections, ok, keywords, introducers)
     defs = detect_substitutions(ok, glossary)
     remaining = inline_substitutions(ok, defs)
     # ids become page titles, so a repeated id would fail the whole dump

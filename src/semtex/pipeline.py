@@ -8,6 +8,7 @@ report are identical for any worker count.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field, replace as _dc_replace
 from pathlib import Path
 from typing import Sequence
@@ -155,6 +156,23 @@ def expand_inputs(paths: Sequence[Path]) -> list[Path]:
     return out
 
 
+def _id_prefixes(files: Sequence[Path]) -> list[str]:
+    """The prefix of each file's formula ids in a run over several files:
+    its path from the common directory of the inputs that share its stem,
+    without the suffix and written with /.  So a unique stem is the
+    prefix itself, and a/ch.tex and b/ch.tex give a/ch and b/ch.
+    """
+    dirs: dict[str, list[str]] = {}
+    for p in files:
+        dirs.setdefault(p.stem, []).append(os.path.dirname(os.path.abspath(p)))
+    return [
+        Path(os.path.relpath(os.path.abspath(p), os.path.commonpath(dirs[p.stem])))
+        .with_suffix("")
+        .as_posix()
+        for p in files
+    ]
+
+
 def validate_config(cfg: PipelineConfig) -> None:
     for p in cfg.inputs:
         if not p.exists():
@@ -212,7 +230,7 @@ def run_pipeline(cfg: PipelineConfig, write: bool = True) -> RunResult:
     failures: list[tuple[str, str]] = []
     parts: list[ReplacementStats] = []
     file_error = False
-    for path in files:
+    for path, prefix in zip(files, _id_prefixes(files)):
         try:
             res = extract_document(
                 path.read_text(encoding="utf-8"),
@@ -225,15 +243,14 @@ def run_pipeline(cfg: PipelineConfig, write: bool = True) -> RunResult:
             failures.append((str(path), f"{type(exc).__name__}: {exc}"))
             file_error = True
             continue
-        stem = path.stem
         for f in res.formulae:
             if multi:
-                f.id = f"{stem}:{f.id}"
+                f.id = f"{prefix}:{f.id}"
             formulae.append(f)
         defs.extend(res.defs)
         parts.append(res.stats)
         for fid, msg in res.failures:
-            failures.append((f"{stem}:{fid}" if multi else fid, msg))
+            failures.append((f"{prefix}:{fid}" if multi else fid, msg))
 
     stats = ReplacementStats.combine(parts)
     pages = [render_page(f, glossary, bib, cfg.corpus_prefix) for f in formulae]

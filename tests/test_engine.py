@@ -104,7 +104,6 @@ def test_stats_combine():
     assert whole.per_rule == {"cos": 1, "sin": 3}
     assert whole.total == 4
     assert whole.formulae == 3
-    assert whole.formulae_touched == 2
     assert whole.avg_per_formula == Fraction(4, 3)
 
 

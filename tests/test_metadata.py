@@ -486,3 +486,49 @@ def test_failures_are_isolated_per_row(glossary):
     fid, msg = res.failures[0]
     assert fid == "e.2"
     assert "MismatchedLeftRight" in msg
+
+
+def test_row_failing_to_segment_leaks_no_note(glossary):
+    res = extract(
+        glossary,
+        "\\section{S}\n"
+        "\\begin{equation} \\left( x+1 \\text{ is a broken row. It has words in it } "
+        "\\label{a}\\end{equation}\n"
+        "where $0<x$.\n"
+        "\\begin{equation} y=2 \\label{b}\\end{equation}\n",
+    )
+    assert [fid for fid, _ in res.failures] == ["a"]
+    assert [f.id for f in res.formulae] == ["b"]
+    assert res.formulae[0].annotations == []
+
+
+def test_row_failing_in_its_prose_leaks_no_note(glossary):
+    res = extract(
+        glossary,
+        "\\section{S}\n"
+        "\\begin{equation} y=1 \\text{ for all. It has words in it } \\label{a}\\end{equation}\n"
+        "where $\\left( q<1$ holds.\n"
+        "\\begin{equation} y=2 \\label{b}\\end{equation}\n",
+    )
+    # the failure names the row, not an offset inside the $...$ snippet
+    assert res.failures == [
+        (
+            "a",
+            "MismatchedLeftRightError: mismatched \\left/\\right in the prose "
+            "after the row at line 2:18",
+        )
+    ]
+    assert [f.id for f in res.formulae] == ["b"]
+    assert res.formulae[0].annotations == []
+
+
+def test_name_goes_to_the_first_row_that_converts(glossary):
+    res = extract(
+        glossary,
+        "\\section{Jacobi}\nThe orthogonality relation reads.\n"
+        "\\begin{align} \\left( x \\label{a} \\\\ y=2 \\label{b} \\\\ z=3 \\label{c} \\end{align}\n",
+    )
+    assert [fid for fid, _ in res.failures] == ["a"]
+    f = by_id(res)
+    assert bodies(AnnotationKind.NAME, f["b"]) == ["Jacobi orthogonality relation"]
+    assert f["c"].annotations == []
