@@ -1,12 +1,27 @@
-"""Lossless LaTeX lexer, brace grouping, and math span extraction.
+r"""Lossless LaTeX lexer, brace grouping, and math span extraction.
 
 The tokenizer is total: any input string lexes, and detokenize(tokenize(s))
 reproduces s byte for byte.  Group building and math extraction are the
 only places that can reject input.
+
+The token grammar is one regular expression, matched left to right with
+re.S, whose alternatives are tried in order:
+
+    \\(?:[A-Za-z]+|.)?  |  %[^\n]*  |  \s+  |  .
+
+A backslash with a run of ASCII letters, one other character or nothing
+(at the end of input) is a CONTROL token; % up to the newline is a
+COMMENT; a whitespace run (\s is exactly str.isspace()) is WHITESPACE;
+any other single character is GROUP_OPEN, GROUP_CLOSE, MATH_SHIFT,
+SUPERSCRIPT, SUBSCRIPT or ALIGN_TAB for { } $ ^ _ &, else CHAR.  So a
+token text that starts with a backslash is always a control sequence,
+and {, } and $ always have their own kinds: math and headings are found
+by comparing token text.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Union
@@ -67,9 +82,6 @@ class Token:
             return self.text[1:]
         return self.text
 
-    def is_control(self, name: str) -> bool:
-        return self.kind is TokenKind.CONTROL and self.text[1:] == name
-
     def is_char(self, ch: str) -> bool:
         return self.kind is TokenKind.CHAR and self.text == ch
 
@@ -77,7 +89,11 @@ class Token:
         return f"Token({self.kind.name}, {self.text!r})"
 
 
-_SINGLE = {
+# the kind of a token whose first character decides it; any other token
+# is WHITESPACE or CHAR
+_FIRST = {
+    "\\": TokenKind.CONTROL,
+    "%": TokenKind.COMMENT,
     "{": TokenKind.GROUP_OPEN,
     "}": TokenKind.GROUP_CLOSE,
     "$": TokenKind.MATH_SHIFT,
@@ -85,6 +101,7 @@ _SINGLE = {
     "_": TokenKind.SUBSCRIPT,
     "&": TokenKind.ALIGN_TAB,
 }
+_TOKEN_RE = re.compile(r"\\(?:[A-Za-z]+|.)?|%[^\n]*|\s+|.", re.S)
 
 
 def tokenize(source: str) -> list[Token]:
@@ -94,39 +111,16 @@ def tokenize(source: str) -> list[Token]:
     with an empty name; comments run to (not including) the newline.
     """
     out: list[Token] = []
-    n = len(source)
+    append = out.append
     i = 0
-    while i < n:
-        c = source[i]
-        if c == "\\":
-            if i + 1 < n and source[i + 1] in _LETTERS:
-                j = i + 1
-                while j < n and source[j] in _LETTERS:
-                    j += 1
-            elif i + 1 < n:
-                j = i + 2
-            else:
-                j = i + 1
-            out.append(Token(TokenKind.CONTROL, source[i:j], span=(i, j)))
-            i = j
-        elif c == "%":
-            j = i
-            while j < n and source[j] != "\n":
-                j += 1
-            out.append(Token(TokenKind.COMMENT, source[i:j], span=(i, j)))
-            i = j
-        elif c in _SINGLE:
-            out.append(Token(_SINGLE[c], c, span=(i, i + 1)))
-            i += 1
-        elif c.isspace():
-            j = i
-            while j < n and source[j].isspace():
-                j += 1
-            out.append(Token(TokenKind.WHITESPACE, source[i:j], span=(i, j)))
-            i = j
-        else:
-            out.append(Token(TokenKind.CHAR, c, span=(i, i + 1)))
-            i += 1
+    for text in _TOKEN_RE.findall(source):
+        j = i + len(text)
+        c = text[0]
+        kind = _FIRST.get(c)
+        if kind is None:
+            kind = TokenKind.WHITESPACE if c.isspace() else TokenKind.CHAR
+        append(Token(kind, text, (i, j)))
+        i = j
     return out
 
 
@@ -293,7 +287,7 @@ def _trim(tokens: list[Token]) -> list[Token]:
 
 def _find_label(tokens: list[Token]) -> str | None:
     for i, t in enumerate(tokens):
-        if t.is_control("label"):
+        if t.text == "\\label":
             got = _group_text(tokens, i + 1)
             if got is not None:
                 return got[0]
@@ -330,15 +324,16 @@ def _split_rows(tokens: list[Token]) -> list[list[Token]]:
     n = len(tokens)
     while i < n:
         t = tokens[i]
-        if t.kind is TokenKind.GROUP_OPEN:
+        text = t.text
+        if text == "{":
             depth += 1
-        elif t.kind is TokenKind.GROUP_CLOSE:
+        elif text == "}":
             depth -= 1
-        elif t.is_control("begin"):
+        elif text == "\\begin":
             env_depth += 1
-        elif t.is_control("end"):
+        elif text == "\\end":
             env_depth -= 1
-        elif t.is_control("\\") and depth == 0 and env_depth == 0:
+        elif text == "\\\\" and depth == 0 and env_depth == 0:
             rows.append([])
             i += 1
             continue
@@ -356,6 +351,11 @@ def extract_math(source: str) -> list[MathSpan]:
     return _math_spans(tokenize(source))
 
 
+# tokenize gives backslash-initial text only to CONTROL tokens and gives
+# {, } and $ only their own kinds, so the scans below compare token text
+_OPENERS = frozenset({"\\begin", "\\[", "$"})
+
+
 def _math_spans(tokens: list[Token]) -> list[MathSpan]:
     """extract_math over an already lexed document."""
     spans: list[MathSpan] = []
@@ -363,7 +363,9 @@ def _math_spans(tokens: list[Token]) -> list[MathSpan]:
     i = 0
     while i < n:
         t = tokens[i]
-        if t.is_control("begin"):
+        if t.text not in _OPENERS:
+            i += 1
+        elif t.text == "\\begin":
             got = _group_text(tokens, i + 1)
             if got is None:
                 i += 1
@@ -376,14 +378,14 @@ def _math_spans(tokens: list[Token]) -> list[MathSpan]:
             depth = 0
             end_at = None
             while j < n:
-                u = tokens[j]
-                if u.is_control("begin"):
+                u = tokens[j].text
+                if u == "\\begin":
                     inner = _group_text(tokens, j + 1)
                     if inner is not None and inner[0] == env:
                         depth += 1
                         j = inner[1]
                         continue
-                elif u.is_control("end"):
+                elif u == "\\end":
                     inner = _group_text(tokens, j + 1)
                     if inner is not None and inner[0] == env:
                         if depth == 0:
@@ -408,9 +410,9 @@ def _math_spans(tokens: list[Token]) -> list[MathSpan]:
                 if ms is not None:
                     spans.append(ms)
             i = after_end
-        elif t.is_control("["):
+        elif t.text == "\\[":
             j = i + 1
-            while j < n and not tokens[j].is_control("]"):
+            while j < n and tokens[j].text != "\\]":
                 j += 1
             if j >= n:
                 raise UnterminatedEnvironmentError("bracket-display", t.span[0])
@@ -419,16 +421,12 @@ def _math_spans(tokens: list[Token]) -> list[MathSpan]:
             if ms is not None:
                 spans.append(ms)
             i = j + 1
-        elif t.kind is TokenKind.MATH_SHIFT:
-            double = i + 1 < n and tokens[i + 1].kind is TokenKind.MATH_SHIFT
+        else:
+            double = i + 1 < n and tokens[i + 1].text == "$"
             if double:
                 j = i + 2
                 while j < n:
-                    if (
-                        tokens[j].kind is TokenKind.MATH_SHIFT
-                        and j + 1 < n
-                        and tokens[j + 1].kind is TokenKind.MATH_SHIFT
-                    ):
+                    if tokens[j].text == "$" and j + 1 < n and tokens[j + 1].text == "$":
                         break
                     j += 1
                 if j >= n:
@@ -440,7 +438,7 @@ def _math_spans(tokens: list[Token]) -> list[MathSpan]:
                 i = j + 2
             else:
                 j = i + 1
-                while j < n and tokens[j].kind is not TokenKind.MATH_SHIFT:
+                while j < n and tokens[j].text != "$":
                     j += 1
                 if j >= n:
                     raise UnterminatedEnvironmentError("inline-dollar", t.span[0])
@@ -449,6 +447,4 @@ def _math_spans(tokens: list[Token]) -> list[MathSpan]:
                 if ms is not None:
                     spans.append(ms)
                 i = j + 1
-        else:
-            i += 1
     return spans

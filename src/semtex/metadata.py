@@ -173,15 +173,18 @@ class _Heading:
     title: str
 
 
+_HEADINGS = frozenset({"\\section", "\\subsection"})
+
+
 def _scan_sections(tokens: list[Token]) -> list[_Heading]:
     out: list[_Heading] = []
     i = 0
     n = len(tokens)
     while i < n:
         t = tokens[i]
-        if t.kind is TokenKind.CONTROL and t.name in ("section", "subsection"):
+        if t.text in _HEADINGS:
             j = i + 1
-            if j < n and tokens[j].is_char("*"):
+            if j < n and tokens[j].text == "*":
                 j += 1
             got = _group_text(tokens, j)
             if got is not None:
@@ -236,6 +239,7 @@ def _strip_markup(nodes: Sequence[Node]) -> list[Node]:
 
 
 def _row(
+    source: str,
     ms: MathSpan,
     ordinal: int,
     sections: Sequence[_Heading],
@@ -245,13 +249,16 @@ def _row(
     """The Formula of one display row, or its (id, message) failure when
     the body cannot be canonicalized."""
     fid = ms.label or f"f{ordinal}"
-    proofs = [
-        Annotation(AnnotationKind.PROOF, m.group(1).strip(), origin=fid)
-        for t in _leaves(ms.body)
-        if t.kind is TokenKind.COMMENT
-        for m in [_PROOF_RE.match(t.text)]
-        if m is not None
-    ]
+    proofs: list[Annotation] = []
+    # a row whose source holds no % has no comment to walk its tree for
+    if source.find("%", *ms.span) != -1:
+        proofs = [
+            Annotation(AnnotationKind.PROOF, m.group(1).strip(), origin=fid)
+            for t in _leaves(ms.body)
+            if t.kind is TokenKind.COMMENT
+            for m in [_PROOF_RE.match(t.text)]
+            if m is not None
+        ]
     path, unit = _locate(sections, ms.outer[0])
     try:
         core = canonicalize(_strip_markup(list(ms.body)), settings)
@@ -293,7 +300,7 @@ def segment_formulae(
     tokens = tokenize(source)
     sections = _scan_sections(tokens)
     rows = (
-        _row(ms, k, sections, citation_key, settings)
+        _row(source, ms, k, sections, citation_key, settings)
         for k, ms in enumerate(_display_rows(tokens), 1)
     )
     return [f for f in rows if isinstance(f, Formula)]
@@ -767,7 +774,7 @@ def extract_document(
                 while before and _begins_with_introducer(before[0], introducers):
                     before.pop(0)
             prev = ms.outer
-        f = _row(ms, ordinal, sections, citation_key, settings)
+        f = _row(source, ms, ordinal, sections, citation_key, settings)
         if not isinstance(f, Formula):
             failures.append(f)
             continue

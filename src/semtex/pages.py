@@ -11,7 +11,6 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
-from xml.sax.saxutils import escape
 
 from .engine import ReplacementStats
 from .errors import DuplicateTitleError, MissingBibEntryError
@@ -180,6 +179,12 @@ def render_page(
     return FormulaPage(title=title, wikitext="\n".join(lines), formula_id=f.id)
 
 
+def _escape(text: str) -> str:
+    """Escape &, > and < for XML, as xml.sax.saxutils.escape does; that
+    module imports urllib.request and with it the network stack."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
+
+
 def emit_dump(pages: Sequence[FormulaPage], siteinfo: SiteInfo = SiteInfo()) -> str:
     """Deterministic MediaWiki export XML for the given pages, in order,
     with page ids 1..N.  Raises DuplicateTitleError on title collisions."""
@@ -196,10 +201,10 @@ def emit_dump(pages: Sequence[FormulaPage], siteinfo: SiteInfo = SiteInfo()) -> 
         f'xsi:schemaLocation="{EXPORT_NS} {EXPORT_SCHEMA}" '
         f'version="0.10" xml:lang="{si.lang}">',
         "  <siteinfo>",
-        f"    <sitename>{escape(si.sitename)}</sitename>",
-        f"    <dbname>{escape(si.dbname)}</dbname>",
-        f"    <base>{escape(si.base)}</base>",
-        f"    <generator>{escape(si.generator)}</generator>",
+        f"    <sitename>{_escape(si.sitename)}</sitename>",
+        f"    <dbname>{_escape(si.dbname)}</dbname>",
+        f"    <base>{_escape(si.base)}</base>",
+        f"    <generator>{_escape(si.generator)}</generator>",
         f"    <case>{si.case}</case>",
         "    <namespaces>",
         f'      <namespace key="0" case="{si.case}" />',
@@ -210,19 +215,19 @@ def emit_dump(pages: Sequence[FormulaPage], siteinfo: SiteInfo = SiteInfo()) -> 
         out.extend(
             [
                 "  <page>",
-                f"    <title>{escape(p.title)}</title>",
+                f"    <title>{_escape(p.title)}</title>",
                 "    <ns>0</ns>",
                 f"    <id>{num}</id>",
                 "    <revision>",
                 f"      <id>{num}</id>",
                 f"      <timestamp>{si.timestamp}</timestamp>",
                 "      <contributor>",
-                f"        <username>{escape(si.contributor)}</username>",
+                f"        <username>{_escape(si.contributor)}</username>",
                 "      </contributor>",
-                f"      <comment>{escape(si.comment)}</comment>",
+                f"      <comment>{_escape(si.comment)}</comment>",
                 "      <model>wikitext</model>",
                 "      <format>text/x-wiki</format>",
-                f'      <text xml:space="preserve">{escape(p.wikitext)}</text>',
+                f'      <text xml:space="preserve">{_escape(p.wikitext)}</text>',
                 "    </revision>",
                 "  </page>",
             ]

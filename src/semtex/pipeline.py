@@ -146,13 +146,16 @@ def load_config(path: str | Path) -> PipelineConfig:
 
 
 def expand_inputs(paths: Sequence[Path]) -> list[Path]:
-    """Directories expand to their sorted *.tex files; files pass through."""
+    """Directories expand to their sorted *.tex files; files pass through.
+    A file reached twice is kept at its first place only."""
     out: list[Path] = []
+    seen: set[Path] = set()
     for p in paths:
-        if p.is_dir():
-            out.extend(sorted(p.glob("*.tex")))
-        else:
-            out.append(p)
+        for f in sorted(p.glob("*.tex")) if p.is_dir() else (p,):
+            key = f.resolve()
+            if key not in seen:
+                seen.add(key)
+                out.append(f)
     return out
 
 

@@ -10,6 +10,9 @@ against every other formula and every def, and walk the def graph afresh
 for each formula and each def.  They share only the def parsing helpers
 with semtex.metadata.
 
+tokenize() is the character-by-character lexer that semtex.lexer's
+one-regex tokenizer replaced; it gives the same kinds, texts and spans.
+
 Slow and simple on purpose.
 """
 
@@ -26,6 +29,15 @@ from semtex.metadata import (
     _top_level_equation,
 )
 
+_LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
+_SINGLE = {
+    "{": TokenKind.GROUP_OPEN,
+    "}": TokenKind.GROUP_CLOSE,
+    "$": TokenKind.MATH_SHIFT,
+    "^": TokenKind.SUPERSCRIPT,
+    "_": TokenKind.SUBSCRIPT,
+    "&": TokenKind.ALIGN_TAB,
+}
 _SEPARATORS = frozenset({",", ";", "|"})
 _CLOSER = {"(": ")", "[": "]"}
 _STOP_CHARS = frozenset("()[],;|=<>+-*/@.")
@@ -238,4 +250,45 @@ def inline_substitutions(fs, defs):
             for d in seen.values()
         )
         out.append(f)
+    return out
+
+
+def tokenize(source):
+    """Lex source one character at a time: a backslash and a run of ASCII
+    letters or one other character (or nothing, at the end) is a control
+    sequence, % runs to the newline, whitespace runs are one token."""
+    out = []
+    n = len(source)
+    i = 0
+    while i < n:
+        c = source[i]
+        if c == "\\":
+            if i + 1 < n and source[i + 1] in _LETTERS:
+                j = i + 1
+                while j < n and source[j] in _LETTERS:
+                    j += 1
+            elif i + 1 < n:
+                j = i + 2
+            else:
+                j = i + 1
+            out.append(Token(TokenKind.CONTROL, source[i:j], span=(i, j)))
+            i = j
+        elif c == "%":
+            j = i
+            while j < n and source[j] != "\n":
+                j += 1
+            out.append(Token(TokenKind.COMMENT, source[i:j], span=(i, j)))
+            i = j
+        elif c in _SINGLE:
+            out.append(Token(_SINGLE[c], c, span=(i, i + 1)))
+            i += 1
+        elif c.isspace():
+            j = i
+            while j < n and source[j].isspace():
+                j += 1
+            out.append(Token(TokenKind.WHITESPACE, source[i:j], span=(i, j)))
+            i = j
+        else:
+            out.append(Token(TokenKind.CHAR, c, span=(i, i + 1)))
+            i += 1
     return out

@@ -1,12 +1,16 @@
 """End-to-end checks of the four CLI verbs."""
 
 import json
+import os
 import shutil
 import socket
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import semtex
 from conftest import DATA
 from semtex.cli import main
 from semtex.mockserver import start_server
@@ -57,6 +61,32 @@ def test_convert_keeps_the_first_row_of_a_repeated_label(tmp_path, capsys):
     dump = out.read_text()
     assert dump.count("<title>Formula:KLS:d</title>") == 1
     assert "x+1" in dump and "y+2" not in dump
+
+
+def test_convert_reads_a_file_reached_twice_once(tmp_path, capsys):
+    d = tmp_path / "d"
+    d.mkdir()
+    (d / "ch.tex").write_text("\\[ x+1 \\label{d} \\]\n")
+    out = tmp_path / "o.xml"
+    inputs = ["--input", str(d), "--input", str(d / "ch.tex")]
+    rc = main(["convert", "--prefix", "KLS", *inputs, "--out", str(out)])
+    assert rc == 0
+    assert capsys.readouterr().out.startswith("pages: 1\n")
+    assert out.read_text().count("<title>Formula:KLS:d</title>") == 1
+
+
+def test_importing_the_cli_loads_no_network_stack():
+    code = (
+        "import sys, semtex.cli; "
+        "print(sorted({'urllib.request', 'http.client', 'ssl', 'email'} & set(sys.modules)))"
+    )
+    src = str(Path(semtex.__file__).resolve().parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert done.stdout == "[]\n"
 
 
 def test_stats(capsys):

@@ -1,8 +1,13 @@
+import random
+
 import pytest
 
+import gen
+import oracle
 from semtex import detokenize, extract_math, render, tokenize
 from semtex.errors import UnbalancedGroupError, UnterminatedEnvironmentError
 from semtex.lexer import Group, Token, TokenKind, build_groups, flatten
+from semtex.metadata import _scan_sections
 
 from conftest import DATA
 
@@ -181,4 +186,110 @@ def test_token_and_group_value_semantics():
     assert {x, placed, g, braced} == {x, g}
     assert repr(x) == "Token(CHAR, 'x')" and repr(g) == "Group([Token(CHAR, 'x')])"
     assert x.name == "x" and Token(TokenKind.CONTROL, "\\sin").name == "sin"
-    assert Token(TokenKind.CONTROL, "\\sin").is_control("sin") and x.is_char("x")
+    assert x.is_char("x")
+
+
+# ------------------------------------------------- tokenizer vs the reference
+
+_ALPHABET = "\\%${}^_&\n\x0b\x1c\x85\u2003\u00a0 \tabzXéßλ09*(),."
+
+
+def _lexed(tokens):
+    return [(t.kind, t.text, t.span) for t in tokens]
+
+
+def _random_strings(seed, count):
+    rng = random.Random(seed)
+    for _ in range(count):
+        yield "".join(rng.choice(_ALPHABET) for _ in range(rng.randint(0, 60)))
+
+
+@pytest.mark.parametrize(
+    "source",
+    ["", "\\", "x\\", "\\\n", "\\\nx", "a\\\\\n%c\\\n\\%\\", "a\x0b\x1c\x85\u2003\u00a0b"],
+)
+def test_tokenize_edge_cases_match_the_reference(source):
+    assert _lexed(tokenize(source)) == _lexed(oracle.tokenize(source))
+    assert detokenize(tokenize(source)) == source
+
+
+def test_tokenize_matches_the_reference_on_random_strings():
+    for source in _random_strings(9, 3000):
+        assert _lexed(tokenize(source)) == _lexed(oracle.tokenize(source)), repr(source)
+        assert detokenize(tokenize(source)) == source
+
+
+def test_tokenize_matches_the_reference_on_generated_corpora():
+    for seed in range(3):
+        source = "\n".join(
+            f"\\begin{{equation}}{body} % proof: {k}\n\\end{{equation}} where ${body}$."
+            for k, body in enumerate(gen.corpus(seed, 100))
+        )
+        assert _lexed(tokenize(source)) == _lexed(oracle.tokenize(source))
+        assert detokenize(tokenize(source)) == source
+
+
+# ------------------------------------------------ math found by token text
+
+
+def rows(source):
+    return [
+        (m.environment, source[m.span[0] : m.span[1]], m.span, m.label, m.outer)
+        for m in extract_math(source)
+    ]
+
+
+def headings(source):
+    return [(h.pos, h.end, h.level, h.title) for h in _scan_sections(tokenize(source))]
+
+
+def test_escaped_dollars_and_commented_dollars_open_no_math():
+    assert rows("a \\$ b $x$ c") == [("inline-dollar", "x", (8, 9), None, (7, 10))]
+    assert rows("a \\\\$x$ c") == [("inline-dollar", "x", (5, 6), None, (4, 7))]
+    assert rows("a % $ b\n$y$") == [("inline-dollar", "y", (9, 10), None, (8, 11))]
+
+
+def test_begin_may_have_whitespace_but_not_a_comment_before_its_brace():
+    assert rows("\\begin {equation}x=1\\end{equation}") == [
+        ("equation", "x=1", (17, 20), None, (0, 34))
+    ]
+    assert rows("\\begin%c\n{equation}x=1\\end{equation}") == []
+
+
+def test_nested_same_name_environments_close_at_the_outer_end():
+    source = "\\begin{equation}a\\begin{equation}b\\end{equation}c\\end{equation}"
+    assert rows(source) == [
+        ("equation", "a\\begin{equation}b\\end{equation}c", (16, 49), None, (0, 63))
+    ]
+
+
+def test_row_breaks_inside_groups_and_inner_environments_do_not_split():
+    source = "\\begin{align}a{b\\\\c}&=d\\\\ e&=\\begin{cases}1\\\\2\\end{cases}\\end{align}"
+    assert rows(source) == [
+        ("align", "a{b\\\\c}&=d", (13, 23), None, (0, 68)),
+        ("align", "e&=\\begin{cases}1\\\\2\\end{cases}", (26, 57), None, (0, 68)),
+    ]
+    group = extract_math(source)[0].body[1]
+    assert isinstance(group, Group)
+    assert (group.open_tok.span, group.close_tok.span) == ((14, 15), (19, 20))
+
+
+def test_double_dollars_and_unterminated_displays():
+    assert rows("$$x+y$$") == [("bracket-display", "x+y", (2, 5), None, (0, 7))]
+    with pytest.raises(
+        UnterminatedEnvironmentError,
+        match="^unterminated 'bracket-display' starting at offset 0$",
+    ):
+        extract_math("\\[ x")
+    with pytest.raises(
+        UnterminatedEnvironmentError,
+        match="^unterminated 'bracket-display' starting at offset 0$",
+    ):
+        extract_math("$$ x $")
+
+
+def test_starred_sections_are_headings_and_longer_names_are_not():
+    assert headings("\\section*{T} \\sectionx{U} \\subsection {V}") == [
+        (0, 12, "section", "T"),
+        (26, 41, "subsection", "V"),
+    ]

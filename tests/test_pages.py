@@ -166,10 +166,12 @@ def test_dump_is_deterministic(glossary, formulae, bib):
 
 
 def test_dump_header_fields(glossary, formulae, bib):
-    xml = emit_dump(pages_of(glossary, formulae, bib, ["1.1.1"]), SiteInfo(sitename="X&Y"))
+    name = "X&Y <a> &lt;"
+    xml = emit_dump(pages_of(glossary, formulae, bib, ["1.1.1"]), SiteInfo(sitename=name))
+    assert "<sitename>X&amp;Y &lt;a&gt; &amp;lt;</sitename>" in xml
     root = ElementTree.fromstring(xml)
     si = root.find(f"{{{EXPORT_NS}}}siteinfo")
-    assert si.findtext(f"{{{EXPORT_NS}}}sitename") == "X&Y"
+    assert si.findtext(f"{{{EXPORT_NS}}}sitename") == name
     assert root.get("version") == "0.10"
 
 
