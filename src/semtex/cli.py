@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from pathlib import Path
@@ -172,6 +173,11 @@ def main(argv=None) -> int:
         "replace": _cmd_replace,
         "verify-render": _cmd_verify_render,
     }
+    # The pipeline builds acyclic token and formula trees, which reference
+    # counting frees; cyclic-collector passes set off by their allocations
+    # find almost nothing, so the collector is paused while a command runs.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return handlers[args.command](args)
     except ConfigInvalidError as exc:
@@ -180,6 +186,9 @@ def main(argv=None) -> int:
     except SemtexError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

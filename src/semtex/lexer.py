@@ -17,6 +17,10 @@ SUPERSCRIPT, SUBSCRIPT or ALIGN_TAB for { } $ ^ _ &, else CHAR.  So a
 token text that starts with a backslash is always a control sequence,
 and {, } and $ always have their own kinds: math and headings are found
 by comparing token text.
+
+A document is lexed to token texts and start offsets only; math spans
+and headings are found on those, and only the trimmed body of a math
+row becomes Token objects.  Prose is never materialized as Tokens.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
+from itertools import accumulate
 from typing import Iterable, Union
 
 from .errors import UnbalancedGroupError, UnterminatedEnvironmentError
@@ -104,24 +109,34 @@ _FIRST = {
 _TOKEN_RE = re.compile(r"\\(?:[A-Za-z]+|.)?|%[^\n]*|\s+|.", re.S)
 
 
+def _lex(source: str) -> tuple[list[str], list[int]]:
+    """Token texts of source and their start offsets; starts has one
+    more entry, len(source), so token k spans starts[k]:starts[k + 1]."""
+    texts = _TOKEN_RE.findall(source)
+    return texts, [0, *accumulate(map(len, texts))]
+
+
+def _tokens(texts: list[str], starts: list[int], a: int, b: int) -> list[Token]:
+    """The Tokens of lexed tokens a..b-1, with their source spans."""
+    out: list[Token] = []
+    append = out.append
+    for text, i, j in zip(texts[a:b], starts[a:b], starts[a + 1 : b + 1]):
+        c = text[0]
+        kind = _FIRST.get(c)
+        if kind is None:
+            kind = TokenKind.WHITESPACE if c.isspace() else TokenKind.CHAR
+        append(Token(kind, text, (i, j)))
+    return out
+
+
 def tokenize(source: str) -> list[Token]:
     """Lex source into a flat token list covering every character.
 
     A trailing lone backslash becomes a one-character control sequence
     with an empty name; comments run to (not including) the newline.
     """
-    out: list[Token] = []
-    append = out.append
-    i = 0
-    for text in _TOKEN_RE.findall(source):
-        j = i + len(text)
-        c = text[0]
-        kind = _FIRST.get(c)
-        if kind is None:
-            kind = TokenKind.WHITESPACE if c.isspace() else TokenKind.CHAR
-        append(Token(kind, text, (i, j)))
-        i = j
-    return out
+    texts, starts = _lex(source)
+    return _tokens(texts, starts, 0, len(texts))
 
 
 def detokenize(tokens: Iterable[Token]) -> str:
@@ -253,78 +268,69 @@ class MathSpan:
         return self.environment != "inline-dollar"
 
 
-def _group_text(tokens: list[Token], i: int) -> tuple[str, int] | None:
-    """Read a balanced {...} at tokens[i] (skipping leading whitespace).
+# The scans below read token texts by index: _TOKEN_RE gives {, } and $
+# their own tokens, backslash-initial text only to control sequences and
+# whitespace-initial text only to whitespace runs.
+def _group_text(texts: list[str], i: int, n: int) -> tuple[str, int] | None:
+    """Read a balanced {...} at texts[i] (skipping leading whitespace),
+    looking no further than texts[n - 1].
 
     Returns (inner text, index past the closing brace), or None.
     """
-    n = len(tokens)
-    while i < n and tokens[i].kind is TokenKind.WHITESPACE:
+    while i < n and texts[i][0].isspace():
         i += 1
-    if i >= n or tokens[i].kind is not TokenKind.GROUP_OPEN:
+    if i >= n or texts[i] != "{":
         return None
     depth = 0
     j = i
     while j < n:
-        if tokens[j].kind is TokenKind.GROUP_OPEN:
+        if texts[j] == "{":
             depth += 1
-        elif tokens[j].kind is TokenKind.GROUP_CLOSE:
+        elif texts[j] == "}":
             depth -= 1
             if depth == 0:
-                return detokenize(tokens[i + 1 : j]), j + 1
+                return "".join(texts[i + 1 : j]), j + 1
         j += 1
     return None
 
 
-def _trim(tokens: list[Token]) -> list[Token]:
-    a, b = 0, len(tokens)
-    while a < b and tokens[a].kind is TokenKind.WHITESPACE:
-        a += 1
-    while b > a and tokens[b - 1].kind is TokenKind.WHITESPACE:
-        b -= 1
-    return tokens[a:b]
-
-
-def _find_label(tokens: list[Token]) -> str | None:
-    for i, t in enumerate(tokens):
-        if t.text == "\\label":
-            got = _group_text(tokens, i + 1)
+def _find_label(texts: list[str], a: int, b: int) -> str | None:
+    for i in range(a, b):
+        if texts[i] == "\\label":
+            got = _group_text(texts, i + 1, b)
             if got is not None:
                 return got[0]
     return None
 
 
-def _substantial(tokens: list[Token]) -> bool:
-    return any(
-        t.kind not in (TokenKind.WHITESPACE, TokenKind.COMMENT) for t in tokens
-    )
-
-
 def _make_span(
-    env: str, tokens: list[Token], outer: tuple[int, int]
+    env: str, texts: list[str], starts: list[int], a: int, b: int, outer: tuple[int, int]
 ) -> MathSpan | None:
-    body = _trim(tokens)
-    if not _substantial(body):
+    """The MathSpan of tokens a..b-1 with whitespace trimmed, or None
+    when only whitespace and comments remain."""
+    while a < b and texts[a][0].isspace():
+        a += 1
+    while b > a and texts[b - 1][0].isspace():
+        b -= 1
+    if all(t[0] == "%" or t[0].isspace() for t in texts[a:b]):
         return None
     return MathSpan(
         environment=env,
-        body=tuple(build_groups(body)),
-        span=(body[0].span[0], body[-1].span[1]),
-        label=_find_label(body),
+        body=tuple(build_groups(_tokens(texts, starts, a, b))),
+        span=(starts[a], starts[b]),
+        label=_find_label(texts, a, b),
         outer=outer,
     )
 
 
-def _split_rows(tokens: list[Token]) -> list[list[Token]]:
-    """Split an alignment body at top-level \\\\ separators."""
-    rows: list[list[Token]] = [[]]
+def _split_rows(texts: list[str], a: int, b: int) -> list[tuple[int, int]]:
+    """Split an alignment body a..b-1 at top-level \\\\ separators into
+    index ranges."""
+    rows: list[tuple[int, int]] = []
     depth = 0
     env_depth = 0
-    i = 0
-    n = len(tokens)
-    while i < n:
-        t = tokens[i]
-        text = t.text
+    for i in range(a, b):
+        text = texts[i]
         if text == "{":
             depth += 1
         elif text == "}":
@@ -334,11 +340,9 @@ def _split_rows(tokens: list[Token]) -> list[list[Token]]:
         elif text == "\\end":
             env_depth -= 1
         elif text == "\\\\" and depth == 0 and env_depth == 0:
-            rows.append([])
-            i += 1
-            continue
-        rows[-1].append(t)
-        i += 1
+            rows.append((a, i))
+            a = i + 1
+    rows.append((a, b))
     return rows
 
 
@@ -348,25 +352,23 @@ def extract_math(source: str) -> list[MathSpan]:
     Alignment environments contribute one MathSpan per row.  Raises
     UnterminatedEnvironmentError when an opener has no closer.
     """
-    return _math_spans(tokenize(source))
+    return _math_spans(*_lex(source))
 
 
-# tokenize gives backslash-initial text only to CONTROL tokens and gives
-# {, } and $ only their own kinds, so the scans below compare token text
 _OPENERS = frozenset({"\\begin", "\\[", "$"})
 
 
-def _math_spans(tokens: list[Token]) -> list[MathSpan]:
+def _math_spans(texts: list[str], starts: list[int]) -> list[MathSpan]:
     """extract_math over an already lexed document."""
     spans: list[MathSpan] = []
-    n = len(tokens)
+    n = len(texts)
     i = 0
     while i < n:
-        t = tokens[i]
-        if t.text not in _OPENERS:
+        t = texts[i]
+        if t not in _OPENERS:
             i += 1
-        elif t.text == "\\begin":
-            got = _group_text(tokens, i + 1)
+        elif t == "\\begin":
+            got = _group_text(texts, i + 1, n)
             if got is None:
                 i += 1
                 continue
@@ -378,15 +380,15 @@ def _math_spans(tokens: list[Token]) -> list[MathSpan]:
             depth = 0
             end_at = None
             while j < n:
-                u = tokens[j].text
+                u = texts[j]
                 if u == "\\begin":
-                    inner = _group_text(tokens, j + 1)
+                    inner = _group_text(texts, j + 1, n)
                     if inner is not None and inner[0] == env:
                         depth += 1
                         j = inner[1]
                         continue
                 elif u == "\\end":
-                    inner = _group_text(tokens, j + 1)
+                    inner = _group_text(texts, j + 1, n)
                     if inner is not None and inner[0] == env:
                         if depth == 0:
                             end_at = j
@@ -397,54 +399,48 @@ def _math_spans(tokens: list[Token]) -> list[MathSpan]:
                         continue
                 j += 1
             if end_at is None:
-                raise UnterminatedEnvironmentError(env, t.span[0])
-            body_tokens = tokens[after:end_at]
-            outer = (t.span[0], tokens[after_end - 1].span[1])
+                raise UnterminatedEnvironmentError(env, starts[i])
+            outer = (starts[i], starts[after_end])
             if env in ROW_SPLIT_ENVIRONMENTS:
-                for row in _split_rows(body_tokens):
-                    ms = _make_span(env, row, outer)
-                    if ms is not None:
-                        spans.append(ms)
+                rows = _split_rows(texts, after, end_at)
             else:
-                ms = _make_span(env, body_tokens, outer)
+                rows = [(after, end_at)]
+            for a, b in rows:
+                ms = _make_span(env, texts, starts, a, b, outer)
                 if ms is not None:
                     spans.append(ms)
             i = after_end
-        elif t.text == "\\[":
+        elif t == "\\[":
             j = i + 1
-            while j < n and tokens[j].text != "\\]":
+            while j < n and texts[j] != "\\]":
                 j += 1
             if j >= n:
-                raise UnterminatedEnvironmentError("bracket-display", t.span[0])
-            outer = (t.span[0], tokens[j].span[1])
-            ms = _make_span("bracket-display", tokens[i + 1 : j], outer)
+                raise UnterminatedEnvironmentError("bracket-display", starts[i])
+            ms = _make_span("bracket-display", texts, starts, i + 1, j, (starts[i], starts[j + 1]))
             if ms is not None:
                 spans.append(ms)
             i = j + 1
+        # t is $ from here on
+        elif i + 1 < n and texts[i + 1] == "$":
+            j = i + 2
+            while j < n:
+                if texts[j] == "$" and j + 1 < n and texts[j + 1] == "$":
+                    break
+                j += 1
+            if j >= n:
+                raise UnterminatedEnvironmentError("bracket-display", starts[i])
+            ms = _make_span("bracket-display", texts, starts, i + 2, j, (starts[i], starts[j + 2]))
+            if ms is not None:
+                spans.append(ms)
+            i = j + 2
         else:
-            double = i + 1 < n and tokens[i + 1].text == "$"
-            if double:
-                j = i + 2
-                while j < n:
-                    if tokens[j].text == "$" and j + 1 < n and tokens[j + 1].text == "$":
-                        break
-                    j += 1
-                if j >= n:
-                    raise UnterminatedEnvironmentError("bracket-display", t.span[0])
-                outer = (t.span[0], tokens[j + 1].span[1])
-                ms = _make_span("bracket-display", tokens[i + 2 : j], outer)
-                if ms is not None:
-                    spans.append(ms)
-                i = j + 2
-            else:
-                j = i + 1
-                while j < n and tokens[j].text != "$":
-                    j += 1
-                if j >= n:
-                    raise UnterminatedEnvironmentError("inline-dollar", t.span[0])
-                outer = (t.span[0], tokens[j].span[1])
-                ms = _make_span("inline-dollar", tokens[i + 1 : j], outer)
-                if ms is not None:
-                    spans.append(ms)
-                i = j + 1
+            j = i + 1
+            while j < n and texts[j] != "$":
+                j += 1
+            if j >= n:
+                raise UnterminatedEnvironmentError("inline-dollar", starts[i])
+            ms = _make_span("inline-dollar", texts, starts, i + 1, j, (starts[i], starts[j + 1]))
+            if ms is not None:
+                spans.append(ms)
+            i = j + 1
     return spans

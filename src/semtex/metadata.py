@@ -37,10 +37,11 @@ from .lexer import (
     Node,
     Token,
     TokenKind,
+    _TOKEN_RE,
     _group_text,
+    _lex,
     _math_spans,
     render,
-    tokenize,
 )
 
 DEFAULT_KEYWORDS = (
@@ -176,22 +177,23 @@ class _Heading:
 _HEADINGS = frozenset({"\\section", "\\subsection"})
 
 
-def _scan_sections(tokens: list[Token]) -> list[_Heading]:
+def _scan_sections(texts: list[str], starts: list[int]) -> list[_Heading]:
     out: list[_Heading] = []
     i = 0
-    n = len(tokens)
+    n = len(texts)
     while i < n:
-        t = tokens[i]
-        if t.text in _HEADINGS:
-            j = i + 1
-            if j < n and tokens[j].text == "*":
-                j += 1
-            got = _group_text(tokens, j)
+        t = texts[i]
+        if t in _HEADINGS:
+            # TeX skips spaces after a control word, so \section * {T} is
+            # starred too
+            k = i + 1
+            while k < n and texts[k][0].isspace():
+                k += 1
+            j = k + 1 if k < n and texts[k] == "*" else i + 1
+            got = _group_text(texts, j, n)
             if got is not None:
                 title, after = got
-                out.append(
-                    _Heading(t.span[0], tokens[after - 1].span[1], t.name, title.strip())
-                )
+                out.append(_Heading(starts[i], starts[after], t[1:], title.strip()))
                 i = after
                 continue
         i += 1
@@ -277,8 +279,8 @@ def _row(
     )
 
 
-def _display_rows(tokens: list[Token]) -> list[MathSpan]:
-    return [ms for ms in _math_spans(tokens) if ms.is_display]
+def _display_rows(texts: list[str], starts: list[int]) -> list[MathSpan]:
+    return [ms for ms in _math_spans(texts, starts) if ms.is_display]
 
 
 def segment_formulae(
@@ -297,11 +299,11 @@ def segment_formulae(
     reports them as failures.
     """
     settings = settings or glossary.settings
-    tokens = tokenize(source)
-    sections = _scan_sections(tokens)
+    lexed = _lex(source)
+    sections = _scan_sections(*lexed)
     rows = (
         _row(source, ms, k, sections, citation_key, settings)
-        for k, ms in enumerate(_display_rows(tokens), 1)
+        for k, ms in enumerate(_display_rows(*lexed), 1)
     )
     return [f for f in rows if isinstance(f, Formula)]
 
@@ -364,25 +366,23 @@ def _split_trailing(nodes: Sequence[Node]) -> tuple[tuple[Node, ...], list[tuple
     return core, clauses
 
 
-def _strip_comment_lines(text: str) -> str:
-    lines = []
-    for line in text.split("\n"):
-        m = re.search(r"(?<!\\)%", line)
-        lines.append(line[: m.start()] if m else line)
-    return "\n".join(lines)
+_SENTENCE_ENDS = frozenset(".!?")
 
 
 def _sentences(text: str) -> list[str]:
-    """Split prose into sentences, treating $...$ as opaque."""
-    text = _strip_comment_lines(text)
+    """Split prose into sentences, treating $...$ as opaque and dropping
+    comments.  Both follow the lexer's rules, so \\$ opens no math and
+    the % after \\\\ starts a comment."""
     out: list[str] = []
     buf: list[str] = []
     in_math = False
-    for ch in text:
-        buf.append(ch)
-        if ch == "$":
+    for t in _TOKEN_RE.findall(text):
+        if t[0] == "%":
+            continue
+        buf.append(t)
+        if t == "$":
             in_math = not in_math
-        elif ch in ".!?" and not in_math:
+        elif t in _SENTENCE_ENDS and not in_math:
             out.append("".join(buf))
             buf = []
     out.append("".join(buf))
@@ -754,11 +754,11 @@ def extract_document(
     line:col, and the earlier one keeps the id.
     """
     settings = settings or glossary.settings
-    tokens = tokenize(source)
-    sections = _scan_sections(tokens)
+    lexed = _lex(source)
+    sections = _scan_sections(*lexed)
     # rows leave the queue as they are walked, so a walked row's body can
     # be freed while later rows are replaced
-    rows = deque(_display_rows(tokens))
+    rows = deque(_display_rows(*lexed))
     ok: list[Formula] = []
     failures: list[tuple[str, str]] = []
     prev: tuple[int, int] | None = None

@@ -1,5 +1,6 @@
 """End-to-end checks of the four CLI verbs."""
 
+import gc
 import json
 import os
 import shutil
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import semtex
+import semtex.cli
 from conftest import DATA
 from semtex.cli import main
 from semtex.mockserver import start_server
@@ -30,6 +32,32 @@ def test_convert(tmp_path, capsys):
     assert printed.startswith("pages: 28\n")
     assert report.read_text() == printed
     assert out.read_text().startswith("<mediawiki")
+
+
+def test_the_collector_is_paused_while_a_command_runs(tmp_path, capsys, monkeypatch):
+    real = semtex.cli.run_pipeline
+    seen = []
+
+    def recording(*args, **kwargs):
+        seen.append(gc.isenabled())
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(semtex.cli, "run_pipeline", recording)
+    assert gc.isenabled()
+    assert main(["convert", "--input", MINI, "--out", str(tmp_path / "d.xml")]) == 0
+    assert gc.isenabled()
+    assert main(["stats", "--input", str(tmp_path / "nope.tex")]) == 2
+    assert gc.isenabled()
+    assert seen == [False, False]
+
+
+def test_a_caller_that_paused_the_collector_finds_it_paused(tmp_path, capsys):
+    gc.disable()
+    try:
+        assert main(["convert", "--input", MINI, "--out", str(tmp_path / "d.xml")]) == 0
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
 
 
 def test_convert_requires_output(capsys):

@@ -1,3 +1,4 @@
+import bisect
 import random
 
 import pytest
@@ -6,7 +7,7 @@ import gen
 import oracle
 from semtex import detokenize, extract_math, render, tokenize
 from semtex.errors import UnbalancedGroupError, UnterminatedEnvironmentError
-from semtex.lexer import Group, Token, TokenKind, build_groups, flatten
+from semtex.lexer import Group, Token, TokenKind, _lex, build_groups, flatten
 from semtex.metadata import _scan_sections
 
 from conftest import DATA
@@ -240,7 +241,7 @@ def rows(source):
 
 
 def headings(source):
-    return [(h.pos, h.end, h.level, h.title) for h in _scan_sections(tokenize(source))]
+    return [(h.pos, h.end, h.level, h.title) for h in _scan_sections(*_lex(source))]
 
 
 def test_escaped_dollars_and_commented_dollars_open_no_math():
@@ -293,3 +294,44 @@ def test_starred_sections_are_headings_and_longer_names_are_not():
         (0, 12, "section", "T"),
         (26, 41, "subsection", "V"),
     ]
+    # TeX skips the spaces after a control word, before the star too
+    assert headings("\\section *{T}") == [(0, 13, "section", "T")]
+    assert headings("\\subsection * {V}") == [(0, 17, "subsection", "V")]
+
+
+# ------------------------------------- math rows against the whole token list
+
+
+# math under every delimiter, and prose with comments, escaped dollars
+# and spaced starred headings
+_PIECES = (
+    "\\begin{{equation}}\n{body} \\label{{e.{k}}} % proof: p\n\\end{{equation}}",
+    "\\begin{{align}}\n{body} \\\\ \n  x_{{{k}}} &= 1,\\\\\n\\end{{align}}",
+    "\\[ {body} \\]",
+    "$$ {body}\n$$",
+    "Costs \\$5 where ${body}$ holds. % not $ math\n",
+    "\\subsection * {{T{k}}} Prose with a\\% sign.",
+)
+
+
+def _document(seed, rows):
+    rng = random.Random(seed)
+    parts = ["\\section{S}\n"]
+    for k, body in enumerate(gen.corpus(seed, rows)):
+        parts.append(rng.choice(_PIECES).format(body=body, k=k))
+        parts.append(rng.choice(("\n", " ", "\n\n", "\t")))
+    return "".join(parts)
+
+
+def test_math_rows_hold_the_tokens_tokenize_gives_inside_their_spans():
+    sources = [(DATA / "kls_mini.tex").read_text(encoding="utf-8")]
+    sources += [_document(seed, 80) for seed in range(4)]
+    for source in sources:
+        tokens = _lexed(tokenize(source))
+        starts = [span[0] for _, _, span in tokens]
+        spans = extract_math(source)
+        assert spans
+        for m in spans:
+            a = bisect.bisect_left(starts, m.span[0])
+            b = bisect.bisect_left(starts, m.span[1])
+            assert _lexed(flatten(m.body)) == tokens[a:b]

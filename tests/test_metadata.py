@@ -44,20 +44,20 @@ def by_id(result):
 
 
 def test_extract_document_lexes_the_source_once(glossary, mini_source, monkeypatch):
-    import semtex.canonicalize
     import semtex.lexer
     import semtex.metadata
 
-    modules = [semtex.lexer, semtex.metadata, semtex.canonicalize]
-    real = modules[0].tokenize
+    real = semtex.lexer._lex
     calls = []
 
     def counting(source):
         calls.append(source)
         return real(source)
 
-    for mod in modules:
-        monkeypatch.setattr(mod, "tokenize", counting)
+    # tokenize and extract_math lex through semtex.lexer._lex, and
+    # metadata binds its own name for it
+    for mod in (semtex.lexer, semtex.metadata):
+        monkeypatch.setattr(mod, "_lex", counting)
     extract_document(mini_source, glossary, citation_key="KLS")
     assert calls.count(mini_source) == 1
     # besides the document, only the $...$ snippets of the prose that
@@ -450,6 +450,23 @@ def test_formula_without_section_gets_no_name(glossary):
 def test_note_requires_three_words(glossary):
     res = extract(glossary, wrap("y=x", section="\\section{S}\nToo short.\n"))
     assert bodies(AnnotationKind.NOTE, res.formulae[0]) == []
+
+
+def test_a_comment_after_a_line_break_leaks_no_note(glossary):
+    prose = "\\section{S}\nA line that ends here \\\\% hidden words.\nAnd more words follow.\n"
+    res = extract(glossary, wrap("y=x", section=prose))
+    assert bodies(AnnotationKind.NOTE, res.formulae[0]) == [
+        "A line that ends here \\\\ And more words follow."
+    ]
+
+
+def test_an_escaped_dollar_opens_no_math_in_prose(glossary):
+    prose = "\\section{S}\nCosts \\$5 here. Next one is here.\n"
+    res = extract(glossary, wrap("y=x", section=prose))
+    assert bodies(AnnotationKind.NOTE, res.formulae[0]) == [
+        "Costs \\$5 here.",
+        "Next one is here.",
+    ]
 
 
 # --------------------------------------------------------------------- proofs
