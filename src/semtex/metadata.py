@@ -25,6 +25,7 @@ from .canonicalize import (
     DEFAULT_SETTINGS,
     CanonicalSettings,
     CanonicalTree,
+    _skip_whitespace,
     canonicalize,
     canonicalize_string,
 )
@@ -224,9 +225,12 @@ def _strip_markup(nodes: Sequence[Node]) -> list[Node]:
     while i < len(nodes):
         nd = nodes[i]
         if isinstance(nd, Token) and nd.kind is TokenKind.CONTROL:
-            if nd.name == "label" and i + 1 < len(nodes) and isinstance(nodes[i + 1], Group):
-                i += 2
-                continue
+            if nd.name == "label":
+                # TeX skips spaces after a control word, as _find_label does
+                j = _skip_whitespace(nodes, i + 1)
+                if j < len(nodes) and isinstance(nodes[j], Group):
+                    i = j + 1
+                    continue
             if nd.name in ("nonumber", "notag"):
                 i += 1
                 continue

@@ -82,6 +82,14 @@ def test_segment_strips_labels_and_trailing_punctuation(glossary):
     assert render(fs[0].source_canonical.nodes) == "x+y"
 
 
+def test_a_label_with_a_space_before_its_brace_is_stripped(glossary):
+    # TeX skips the space after a control word, so this is \label{eq:a}
+    source = "\\begin{equation}\\label {eq:a} x = \\Gamma(z)\\end{equation}"
+    (f,) = extract_document(source, glossary).formulae
+    assert f.id == "eq:a"
+    assert f.source_semantic == "x=\\EulerGamma@{z}"
+
+
 def test_segment_skips_inline_math(glossary):
     fs = segment_formulae("text $a+b$ more \\[ c \\]", glossary)
     assert [f.id for f in fs] == ["f1"]
