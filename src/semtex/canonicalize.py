@@ -3,6 +3,11 @@
 Collapses presentation-only degrees of freedom (spacing, delimiter
 sizing, bar spellings, script bracing) so the rewriter can match one
 spelling instead of dozens.  canonicalize is idempotent.
+
+One builder reads lexed token texts once and returns the canonical tree
+directly: a display row is canonicalized straight from the document's
+texts, with no Token or Group built for what it drops, and canonicalize
+runs the same builder over the flattened leaves of a built tree.
 """
 
 from __future__ import annotations
@@ -11,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from .errors import MismatchedLeftRightError
-from .lexer import Group, Node, Token, TokenKind, build_groups, tokenize
+from .lexer import _FIRST, Group, Node, Token, TokenKind, _check_balance, _lex, flatten
 
 DEFAULT_SPACING_TOKENS = (
     "\\,", "\\!", "\\;", "\\:", "~", "\\ ",
@@ -94,108 +99,169 @@ def _class_map(classes) -> dict[str, str]:
 DEFAULT_SETTINGS = CanonicalSettings()
 
 
-def _canonical_delimiter(t: Token, settings: CanonicalSettings) -> Token:
-    """Canonical token for a delimiter spelling (without size prefix)."""
-    if t.kind is TokenKind.CONTROL and t.name in settings.bar_synonyms:
-        return Token(TokenKind.CHAR, "|")
-    mapped = settings.delimiter_map.get(t.text)
-    if mapped is not None:
-        kind = TokenKind.CONTROL if mapped.startswith("\\") else TokenKind.CHAR
-        return Token(kind, mapped)
-    return t
-
-
-# Token kinds dropped after delimiter normalization, and kinds a one-leaf
-# brace group unwraps to.
-_DROPPED_KINDS = (TokenKind.ALIGN_TAB, TokenKind.COMMENT)
-_LEAF_KINDS = (TokenKind.CHAR, TokenKind.CONTROL)
-
-
-def _skip_whitespace(nodes: Sequence[Node], i: int) -> int:
-    """Index of the first node at or after i that is not whitespace; TeX
-    skips spaces after a control word and before an argument."""
-    while (
-        i < len(nodes)
-        and isinstance(nodes[i], Token)
-        and nodes[i].kind is TokenKind.WHITESPACE
-    ):
-        i += 1
-    return i
-
-
-def _canon(nodes: Sequence[Node], settings: CanonicalSettings) -> list[Node]:
-    """Canonical form of one node sequence, recursing into its groups."""
-    n = len(nodes)
-    # Spacing goes first, so a size prefix sees the delimiter behind it.
-    seq: list[Node] = []
-    i = 0
-    while i < n:
-        node = nodes[i]
-        i += 1
-        if isinstance(node, Token):
-            if node.kind is TokenKind.WHITESPACE or node.text in settings.spacing_tokens:
-                continue
-            if node.kind is TokenKind.CONTROL and node.name in _ARG_SPACING:
-                j = _skip_whitespace(nodes, i)
-                if j < n and isinstance(nodes[j], Token) and nodes[j].is_char("*"):
-                    j = _skip_whitespace(nodes, j + 1)
-                if j < n and isinstance(nodes[j], Group):
-                    i = j + 1
-                    continue
-        seq.append(node)
-    # Delimiters, tabs and comments, and groups in source order, so the
-    # first left/right mismatch in the tree is the one raised.  Tabs and
-    # comments still separate a size prefix from what follows them.
-    out: list[Node] = []
-    depth = 0
-    first_open: Token | None = None
-    n = len(seq)
-    i = 0
-    while i < n:
-        node = seq[i]
-        i += 1
-        if isinstance(node, Group):
-            kids = _canon(node.children, settings)
-            if len(kids) == 1 and isinstance(kids[0], Token) and kids[0].kind in _LEAF_KINDS:
-                out.append(kids[0])
-            else:
-                out.append(
-                    Group(tuple(kids), open_tok=node.open_tok, close_tok=node.close_tok)
-                )
-            continue
-        if node.kind is TokenKind.CONTROL and node.name in settings.size_prefixes:
-            nxt = seq[i] if i < n else None
-            if isinstance(nxt, Token) and nxt.text in _DELIMITER_TEXTS:
-                i += 1
-                if node.name == "left":
-                    depth += 1
-                    if first_open is None:
-                        first_open = node
-                elif node.name == "right":
-                    depth -= 1
-                    if depth < 0:
-                        raise MismatchedLeftRightError(
-                            node.span[0] if node.span else None
-                        )
-                if node.name in ("left", "right") and nxt.text == ".":
-                    continue
-                node = _canonical_delimiter(nxt, settings)
-            out.append(node)
-            continue
-        node = _canonical_delimiter(node, settings)
-        if node.kind not in _DROPPED_KINDS:
-            out.append(node)
-    if depth != 0:
-        pos = first_open.span[0] if first_open is not None and first_open.span else None
-        raise MismatchedLeftRightError(pos)
-    return out
-
-
 @dataclass(frozen=True)
 class CanonicalTree:
     """Canonical node sequence; trees compare by content."""
 
     nodes: tuple[Node, ...]
+
+
+_CONTROL = TokenKind.CONTROL
+_CHAR = TokenKind.CHAR
+# Token kinds a one-leaf brace group unwraps to.
+_LEAF_KINDS = (_CHAR, _CONTROL)
+# Markup a display row drops at its top level, besides \label{...}.
+_ROW_MARKUP = frozenset({"\\nonumber", "\\notag"})
+
+
+def _match(texts: Sequence[str], j: int, step: int = 1) -> int:
+    """Index of the brace that matches the one at texts[j], looking
+    forward from a { with step 1 and back from a } with step -1."""
+    depth = 0
+    while True:
+        t = texts[j]
+        if t == "{":
+            depth += step
+        elif t == "}":
+            depth -= step
+        if not depth:
+            return j
+        j += step
+
+
+def _skip_blank(texts: Sequence[str], i: int, b: int, markup: bool) -> int:
+    """Index of the first token at or after i, before b, that is not
+    whitespace nor, with markup, row markup; TeX skips spaces after a
+    control word and before an argument."""
+    while i < b:
+        t = texts[i]
+        if t[0].isspace() or (markup and t in _ROW_MARKUP):
+            i += 1
+        elif markup and t == "\\label":
+            j = _skip_blank(texts, i + 1, b, False)
+            if j == b or texts[j] != "{":
+                return i
+            i = _match(texts, j) + 1
+        else:
+            return i
+    return i
+
+
+def _row_end(texts: Sequence[str], a: int, b: int) -> int:
+    """End of a row body a..b-1 without its trailing whitespace, , . ;
+    and markup."""
+    while b > a:
+        t = texts[b - 1]
+        if t == "}":
+            # the argument of a trailing \label goes with it
+            p = _match(texts, b - 1, -1) - 1
+            while p >= a and texts[p][0].isspace():
+                p -= 1
+            if p < a or texts[p] != "\\label":
+                break
+            b = p
+        elif t[0].isspace() or t in _ROW_MARKUP or t in (",", ".", ";"):
+            b -= 1
+        else:
+            break
+    return b
+
+
+def _build(
+    texts: Sequence[str],
+    pos: Sequence[int | None],
+    a: int,
+    b: int,
+    settings: CanonicalSettings,
+    row: bool = False,
+) -> CanonicalTree:
+    """The canonical tree of the balanced tokens texts[a:b], read once, by
+    the rules canonicalize gives; pos[k] is the offset an error at token k
+    names.  A row also drops \\label{...}, \\nonumber, \\notag and
+    trailing whitespace and , . ; tokens at its top level."""
+    spacing = settings.spacing_tokens
+    if row:
+        b = _row_end(texts, a, b)
+    # one (nodes, depth, first) frame per enclosing group: the sequence
+    # built so far, its \left count less its \right count, and the index
+    # of its first \left (-1 before it)
+    stack: list[tuple[list[Node], int, int]] = []
+    out: list[Node] = []
+    depth, first = 0, -1
+    prefix = -1  # index of a size prefix waiting for the next token
+    k = a
+    while k < b:
+        t = texts[k]
+        k += 1
+        c = t[0]
+        if c == "\\":
+            name = t[1:]
+            if row and not stack and (t in _ROW_MARKUP or name == "label"):
+                j = _skip_blank(texts, k - 1, b, True)
+                if j >= k:
+                    k = j
+                    continue
+            if t in spacing:
+                continue
+            if name in _ARG_SPACING:
+                markup = row and not stack
+                j = _skip_blank(texts, k, b, markup)
+                if j < b and texts[j] == "*":
+                    j = _skip_blank(texts, j + 1, b, markup)
+                if j < b and texts[j] == "{":
+                    k = _match(texts, j) + 1
+                    continue
+        elif c.isspace() or (t in spacing and c not in "{}"):
+            continue
+        if prefix >= 0 and t in _DELIMITER_TEXTS:
+            size = texts[prefix][1:]
+            if size == "left":
+                depth += 1
+                if first < 0:
+                    first = prefix
+            elif size == "right":
+                depth -= 1
+                if depth < 0:
+                    raise MismatchedLeftRightError(pos[prefix])
+            prefix = -1
+            if t == "." and (size == "left" or size == "right"):
+                continue
+        else:
+            if prefix >= 0:
+                out.append(Token(_CONTROL, texts[prefix]))
+                prefix = -1
+            if c == "{":
+                stack.append((out, depth, first))
+                out, depth, first = [], 0, -1
+                continue
+            if c == "}":
+                if depth:
+                    raise MismatchedLeftRightError(pos[first])
+                kids = out
+                out, depth, first = stack.pop()
+                if len(kids) == 1 and kids[0].__class__ is Token and kids[0].kind in _LEAF_KINDS:
+                    out.append(kids[0])
+                else:
+                    out.append(Group(tuple(kids)))
+                continue
+            if c == "\\" and name in settings.size_prefixes:
+                prefix = k - 1
+                continue
+        # the leaf, with bar and delimiter synonyms mapped to one spelling;
+        # tabs and comments go
+        if c == "\\" and name in settings.bar_synonyms:
+            out.append(Token(_CHAR, "|"))
+            continue
+        mapped = settings.delimiter_map.get(t)
+        if mapped is not None:
+            out.append(Token(_CONTROL if mapped.startswith("\\") else _CHAR, mapped))
+        elif c != "&" and c != "%":
+            out.append(Token(_FIRST.get(c, _CHAR), t))
+    if prefix >= 0:
+        out.append(Token(_CONTROL, texts[prefix]))
+    if depth:
+        raise MismatchedLeftRightError(pos[first])
+    return CanonicalTree(tuple(out))
 
 
 def canonicalize(
@@ -211,11 +277,16 @@ def canonicalize(
     4. canonicalize each group once and unwrap it when it holds a single
        CHAR or CONTROL leaf, so {{n}} becomes n.
     """
-    return CanonicalTree(tuple(_canon(list(nodes), settings)))
+    flat = flatten(nodes)
+    texts = [t.text for t in flat]
+    return _build(texts, [t.span and t.span[0] for t in flat], 0, len(texts), settings)
 
 
 def canonicalize_string(
     source: str, settings: CanonicalSettings = DEFAULT_SETTINGS
 ) -> CanonicalTree:
-    """Convenience wrapper: lex, group, canonicalize."""
-    return canonicalize(build_groups(tokenize(source)), settings)
+    """Lex and canonicalize; raises UnbalancedGroupError as build_groups
+    does."""
+    texts, starts = _lex(source)
+    _check_balance(texts, starts, 0, len(texts))
+    return _build(texts, starts, 0, len(texts), settings)

@@ -18,9 +18,10 @@ token text that starts with a backslash is always a control sequence,
 and {, } and $ always have their own kinds: math and headings are found
 by comparing token text.
 
-A document is lexed to token texts and start offsets only; math spans
-and headings are found on those, and only the trimmed body of a math
-row becomes Token objects.  Prose is never materialized as Tokens.
+A document is lexed to token texts and start offsets only; math rows
+and headings are found on those as index ranges, and display rows are
+canonicalized straight from the texts.  Only extract_math builds Tokens,
+for the bodies of the MathSpans it returns.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate
-from typing import Iterable, Union
+from typing import Iterable, Iterator, Union
 
 from .errors import UnbalancedGroupError, UnterminatedEnvironmentError
 
@@ -303,24 +304,23 @@ def _find_label(texts: list[str], a: int, b: int) -> str | None:
     return None
 
 
-def _make_span(
-    env: str, texts: list[str], starts: list[int], a: int, b: int, outer: tuple[int, int]
-) -> MathSpan | None:
-    """The MathSpan of tokens a..b-1 with whitespace trimmed, or None
-    when only whitespace and comments remain."""
-    while a < b and texts[a][0].isspace():
-        a += 1
-    while b > a and texts[b - 1][0].isspace():
-        b -= 1
-    if all(t[0] == "%" or t[0].isspace() for t in texts[a:b]):
-        return None
-    return MathSpan(
-        environment=env,
-        body=tuple(build_groups(_tokens(texts, starts, a, b))),
-        span=(starts[a], starts[b]),
-        label=_find_label(texts, a, b),
-        outer=outer,
-    )
+def _check_balance(texts: list[str], starts: list[int], a: int, b: int) -> None:
+    """Raise UnbalancedGroupError, as build_groups does, unless the braces
+    of tokens a..b-1 balance: at the first unmatched }, else at the
+    outermost unclosed {."""
+    depth = 0
+    for k in range(a, b):
+        t = texts[k]
+        if t == "{":
+            if not depth:
+                opened = k
+            depth += 1
+        elif t == "}":
+            if not depth:
+                raise UnbalancedGroupError(starts[k])
+            depth -= 1
+    if depth:
+        raise UnbalancedGroupError(starts[opened])
 
 
 def _split_rows(texts: list[str], a: int, b: int) -> list[tuple[int, int]]:
@@ -350,24 +350,33 @@ def extract_math(source: str) -> list[MathSpan]:
     """Find every math region of the document, in source order.
 
     Alignment environments contribute one MathSpan per row.  Raises
-    UnterminatedEnvironmentError when an opener has no closer.
+    UnterminatedEnvironmentError when an opener has no closer, and
+    UnbalancedGroupError when a row's braces do not balance.
     """
-    return _math_spans(*_lex(source))
+    texts, starts = _lex(source)
+    return [
+        MathSpan(env, tuple(build_groups(_tokens(texts, starts, a, b))),
+                 (starts[a], starts[b]), _find_label(texts, a, b), outer)
+        for env, a, b, outer in _row_ranges(texts, starts)
+    ]
 
 
 _OPENERS = frozenset({"\\begin", "\\[", "$"})
 
 
-def _math_spans(texts: list[str], starts: list[int]) -> list[MathSpan]:
-    """extract_math over an already lexed document."""
-    spans: list[MathSpan] = []
+def _row_ranges(texts: list[str], starts: list[int]) -> Iterator[tuple]:
+    """The math rows of a lexed document as (environment, a, b, outer):
+    tokens a..b-1 are the body with whitespace trimmed, outer the source
+    extent of the environment.  Rows of only whitespace and comments are
+    skipped; raises as extract_math does."""
     n = len(texts)
     i = 0
     while i < n:
         t = texts[i]
         if t not in _OPENERS:
             i += 1
-        elif t == "\\begin":
+            continue
+        if t == "\\begin":
             got = _group_text(texts, i + 1, n)
             if got is None:
                 i += 1
@@ -405,10 +414,6 @@ def _math_spans(texts: list[str], starts: list[int]) -> list[MathSpan]:
                 rows = _split_rows(texts, after, end_at)
             else:
                 rows = [(after, end_at)]
-            for a, b in rows:
-                ms = _make_span(env, texts, starts, a, b, outer)
-                if ms is not None:
-                    spans.append(ms)
             i = after_end
         elif t == "\\[":
             j = i + 1
@@ -416,9 +421,7 @@ def _math_spans(texts: list[str], starts: list[int]) -> list[MathSpan]:
                 j += 1
             if j >= n:
                 raise UnterminatedEnvironmentError("bracket-display", starts[i])
-            ms = _make_span("bracket-display", texts, starts, i + 1, j, (starts[i], starts[j + 1]))
-            if ms is not None:
-                spans.append(ms)
+            env, rows, outer = "bracket-display", [(i + 1, j)], (starts[i], starts[j + 1])
             i = j + 1
         # t is $ from here on
         elif i + 1 < n and texts[i + 1] == "$":
@@ -429,9 +432,7 @@ def _math_spans(texts: list[str], starts: list[int]) -> list[MathSpan]:
                 j += 1
             if j >= n:
                 raise UnterminatedEnvironmentError("bracket-display", starts[i])
-            ms = _make_span("bracket-display", texts, starts, i + 2, j, (starts[i], starts[j + 2]))
-            if ms is not None:
-                spans.append(ms)
+            env, rows, outer = "bracket-display", [(i + 2, j)], (starts[i], starts[j + 2])
             i = j + 2
         else:
             j = i + 1
@@ -439,8 +440,14 @@ def _math_spans(texts: list[str], starts: list[int]) -> list[MathSpan]:
                 j += 1
             if j >= n:
                 raise UnterminatedEnvironmentError("inline-dollar", starts[i])
-            ms = _make_span("inline-dollar", texts, starts, i + 1, j, (starts[i], starts[j + 1]))
-            if ms is not None:
-                spans.append(ms)
+            env, rows, outer = "inline-dollar", [(i + 1, j)], (starts[i], starts[j + 1])
             i = j + 1
-    return spans
+        for a, b in rows:
+            while a < b and texts[a][0].isspace():
+                a += 1
+            while b > a and texts[b - 1][0].isspace():
+                b -= 1
+            if all(u[0] == "%" or u[0].isspace() for u in texts[a:b]):
+                continue
+            _check_balance(texts, starts, a, b)
+            yield env, a, b, outer

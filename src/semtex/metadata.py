@@ -16,7 +16,7 @@ source never becomes part of another formula's notes.
 from __future__ import annotations
 
 import re
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Iterable, Iterator, Sequence
@@ -25,8 +25,7 @@ from .canonicalize import (
     DEFAULT_SETTINGS,
     CanonicalSettings,
     CanonicalTree,
-    _skip_whitespace,
-    canonicalize,
+    _build,
     canonicalize_string,
 )
 from .engine import ReplacementStats, replace_all
@@ -34,14 +33,15 @@ from .errors import DuplicateTitleError, SemtexError, SubstitutionCycleError
 from .glossary import Glossary
 from .lexer import (
     Group,
-    MathSpan,
     Node,
     Token,
     TokenKind,
     _TOKEN_RE,
+    _find_label,
     _group_text,
     _lex,
-    _math_spans,
+    _row_ranges,
+    flatten,
     render,
 )
 
@@ -147,14 +147,6 @@ class ExtractionResult:
     failures: list[tuple[str, str]] = field(default_factory=list)
 
 
-def _leaves(nodes: Iterable[Node]) -> Iterator[Token]:
-    for nd in nodes:
-        if isinstance(nd, Group):
-            yield from _leaves(nd.children)
-        else:
-            yield nd
-
-
 def _is_relational(tok: Node) -> bool:
     if not isinstance(tok, Token):
         return False
@@ -164,7 +156,7 @@ def _is_relational(tok: Node) -> bool:
 
 
 def contains_relational(nodes: Iterable[Node]) -> bool:
-    return any(_is_relational(t) for t in _leaves(nodes))
+    return any(_is_relational(t) for t in flatten(nodes))
 
 
 @dataclass(frozen=True)
@@ -217,57 +209,34 @@ def _locate(sections: Sequence[_Heading], pos: int) -> tuple[tuple[str, ...], st
     return path, unit
 
 
-def _strip_markup(nodes: Sequence[Node]) -> list[Node]:
-    """Drop \\label{...}, \\nonumber, \\notag and trailing punctuation
-    from a row body."""
-    out: list[Node] = []
-    i = 0
-    while i < len(nodes):
-        nd = nodes[i]
-        if isinstance(nd, Token) and nd.kind is TokenKind.CONTROL:
-            if nd.name == "label":
-                # TeX skips spaces after a control word, as _find_label does
-                j = _skip_whitespace(nodes, i + 1)
-                if j < len(nodes) and isinstance(nodes[j], Group):
-                    i = j + 1
-                    continue
-            if nd.name in ("nonumber", "notag"):
-                i += 1
-                continue
-        out.append(nd)
-        i += 1
-    while out and (
-        isinstance(out[-1], Token)
-        and (out[-1].kind is TokenKind.WHITESPACE or out[-1].text in (",", ".", ";"))
-    ):
-        out.pop()
-    return out
-
-
 def _row(
     source: str,
-    ms: MathSpan,
+    texts: list[str],
+    starts: list[int],
+    row: tuple[str, int, int, tuple[int, int]],
     ordinal: int,
     sections: Sequence[_Heading],
     citation_key: str,
     settings: CanonicalSettings,
 ) -> Formula | tuple[str, str]:
-    """The Formula of one display row, or its (id, message) failure when
-    the body cannot be canonicalized."""
-    fid = ms.label or f"f{ordinal}"
+    """The Formula of a display row of _row_ranges, or its (id, message)
+    failure when the body cannot be canonicalized."""
+    _, a, b, outer = row
+    fid = _find_label(texts, a, b) or f"f{ordinal}"
+    span = (starts[a], starts[b])
     proofs: list[Annotation] = []
-    # a row whose source holds no % has no comment to walk its tree for
-    if source.find("%", *ms.span) != -1:
+    # a row whose source holds no % has no comment to look for
+    if source.find("%", *span) != -1:
         proofs = [
             Annotation(AnnotationKind.PROOF, m.group(1).strip(), origin=fid)
-            for t in _leaves(ms.body)
-            if t.kind is TokenKind.COMMENT
-            for m in [_PROOF_RE.match(t.text)]
+            for t in texts[a:b]
+            if t[0] == "%"
+            for m in [_PROOF_RE.match(t)]
             if m is not None
         ]
-    path, unit = _locate(sections, ms.outer[0])
+    path, unit = _locate(sections, outer[0])
     try:
-        core = canonicalize(_strip_markup(list(ms.body)), settings)
+        core = _build(texts, starts, a, b, settings, row=True)
     except SemtexError as exc:
         return fid, f"{type(exc).__name__}: {exc}"
     return Formula(
@@ -279,12 +248,12 @@ def _row(
         section_path=path,
         unit=unit,
         ordinal=ordinal,
-        span=ms.span,
+        span=span,
     )
 
 
-def _display_rows(texts: list[str], starts: list[int]) -> list[MathSpan]:
-    return [ms for ms in _math_spans(texts, starts) if ms.is_display]
+def _display_rows(texts: list[str], starts: list[int]) -> list[tuple]:
+    return [r for r in _row_ranges(texts, starts) if r[0] != "inline-dollar"]
 
 
 def segment_formulae(
@@ -303,11 +272,11 @@ def segment_formulae(
     reports them as failures.
     """
     settings = settings or glossary.settings
-    lexed = _lex(source)
-    sections = _scan_sections(*lexed)
+    texts, starts = _lex(source)
+    sections = _scan_sections(texts, starts)
     rows = (
-        _row(source, ms, k, sections, citation_key, settings)
-        for k, ms in enumerate(_display_rows(*lexed), 1)
+        _row(source, texts, starts, row, k, sections, citation_key, settings)
+        for k, row in enumerate(_display_rows(texts, starts), 1)
     )
     return [f for f in rows if isinstance(f, Formula)]
 
@@ -758,34 +727,30 @@ def extract_document(
     line:col, and the earlier one keeps the id.
     """
     settings = settings or glossary.settings
-    lexed = _lex(source)
-    sections = _scan_sections(*lexed)
-    # rows leave the queue as they are walked, so a walked row's body can
-    # be freed while later rows are replaced
-    rows = deque(_display_rows(*lexed))
+    texts, starts = _lex(source)
+    sections = _scan_sections(texts, starts)
+    rows = _display_rows(texts, starts)
     ok: list[Formula] = []
     failures: list[tuple[str, str]] = []
     prev: tuple[int, int] | None = None
     before: list[str] = []
-    ordinal = 0
-    while rows:
-        ms = rows.popleft()
-        ordinal += 1
-        if ms.outer != prev:
-            chunks = _gap_chunks(source, sections, prev[1] if prev else 0, ms.outer[0])
+    for k, row in enumerate(rows):
+        outer = row[3]
+        if outer != prev:
+            chunks = _gap_chunks(source, sections, prev[1] if prev else 0, outer[0])
             before = _sentences(chunks[-1])
             if len(chunks) == 1 and prev is not None:
                 while before and _begins_with_introducer(before[0], introducers):
                     before.pop(0)
-            prev = ms.outer
-        f = _row(source, ms, ordinal, sections, citation_key, settings)
+            prev = outer
+        f = _row(source, texts, starts, row, k + 1, sections, citation_key, settings)
         if not isinstance(f, Formula):
             failures.append(f)
             continue
         prose = ""
-        if not rows or rows[0].outer != ms.outer:
-            nxt = rows[0].outer[0] if rows else len(source)
-            prose = _gap_chunks(source, sections, ms.outer[1], nxt)[0]
+        nxt = rows[k + 1][3] if k + 1 < len(rows) else None
+        if nxt != outer:
+            prose = _gap_chunks(source, sections, outer[1], nxt[0] if nxt else len(source))[0]
         try:
             core, clauses = detect_constraints(f, prose, introducers, settings)
         except SemtexError as exc:

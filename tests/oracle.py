@@ -13,14 +13,25 @@ with semtex.metadata.
 tokenize() is the character-by-character lexer that semtex.lexer's
 one-regex tokenizer replaced; it gives the same kinds, texts and spans.
 
+canonicalize() and canonicalize_row() are the tree walks that
+semtex.canonicalize's one-pass builder replaced: the source is lexed,
+grouped with build_groups, stripped of row markup, then each node
+sequence is rebuilt in two passes, recursing into its groups.
+
 Slow and simple on purpose.
 """
 
 from collections import Counter
 
-from semtex.errors import SubstitutionCycleError
+from semtex.canonicalize import (
+    _ARG_SPACING,
+    _DELIMITER_TEXTS,
+    DEFAULT_SETTINGS,
+    CanonicalTree,
+)
+from semtex.errors import MismatchedLeftRightError, SubstitutionCycleError
 from semtex.glossary import AtomKind
-from semtex.lexer import Group, Token, TokenKind
+from semtex.lexer import Group, Token, TokenKind, build_groups
 from semtex.metadata import (
     Annotation,
     AnnotationKind,
@@ -292,3 +303,121 @@ def tokenize(source):
             out.append(Token(TokenKind.CHAR, c, span=(i, i + 1)))
             i += 1
     return out
+
+
+def _skip_whitespace(nodes, i):
+    while i < len(nodes) and isinstance(nodes[i], Token) and nodes[i].kind is TokenKind.WHITESPACE:
+        i += 1
+    return i
+
+
+def _canonical_delimiter(t, settings):
+    if t.kind is TokenKind.CONTROL and t.name in settings.bar_synonyms:
+        return Token(TokenKind.CHAR, "|")
+    mapped = settings.delimiter_map.get(t.text)
+    if mapped is not None:
+        kind = TokenKind.CONTROL if mapped.startswith("\\") else TokenKind.CHAR
+        return Token(kind, mapped)
+    return t
+
+
+def _canon(nodes, settings):
+    n = len(nodes)
+    # pass 1: spacing, so a size prefix sees the delimiter behind it
+    seq = []
+    i = 0
+    while i < n:
+        node = nodes[i]
+        i += 1
+        if isinstance(node, Token):
+            if node.kind is TokenKind.WHITESPACE or node.text in settings.spacing_tokens:
+                continue
+            if node.kind is TokenKind.CONTROL and node.name in _ARG_SPACING:
+                j = _skip_whitespace(nodes, i)
+                if j < n and isinstance(nodes[j], Token) and nodes[j].is_char("*"):
+                    j = _skip_whitespace(nodes, j + 1)
+                if j < n and isinstance(nodes[j], Group):
+                    i = j + 1
+                    continue
+        seq.append(node)
+    # pass 2: delimiters, tabs and comments, and groups in source order
+    out = []
+    depth = 0
+    first_open = None
+    n = len(seq)
+    i = 0
+    while i < n:
+        node = seq[i]
+        i += 1
+        if isinstance(node, Group):
+            kids = _canon(node.children, settings)
+            if (
+                len(kids) == 1
+                and isinstance(kids[0], Token)
+                and kids[0].kind in (TokenKind.CHAR, TokenKind.CONTROL)
+            ):
+                out.append(kids[0])
+            else:
+                out.append(Group(tuple(kids)))
+            continue
+        if node.kind is TokenKind.CONTROL and node.name in settings.size_prefixes:
+            nxt = seq[i] if i < n else None
+            if isinstance(nxt, Token) and nxt.text in _DELIMITER_TEXTS:
+                i += 1
+                if node.name == "left":
+                    depth += 1
+                    if first_open is None:
+                        first_open = node
+                elif node.name == "right":
+                    depth -= 1
+                    if depth < 0:
+                        raise MismatchedLeftRightError(node.span[0] if node.span else None)
+                if node.name in ("left", "right") and nxt.text == ".":
+                    continue
+                node = _canonical_delimiter(nxt, settings)
+            out.append(node)
+            continue
+        node = _canonical_delimiter(node, settings)
+        if node.kind not in (TokenKind.ALIGN_TAB, TokenKind.COMMENT):
+            out.append(node)
+    if depth != 0:
+        pos = first_open.span[0] if first_open is not None and first_open.span else None
+        raise MismatchedLeftRightError(pos)
+    return out
+
+
+def canonicalize(nodes, settings=DEFAULT_SETTINGS):
+    """The canonical tree of built nodes."""
+    return CanonicalTree(tuple(_canon(list(nodes), settings)))
+
+
+def strip_markup(nodes):
+    """Drop top-level \\label{...} (TeX skips spaces before the brace),
+    \\nonumber and \\notag, then trailing whitespace and , . ; tokens."""
+    out = []
+    i = 0
+    while i < len(nodes):
+        nd = nodes[i]
+        if isinstance(nd, Token) and nd.kind is TokenKind.CONTROL:
+            if nd.name == "label":
+                j = _skip_whitespace(nodes, i + 1)
+                if j < len(nodes) and isinstance(nodes[j], Group):
+                    i = j + 1
+                    continue
+            if nd.name in ("nonumber", "notag"):
+                i += 1
+                continue
+        out.append(nd)
+        i += 1
+    while out and (
+        isinstance(out[-1], Token)
+        and (out[-1].kind is TokenKind.WHITESPACE or out[-1].text in (",", ".", ";"))
+    ):
+        out.pop()
+    return out
+
+
+def canonicalize_row(source, settings=DEFAULT_SETTINGS):
+    """The canonical tree of a display row body: lex, group, strip the
+    markup, canonicalize."""
+    return canonicalize(strip_markup(build_groups(tokenize(source))), settings)

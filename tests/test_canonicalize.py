@@ -1,11 +1,15 @@
+import random
 import types
+from collections import Counter
 
 import pytest
 
+import gen
+import oracle
 from semtex import canonicalize_string, render
-from semtex.canonicalize import canonicalize
-from semtex.errors import MismatchedLeftRightError
-from semtex.lexer import Group, Token, TokenKind, build_groups, tokenize
+from semtex.canonicalize import _build, canonicalize
+from semtex.errors import MismatchedLeftRightError, SemtexError
+from semtex.lexer import Group, Token, TokenKind, _check_balance, _lex, build_groups, tokenize
 
 
 def canon(source):
@@ -115,3 +119,75 @@ def test_package_attribute_is_the_module():
 
     assert isinstance(semtex.canonicalize, types.ModuleType)
     assert semtex.canonicalize.canonicalize is canonicalize
+
+
+# every rule of the builder and its row markup
+_SOUP = (
+    "\\hspace", "\\hspace*", "\\mspace", "*", "{2mm}", "\\left", "\\right", "\\middle",
+    "\\left.", "\\right.", "\\bigl", "\\bigr", "\\Big", ".", "(", ")", "[", "]",
+    "\\{", "\\}", "|", "\\|", "\\mid", "\\vert", "\\lvert", "\\lparen", "\\rbrack",
+    "\\lbrace", "\\rbrace", "\\langle", "\\label", "{eq:a}", "\\nonumber", "\\notag", "&",
+    "% c\n", " ", " ", "\\,", "\\quad", "~", ",", ";", "x", "1", "\\alpha", "^", "_", "=",
+    "\\\\",
+)
+
+
+# rows where markup meets trailing punctuation, spacing or a size prefix
+_EDGES = (
+    r"x+y, \label {a.b} \nonumber",
+    r"\label{a}{b}.",
+    r"\label \nonumber {a} x",
+    r"\left( x \right. ,",
+    r"\left\label{a}( x \right)",
+    r"\hspace \label{a} * \notag {2mm} x",
+    r"x . \,",
+)
+
+
+def _soup(rng, depth=2):
+    """Soup tokens in nested groups, with now and then a stray brace."""
+    parts = []
+    for _ in range(rng.randint(0, 8)):
+        r = rng.random()
+        if r < 0.01:
+            parts.append(rng.choice("{}"))
+        elif r < 0.2 and depth:
+            parts.append("{" + _soup(rng, depth - 1) + "}")
+        else:
+            parts.append(rng.choice(_SOUP))
+    return "".join(parts)
+
+
+def _outcome(make):
+    try:
+        return make()
+    except SemtexError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _row(source, settings):
+    texts, starts = _lex(source)
+    _check_balance(texts, starts, 0, len(texts))
+    return _build(texts, starts, 0, len(texts), settings, row=True)
+
+
+def test_builder_matches_the_tree_walk_reference(glossary):
+    settings = glossary.settings
+    rng = random.Random(20261018)
+    sources = [*_EDGES, *(_soup(rng) for _ in range(4000)), *gen.corpus(seed=11, count=300)]
+    seen = Counter()
+    for source in sources:
+        want = _outcome(lambda: oracle.canonicalize_row(source, settings))
+        assert _outcome(lambda: _row(source, settings)) == want, source
+        seen[want[0] if isinstance(want, tuple) else "tree"] += 1
+        want = _outcome(
+            lambda: oracle.canonicalize(build_groups(oracle.tokenize(source)), settings)
+        )
+        assert _outcome(lambda: canonicalize_string(source, settings)) == want, source
+        nodes = _outcome(lambda: build_groups(tokenize(source)))
+        if isinstance(nodes, list):
+            assert _outcome(lambda: canonicalize(nodes, settings)) == want, source
+    # the soups reach both errors as well as trees
+    assert seen["tree"] > 2000
+    assert seen["MismatchedLeftRightError"] > 200
+    assert seen["UnbalancedGroupError"] > 200

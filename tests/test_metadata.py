@@ -1,6 +1,7 @@
 """Constraint splitting, substitutions, names, notes, proofs."""
 
 import dataclasses
+import gc
 import random
 
 import pytest
@@ -9,7 +10,7 @@ import gen
 import oracle
 from conftest import DATA
 from semtex.engine import replace_all
-from semtex.errors import SubstitutionCycleError
+from semtex.errors import SubstitutionCycleError, UnbalancedGroupError
 from semtex.lexer import render
 from semtex.metadata import (
     AnnotationKind,
@@ -44,6 +45,7 @@ def by_id(result):
 
 
 def test_extract_document_lexes_the_source_once(glossary, mini_source, monkeypatch):
+    import semtex.canonicalize
     import semtex.lexer
     import semtex.metadata
 
@@ -55,8 +57,8 @@ def test_extract_document_lexes_the_source_once(glossary, mini_source, monkeypat
         return real(source)
 
     # tokenize and extract_math lex through semtex.lexer._lex, and
-    # metadata binds its own name for it
-    for mod in (semtex.lexer, semtex.metadata):
+    # metadata and canonicalize bind their own names for it
+    for mod in (semtex.lexer, semtex.metadata, semtex.canonicalize):
         monkeypatch.setattr(mod, "_lex", counting)
     extract_document(mini_source, glossary, citation_key="KLS")
     assert calls.count(mini_source) == 1
@@ -501,6 +503,23 @@ def test_constraints_from_fixture(mini):
 
 
 # ------------------------------------------------------------------- failures
+
+
+def test_unbalanced_inline_math_fails_the_document(glossary):
+    with pytest.raises(UnbalancedGroupError, match="unbalanced group at offset 7$"):
+        extract(glossary, "Text $ {x $ and more.\n\\[ y = x \\]\n")
+
+
+def test_extraction_leaves_no_cyclic_garbage(glossary, mini_source):
+    # the CLI runs with the cyclic collector paused, so a reference cycle
+    # built per row would never be freed
+    gc.collect()
+    gc.disable()
+    try:
+        extract(glossary, mini_source)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_failures_are_isolated_per_row(glossary):
