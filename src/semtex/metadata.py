@@ -368,9 +368,12 @@ def _begins_with_introducer(sentence: str, introducers: Sequence[str]) -> bool:
 
 
 def _prose_constraints(sentence: str, settings: CanonicalSettings) -> list[tuple[Node, ...]]:
+    """Relational $...$ snippets, canonical; $ tokens pair as in _sentences."""
+    texts = _TOKEN_RE.findall(sentence)
+    dollars = [k for k, t in enumerate(texts) if t == "$"]
     out = []
-    for m in re.finditer(r"\$([^$]+)\$", sentence):
-        tree = canonicalize_string(m.group(1), settings)
+    for i, j in zip(dollars[::2], dollars[1::2]):
+        tree = canonicalize_string("".join(texts[i + 1 : j]), settings)
         if contains_relational(tree.nodes):
             out.append(tree.nodes)
     return out

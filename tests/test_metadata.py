@@ -173,6 +173,11 @@ def test_prose_math_without_relation_is_ignored(glossary):
     assert anns == []
 
 
+def test_an_escaped_dollar_pairs_with_no_prose_math(glossary):
+    _, anns = split(glossary, "y=x", r"where $0<q<1$ costs \$5 and $n \ge 0$.")
+    assert anns == ["0<q<1", r"n\ge0"]
+
+
 def test_prose_constraints_stop_at_first_plain_sentence(glossary):
     _, anns = split(glossary, "y=s", "where $n\\ge0$. Next topic. for $|t|<1$.")
     assert anns == [r"n\ge0"]
