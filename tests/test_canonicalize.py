@@ -9,7 +9,7 @@ import oracle
 from semtex import canonicalize_string, render
 from semtex.canonicalize import _build, canonicalize
 from semtex.errors import MismatchedLeftRightError, SemtexError
-from semtex.lexer import Group, Token, TokenKind, _check_balance, _lex, build_groups, tokenize
+from semtex.lexer import Token, _check_balance, _lex, build_groups, tokenize
 
 
 def canon(source):
