@@ -281,16 +281,9 @@ def segment_formulae(
     return [f for f in rows if isinstance(f, Formula)]
 
 
-def _split_trailing(nodes: Sequence[Node]) -> tuple[tuple[Node, ...], list[tuple[Node, ...]]]:
-    """Split trailing constraint clauses off a canonical body.
-
-    Top-level comma segments are scanned right to left; each maximal run
-    whose leftmost segment carries a relational token becomes one clause
-    (so enumerations like n=0,1,...,N stay together).  The first segment
-    is never split off; segments below the last clause rejoin the core.
-    """
-    nodes = list(nodes)
-    commas: list[int] = []
+def _top_level(nodes: Sequence[Node]) -> Iterator[tuple[int, Token]]:
+    """(index, token) of each token of nodes outside ( ) and [ ]; a
+    closer with nothing open is ignored."""
     depth = 0
     for i, nd in enumerate(nodes):
         if not isinstance(nd, Token):
@@ -299,44 +292,33 @@ def _split_trailing(nodes: Sequence[Node]) -> tuple[tuple[Node, ...], list[tuple
             depth += 1
         elif nd.text in (")", "]"):
             depth = max(0, depth - 1)
-        elif nd.is_char(",") and depth == 0:
-            commas.append(i)
-    if not commas:
+        elif depth == 0:
+            yield i, nd
+
+
+def _split_trailing(nodes: Sequence[Node]) -> tuple[tuple[Node, ...], list[tuple[Node, ...]]]:
+    """Split trailing constraint clauses off a canonical body.
+
+    Top-level commas cut the body into segments.  Each segment after the
+    first that carries a relational token starts a clause, which runs up
+    to the next such segment (so enumerations like n=0,1,...,N stay
+    together); the segments before the first clause form the core.
+    """
+    nodes = list(nodes)
+    cuts = [-1]  # segment k runs from cuts[k] + 1 to cuts[k + 1]
+    relational: set[int] = set()  # the segments that hold a relational token
+    for i, nd in _top_level(nodes):
+        if nd.is_char(","):
+            cuts.append(i)
+        elif _is_relational(nd):
+            relational.add(len(cuts) - 1)
+    heads = sorted(relational - {0})
+    if not heads:
         return tuple(nodes), []
-
-    segs: list[tuple[int, int]] = []
-    prev = -1
-    for c in commas + [len(nodes)]:
-        segs.append((prev + 1, c))
-        prev = c
-
-    def seg_relational(bounds: tuple[int, int]) -> bool:
-        d = 0
-        for nd in nodes[bounds[0] : bounds[1]]:
-            if not isinstance(nd, Token):
-                continue
-            if nd.text in ("(", "["):
-                d += 1
-            elif nd.text in (")", "]"):
-                d = max(0, d - 1)
-            elif d == 0 and _is_relational(nd):
-                return True
-        return False
-
-    ranges: list[tuple[int, int]] = []
-    run_end: int | None = None
-    for k in range(len(segs) - 1, 0, -1):
-        if run_end is None:
-            run_end = k
-        if seg_relational(segs[k]):
-            ranges.insert(0, (k, run_end))
-            run_end = None
-    if not ranges:
-        return tuple(nodes), []
-    first = ranges[0][0]
-    core = tuple(nodes[: segs[first][0] - 1])
-    clauses = [tuple(nodes[segs[a][0] : segs[b][1]]) for a, b in ranges]
-    return core, clauses
+    cuts.append(len(nodes))
+    ends = heads[1:] + [len(cuts) - 1]
+    core = tuple(nodes[: cuts[heads[0]]])
+    return core, [tuple(nodes[cuts[a] + 1 : cuts[b]]) for a, b in zip(heads, ends)]
 
 
 _SENTENCE_ENDS = frozenset(".!?")
@@ -504,16 +486,9 @@ def _parse_def_lhs(nodes: Sequence[Node]) -> tuple[tuple[Node, ...], bool] | Non
 
 def _top_level_equation(nodes: Sequence[Node]) -> int | None:
     """Index of the single top-level '=' at paren depth 0, if any."""
-    depth = 0
     found = None
-    for i, nd in enumerate(nodes):
-        if not isinstance(nd, Token):
-            continue
-        if nd.text in ("(", "["):
-            depth += 1
-        elif nd.text in (")", "]"):
-            depth = max(0, depth - 1)
-        elif nd.is_char("=") and depth == 0:
+    for i, nd in _top_level(nodes):
+        if nd.is_char("="):
             if found is not None:
                 return None
             found = i
