@@ -17,6 +17,7 @@ from .pipeline import (
     run_pipeline,
     validate_config,
     verify_render,
+    _FILE_ERRORS,
     _load_glossary,
 )
 
@@ -129,7 +130,7 @@ def _cmd_replace(args: argparse.Namespace) -> int:
             rewritten, stats = replace_text(
                 path.read_text(encoding="utf-8"), glossary
             )
-        except SemtexError as exc:
+        except _FILE_ERRORS as exc:
             print(f"{path}: {type(exc).__name__}: {exc}", file=sys.stderr)
             status = 1
             continue

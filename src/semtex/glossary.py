@@ -289,7 +289,12 @@ def load_glossary(path: str | Path) -> Glossary:
     Raises GlossaryParseError, DuplicateMacroError, or
     TemplateCaptureMismatchError.
     """
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        # read_text decodes the whole file at once, so exc.object is its bytes
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        raise GlossaryParseError(line, f"not UTF-8: {exc.reason}") from exc
     return loads_glossary(text)
 
 

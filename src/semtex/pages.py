@@ -13,7 +13,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .engine import ReplacementStats
-from .errors import DuplicateTitleError, MissingBibEntryError
+from .errors import ConfigInvalidError, DuplicateTitleError, MissingBibEntryError
 from .glossary import Glossary, MacroRule
 from .metadata import Annotation, AnnotationKind, Formula, SubstitutionDef
 
@@ -61,7 +61,14 @@ class SiteInfo:
 
 
 def load_bibliography(path: str | Path) -> dict[str, BibEntry]:
-    raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    """Read a UTF-8 JSON object of key -> entry object; raises
+    ConfigInvalidError naming the file when it is anything else."""
+    try:
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        raise ConfigInvalidError(f"cannot read bibliography {path}: {exc}") from exc
+    if not isinstance(raw, dict) or not all(isinstance(obj, dict) for obj in raw.values()):
+        raise ConfigInvalidError(f"bibliography {path} must map each key to an object")
     out = {}
     for key, obj in raw.items():
         out[key] = BibEntry(

@@ -200,6 +200,11 @@ def _load_glossary(cfg: PipelineConfig) -> Glossary:
     return load_glossary(cfg.glossary_path)
 
 
+# What reading and converting one input file may raise: a file-level
+# failure that drops the file, never the run
+_FILE_ERRORS = (SemtexError, OSError, UnicodeDecodeError)
+
+
 @dataclass
 class RunResult:
     exit_code: int
@@ -242,7 +247,7 @@ def run_pipeline(cfg: PipelineConfig, write: bool = True) -> RunResult:
                 keywords=cfg.keywords,
                 introducers=cfg.introducers,
             )
-        except (SemtexError, OSError) as exc:
+        except _FILE_ERRORS as exc:
             failures.append((str(path), f"{type(exc).__name__}: {exc}"))
             file_error = True
             continue

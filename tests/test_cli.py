@@ -144,6 +144,37 @@ def test_replace_reports_broken_files(tmp_path, capsys):
     assert (tmp_path / "kls_mini.tex").exists()  # good file still converted
 
 
+def test_convert_lists_an_undecodable_file_and_converts_the_rest(tmp_path, capsys):
+    bad = tmp_path / "bad.tex"
+    bad.write_bytes(b"\\[ x \\] \xff\n")
+    out = tmp_path / "d.xml"
+    rc = main(["convert", "--input", str(bad), "--input", MINI, "--out", str(out)])
+    assert rc == 1
+    printed = capsys.readouterr().out
+    assert f"  {bad}: UnicodeDecodeError: " in printed
+    assert out.read_text().count("<page>") == 28
+
+
+def test_replace_reports_an_undecodable_file(tmp_path, capsys):
+    bad = tmp_path / "bad.tex"
+    bad.write_bytes(b"\xff")
+    rc = main(["replace", "--input", str(bad), "--input", MINI, "--out", str(tmp_path / "o")])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"{bad}: UnicodeDecodeError: ")
+    assert captured.out == "kls_mini.tex: 56 replacements\n"
+
+
+@pytest.mark.parametrize("content", [b'{"KLS": ', b'{"KLS": 3}', b'["KLS"]', b'{"KLS": {"author": "\xff"}}'])
+def test_a_malformed_bibliography_is_a_config_error(tmp_path, capsys, content):
+    bib = tmp_path / "bib.json"
+    bib.write_bytes(content)
+    rc = main(["convert", "--input", MINI, "--bib", str(bib), "--out", str(tmp_path / "d.xml")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and str(bib) in err
+
+
 def test_missing_input_is_a_config_error(tmp_path, capsys):
     rc = main(["stats", "--input", str(tmp_path / "nope.tex")])
     assert rc == 2

@@ -8,7 +8,7 @@ from semtex.errors import (
     GlossaryParseError,
     TemplateCaptureMismatchError,
 )
-from semtex.glossary import Glossary
+from semtex.glossary import Glossary, load_glossary
 
 from conftest import DATA
 
@@ -108,6 +108,14 @@ def test_malformed_documents_raise_parse_error():
         loads_glossary('{"rules": [,]}')
     # truncated or invalid JSON reports the line it broke on
     assert err.value.line is not None
+
+
+def test_an_undecodable_glossary_file_raises_parse_error(tmp_path):
+    p = tmp_path / "g.json"
+    p.write_bytes(b'{"rules": [\n"\xff"]}')
+    with pytest.raises(GlossaryParseError) as err:
+        load_glossary(p)
+    assert err.value.line == 2
 
 
 def test_missing_required_keys_raise():
