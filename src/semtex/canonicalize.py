@@ -5,9 +5,10 @@ sizing, bar spellings, script bracing) so the rewriter can match one
 spelling instead of dozens.  canonicalize is idempotent.
 
 One builder reads lexed token texts once and returns the canonical tree
-directly: a display row is canonicalized straight from the document's
-texts, with no Token or Group built for what it drops, and canonicalize
-runs the same builder over the flattened leaves of a built tree.
+directly: every row and span a verb reads is canonicalized straight
+from the document's texts, with no Token or Group built for what it
+drops, and canonicalize runs the same builder over the flattened leaves
+of a built tree.
 """
 
 from __future__ import annotations

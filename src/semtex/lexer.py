@@ -19,9 +19,10 @@ and {, } and $ always have their own kinds: math and headings are found
 by comparing token text.
 
 A document is lexed to token texts and start offsets only; math rows
-and headings are found on those as index ranges, and display rows are
-canonicalized straight from the texts.  Only extract_math builds Tokens,
-for the bodies of the MathSpans it returns.
+and headings are found on those as index ranges, and rows are
+canonicalized straight from the texts.  No verb goes through
+extract_math: it is the public, Token-building view of the same rows,
+and only it builds Tokens, for the bodies of the MathSpans it returns.
 """
 
 from __future__ import annotations

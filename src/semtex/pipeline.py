@@ -15,7 +15,7 @@ from typing import Sequence
 from urllib.parse import urlparse
 from xml.etree import ElementTree
 
-from .canonicalize import canonicalize
+from .canonicalize import _build
 from .engine import ReplacementStats, replace_all
 from .errors import (
     ConfigInvalidError,
@@ -24,7 +24,7 @@ from .errors import (
     ServiceUnreachableError,
 )
 from .glossary import Glossary, builtin_glossary, load_glossary
-from .lexer import extract_math, render
+from .lexer import _lex, _row_ranges, render
 from .metadata import (
     DEFAULT_INTRODUCERS,
     DEFAULT_KEYWORDS,
@@ -285,19 +285,22 @@ def run_pipeline(cfg: PipelineConfig, write: bool = True) -> RunResult:
 def replace_text(source: str, glossary: Glossary) -> tuple[str, ReplacementStats]:
     """Rewrite every math span of a document in place.
 
-    Only the span bodies change (canonicalized, then replaced), so the
-    output diffs cleanly against the input for review.
+    The document is lexed once; each span is canonicalized straight from
+    its token texts, labels kept, then replaced.  Only the span bodies
+    change, so the output diffs cleanly against the input for review.
     """
-    spans = extract_math(source)
+    texts, starts = _lex(source)
     parts: list[ReplacementStats] = []
     pieces: list[str] = []
     cursor = 0
-    for ms in spans:
-        sem, stats = replace_all(canonicalize(list(ms.body), glossary.settings), glossary)
+    # every span is found and brace-checked before any is canonicalized,
+    # as extract_math does, so an unterminated or unbalanced span raises
+    # even when an earlier span holds a lone \left
+    for _, a, b, _ in list(_row_ranges(texts, starts)):
+        sem, stats = replace_all(_build(texts, starts, a, b, glossary.settings), glossary)
         parts.append(stats)
-        pieces.append(source[cursor : ms.span[0]])
-        pieces.append(render(sem.nodes))
-        cursor = ms.span[1]
+        pieces += (source[cursor : starts[a]], render(sem.nodes))
+        cursor = starts[b]
     pieces.append(source[cursor:])
     return "".join(pieces), ReplacementStats.combine(parts)
 

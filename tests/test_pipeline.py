@@ -1,18 +1,27 @@
 """Config handling, full runs, and the rendering-service client."""
 
 import json
+import random
 import socket
 import threading
 
 import pytest
 
+import gen
 from conftest import DATA
+from semtex.canonicalize import canonicalize
+from semtex.engine import ReplacementStats, replace_all
 from semtex.errors import (
     ConfigInvalidError,
+    MismatchedLeftRightError,
+    SemtexError,
     ServiceRejectedError,
     ServiceUnreachableError,
+    UnbalancedGroupError,
+    UnterminatedEnvironmentError,
 )
 from semtex.glossary import builtin_glossary
+from semtex.lexer import extract_math, render
 from semtex.mockserver import start_server
 from semtex.pipeline import (
     PipelineConfig,
@@ -268,9 +277,95 @@ def test_replace_text_without_math_is_identity(glossary):
 
 
 def stats_zero():
-    from semtex.engine import ReplacementStats
-
     return ReplacementStats.combine([])
+
+
+def composed_replace(source, glossary):
+    """replace_text as the public steps compose it: extract every span,
+    canonicalize its body, then replace and render it in place."""
+    parts, pieces, cursor = [], [], 0
+    for ms in extract_math(source):
+        sem, stats = replace_all(canonicalize(list(ms.body), glossary.settings), glossary)
+        parts.append(stats)
+        pieces += [source[cursor : ms.span[0]], render(sem.nodes)]
+        cursor = ms.span[1]
+    pieces.append(source[cursor:])
+    return "".join(pieces), ReplacementStats.combine(parts)
+
+
+def outcome(rewrite, source, glossary):
+    try:
+        return rewrite(source, glossary)
+    except SemtexError as exc:
+        return type(exc), str(exc)
+
+
+def mixed_documents(seed, count):
+    """Documents of $...$, \\[...\\] and align rows with labels; some
+    begin with a row holding a lone \\left, some end in an unterminated $."""
+    rng = random.Random(seed)
+    docs = []
+    for _ in range(count):
+        parts = []
+        for _ in range(rng.randint(1, 5)):
+            pick = rng.randrange(3)
+            if pick == 0:
+                parts.append(f"where ${gen.formula(rng)}$ holds.\n")
+            elif pick == 1:
+                parts.append(f"\\[ {gen.formula(rng)} \\label{{b.{rng.randrange(5)}}} \\]\n")
+            else:
+                rows = [f"{gen.formula(rng)} \\label{{a.{k}}}" for k in range(rng.randint(1, 3))]
+                parts.append("\\begin{align}\n" + " \\\\\n".join(rows) + "\n\\end{align}\n")
+        if rng.random() < 0.1:
+            parts.insert(0, "\\[ \\left( x \\]\n")
+        if rng.random() < 0.1:
+            parts.append("and $x")
+        docs.append("".join(parts))
+    return docs
+
+
+@pytest.mark.parametrize("name", ["kls_mini.tex", "mixed_errors.tex", "broken.tex"])
+def test_replace_text_equals_the_public_composition_on_fixtures(glossary, name):
+    source = (DATA / name).read_text(encoding="utf-8")
+    got = outcome(replace_text, source, glossary)
+    assert got == outcome(composed_replace, source, glossary)
+    assert (got[0] is UnbalancedGroupError) == (name == "broken.tex")
+
+
+def test_replace_text_equals_the_public_composition_on_mixed_documents(glossary):
+    kinds = set()
+    for source in mixed_documents(12, 200):
+        got = outcome(replace_text, source, glossary)
+        assert got == outcome(composed_replace, source, glossary), source
+        kinds.add(got[0] if isinstance(got[0], type) else str)
+    # an unterminated $ after a lone \left raises as extract_math does,
+    # before any span is canonicalized
+    assert kinds == {str, MismatchedLeftRightError, UnterminatedEnvironmentError}
+
+
+def test_replace_text_lexes_the_source_once_and_builds_no_source_token(
+    glossary, mini_source, monkeypatch
+):
+    import semtex.canonicalize
+    import semtex.lexer
+    import semtex.pipeline
+
+    real = semtex.lexer._lex
+    calls = []
+
+    def counting(source):
+        calls.append(source)
+        return real(source)
+
+    def no_tokens(*args):
+        raise AssertionError("the source was lexed to Tokens")
+
+    for mod in (semtex.lexer, semtex.pipeline, semtex.canonicalize):
+        monkeypatch.setattr(mod, "_lex", counting)
+    monkeypatch.setattr(semtex.lexer, "_tokens", no_tokens)
+    out, stats = replace_text(mini_source, glossary)
+    assert calls == [mini_source]
+    assert stats.total == 56 and out != mini_source
 
 
 # ------------------------------------------------------------ render client
