@@ -18,6 +18,7 @@ from .pipeline import (
     validate_config,
     verify_render,
     _FILE_ERRORS,
+    _id_prefixes,
     _load_glossary,
 )
 
@@ -123,20 +124,27 @@ def _cmd_replace(args: argparse.Namespace) -> int:
     validate_config(cfg)
     glossary = _load_glossary(cfg)
     outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigInvalidError(f"cannot create output directory {outdir}: {exc}") from exc
     status = 0
-    for path in expand_inputs(cfg.inputs):
+    files = expand_inputs(cfg.inputs)
+    # files that share a name land at their id-prefix paths, as in convert
+    for path, prefix in zip(files, _id_prefixes(files)):
+        name = prefix + path.suffix
         try:
             rewritten, stats = replace_text(
                 path.read_text(encoding="utf-8"), glossary
             )
+            target = outdir / name
+            target.parent.mkdir(parents=True, exist_ok=True)
+            target.write_text(rewritten, encoding="utf-8")
         except _FILE_ERRORS as exc:
             print(f"{path}: {type(exc).__name__}: {exc}", file=sys.stderr)
             status = 1
             continue
-        target = outdir / path.name
-        target.write_text(rewritten, encoding="utf-8")
-        print(f"{path.name}: {stats.total} replacements")
+        print(f"{name}: {stats.total} replacements")
     return status
 
 

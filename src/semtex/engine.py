@@ -1,12 +1,19 @@
 """Rule matching and replacement over canonical trees.
 
-replace_all walks a canonical tree left to right; at each position the
-highest-ordered matching rule fires, its captures are rewritten
-recursively, and the instantiated template is spliced in marked inert so
-a second pass finds nothing to do.  Only the rules whose first pattern
-atom can match the node at hand are tried (the glossary buckets them by
-that atom), in the same total order, so the rule that fires is the one a
-try-every-rule walk would pick.  strip_semantics is the inverse.
+One walker, _walk, reads the semantic-macro occurrences of a tree
+(\\Head, its params, its @ run and its args) and rebuilds each one
+through a callback.  replace_all first walks with instantiate, which
+marks every occurrence inert, so macros read back from an earlier pass
+are never matched as presentation.  Then it walks the tree left to
+right; at each non-inert position the highest-ordered matching rule
+fires, its captures are rewritten recursively, and the instantiated
+template is spliced in inert.  Inert groups are descended into, so
+presentation left in a hand-written field is still rewritten, and a
+second pass fires nothing: replace reaches a fixpoint after one pass.
+Only the rules whose first pattern atom can match the node at hand are
+tried (the glossary buckets them by that atom), in the same total
+order, so the rule that fires is the one a try-every-rule walk would
+pick.  strip_semantics walks with _emit_pattern and is the inverse.
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .canonicalize import CanonicalTree
 from .errors import UnknownSemanticMacroError
@@ -39,6 +46,9 @@ _SINGLE_STOP_KINDS = frozenset(
 _SINGLE_STOP_CONTROL = frozenset({"le", "leq", "ge", "geq", "ne", "neq", "in", "\\"})
 
 _SEPARATOR_TEXTS = frozenset({",", ";", "|"})
+
+# Token kinds a bare semantic-macro field may have
+_FIELD_KINDS = (TokenKind.CHAR, TokenKind.CONTROL)
 
 
 def _single_ok(node: Node | None) -> bool:
@@ -157,7 +167,8 @@ def match_at(nodes: Sequence[Node], pos: int, rule: MacroRule) -> MatchResult | 
 
 
 def instantiate(rule: MacroRule, captures: Mapping[str, Sequence[Node]]) -> list[Node]:
-    """Build the semantic replacement for one firing, fully inert."""
+    """Build the semantic form of one rule from its fields, fully inert:
+    the replacement of one firing, or a marked occurrence."""
     out: list[Node] = [Token(TokenKind.CONTROL, "\\" + rule.head, inert=True)]
     for name in rule.param_names:
         out.append(Group(tuple(captures[name]), inert=True))
@@ -212,31 +223,29 @@ def _rewrite(nodes: Sequence[Node], glossary: Glossary, counts: Counter) -> Sequ
     i = 0
     while i < len(nodes):
         node = nodes[i]
-        if node.inert:
-            out.append(node)
-            i += 1
-            continue
-        key = node.text if isinstance(node, Token) else Group
-        for rule in by_first.get(key, unkeyed):
-            m = match_at(nodes, i, rule)
+        if not node.inert:
+            key = node.text if isinstance(node, Token) else Group
+            m = None
+            for rule in by_first.get(key, unkeyed):
+                m = match_at(nodes, i, rule)
+                if m is not None:
+                    break
             if m is not None:
-                break
-        else:
-            if isinstance(node, Group):
-                kids = _rewrite(node.children, glossary, counts)
-                if kids is not node.children:
-                    node = Group(tuple(kids), open_tok=node.open_tok, close_tok=node.close_tok)
-                    fired = True
-            out.append(node)
-            i += 1
-            continue
-        fired = True
-        counts[rule.macro_name] += 1
-        rewritten = {
-            name: _rewrite(seq, glossary, counts) for name, seq in m.captures.items()
-        }
-        out.extend(instantiate(rule, rewritten))
-        i = m.end
+                fired = True
+                counts[rule.macro_name] += 1
+                rewritten = {
+                    name: _rewrite(seq, glossary, counts) for name, seq in m.captures.items()
+                }
+                out.extend(instantiate(rule, rewritten))
+                i = m.end
+                continue
+        if isinstance(node, Group):
+            kids = _rewrite(node.children, glossary, counts)
+            if kids is not node.children:
+                node = Group(tuple(kids), node.open_tok, node.close_tok, node.inert)
+                fired = True
+        out.append(node)
+        i += 1
     return out if fired else nodes
 
 
@@ -245,14 +254,17 @@ def replace_all(
 ) -> tuple[CanonicalTree, ReplacementStats]:
     """Replace every matching presentation pattern, leftmost first.
 
-    At each position only the rules whose first pattern atom can match
-    the node are tried, in the glossary's total order.  Returns the
-    rewritten tree and per-rule firing counts for this one formula
-    (formulae == 1 in the stats).
+    Semantic macros already in the tree are marked inert first and keep
+    their form; an @-marked one the glossary does not read raises
+    UnknownSemanticMacroError, as in strip_semantics.  At each position
+    only the rules whose first pattern atom can match the node are
+    tried, in the glossary's total order.  Returns the rewritten tree
+    and per-rule firing counts for this one formula (formulae == 1 in
+    the stats).
     """
     nodes = tree.nodes if isinstance(tree, CanonicalTree) else tuple(tree)
     counts: Counter = Counter()
-    out = _rewrite(nodes, glossary, counts)
+    out = _rewrite(_walk(nodes, glossary, instantiate), glossary, counts)
     stats = ReplacementStats.from_counts(counts, formulae=1)
     return CanonicalTree(tuple(out)), stats
 
@@ -262,67 +274,36 @@ def _token_for(text: str) -> Token:
     return Token(tok.kind, tok.text)
 
 
-def _at_run_follows(nodes: Sequence[Node], i: int) -> bool:
-    """Loose test for an @-marked occurrence: groups, then at least one @."""
-    j = i + 1
-    while j < len(nodes) and isinstance(nodes[j], Group):
+def _fields(nodes: Sequence[Node], j: int, names: Sequence[str], caps: dict) -> int | None:
+    """Read one field per name from nodes[j:] into caps and return the
+    index past them, or None.  A field is a brace group or, since
+    canonical trees unwrap one-leaf groups, a bare non-@ token."""
+    for name in names:
+        nd = nodes[j] if j < len(nodes) else None
+        if isinstance(nd, Group):
+            caps[name] = nd.children
+        elif isinstance(nd, Token) and nd.text != "@" and nd.kind in _FIELD_KINDS:
+            caps[name] = (nd,)
+        else:
+            return None
         j += 1
-    return (
-        j < len(nodes)
-        and isinstance(nodes[j], Token)
-        and nodes[j].kind is TokenKind.CHAR
-        and nodes[j].text == "@"
-    )
+    return j
 
 
 def _parse_semantic(nodes: Sequence[Node], i: int, rule: MacroRule):
-    """Match \\Head with exactly the rule's params, @ run and args.
-
-    A field is a brace group or, since canonical trees unwrap one-leaf
-    groups, a bare non-@ token.  Returns (param seqs, arg seqs, end
-    index) or None.
-    """
-    j = i + 1
-
-    def field() -> list[Node] | None:
-        nonlocal j
-        if j < len(nodes):
-            nd = nodes[j]
-            if isinstance(nd, Group):
-                j += 1
-                return list(nd.children)
-            if isinstance(nd, Token) and nd.text != "@" and nd.kind in (
-                TokenKind.CHAR,
-                TokenKind.CONTROL,
-            ):
-                j += 1
-                return [nd]
+    """Match \\Head at nodes[i] with exactly the rule's params, @ run and
+    args.  Returns (fields by capture name, end index) or None."""
+    caps: dict[str, Sequence[Node]] = {}
+    j = _fields(nodes, i + 1, rule.param_names, caps)
+    if j is None:
         return None
-
-    params: list[list[Node]] = []
-    for _ in rule.param_names:
-        f = field()
-        if f is None:
-            return None
-        params.append(f)
-    ats = 0
-    while (
-        j < len(nodes)
-        and isinstance(nodes[j], Token)
-        and nodes[j].kind is TokenKind.CHAR
-        and nodes[j].text == "@"
-    ):
-        ats += 1
-        j += 1
-    if "@" * ats != rule.at_variant:
+    k = j
+    while k < len(nodes) and isinstance(nodes[k], Token) and nodes[k].text == "@":
+        k += 1
+    if k - j != len(rule.at_variant):
         return None
-    args: list[list[Node]] = []
-    for _ in rule.arg_names:
-        f = field()
-        if f is None:
-            return None
-        args.append(f)
-    return params, args, j
+    end = _fields(nodes, k, rule.arg_names, caps)
+    return None if end is None else (caps, end)
 
 
 def _emit_pattern(rule: MacroRule, caps: Mapping[str, list[Node]]) -> list[Node]:
@@ -361,42 +342,54 @@ def _emit_pattern(rule: MacroRule, caps: Mapping[str, list[Node]]) -> list[Node]
     return buffers[0]
 
 
-def _strip(nodes: Sequence[Node], glossary: Glossary) -> list[Node]:
+def _walk(
+    nodes: Sequence[Node],
+    glossary: Glossary,
+    emit: Callable[[MacroRule, Mapping[str, Sequence[Node]]], list[Node]],
+) -> Sequence[Node]:
+    """The one reader of semantic-macro occurrences.
+
+    Rebuilds nodes with each occurrence replaced by emit(rule, fields),
+    its fields walked first.  Every occurrence has an @ run, so a level
+    without an @ token is only visited for its groups, and is returned
+    as nodes itself when none of them changed.  A control sequence that
+    groups and an @ follow but no glossary rule reads raises
+    UnknownSemanticMacroError.
+    """
+    seq = nodes
+    at = False
+    for k, nd in enumerate(nodes):
+        if nd.__class__ is Group:
+            kids = _walk(nd.children, glossary, emit)
+            if kids is not nd.children:
+                if seq is nodes:
+                    seq = list(nodes)
+                seq[k] = Group(tuple(kids), nd.open_tok, nd.close_tok, nd.inert)
+        elif nd.text == "@":
+            at = True
+    if not at:
+        return seq
     out: list[Node] = []
     i = 0
-    while i < len(nodes):
-        node = nodes[i]
+    while i < len(seq):
+        node = seq[i]
         if isinstance(node, Token) and node.kind is TokenKind.CONTROL:
             rule = glossary.by_head.get(node.name)
-            parsed = _parse_semantic(nodes, i, rule) if rule is not None else None
+            parsed = _parse_semantic(seq, i, rule) if rule is not None else None
             if parsed is not None:
-                params, args, end = parsed
-                caps: dict[str, list[Node]] = {}
-                for name, seq in zip(rule.param_names, params):
-                    caps[name] = _strip(seq, glossary)
-                for name, seq in zip(rule.arg_names, args):
-                    caps[name] = _strip(seq, glossary)
-                out.extend(_emit_pattern(rule, caps))
-                i = end
+                caps, i = parsed
+                out += emit(rule, caps)
                 continue
-            if _at_run_follows(nodes, i):
-                if rule is None:
-                    raise UnknownSemanticMacroError(node.name)
+            j = i + 1
+            while j < len(seq) and isinstance(seq[j], Group):
+                j += 1
+            if j < len(seq) and seq[j].text == "@":
                 raise UnknownSemanticMacroError(
                     node.name,
-                    f"\\{node.name} occurrence does not match its glossary "
-                    f"signature",
+                    "" if rule is None
+                    else f"\\{node.name} occurrence does not match its glossary signature",
                 )
-        if isinstance(node, Group):
-            out.append(
-                Group(
-                    tuple(_strip(node.children, glossary)),
-                    open_tok=node.open_tok,
-                    close_tok=node.close_tok,
-                )
-            )
-        else:
-            out.append(node)
+        out.append(node)
         i += 1
     return out
 
@@ -407,8 +400,7 @@ def strip_semantics(
     """Expand every semantic macro back to its presentation pattern.
 
     Raises UnknownSemanticMacroError for @-marked macros the glossary
-    does not define.
+    does not define or whose occurrence does not match its signature.
     """
     nodes = tree.nodes if isinstance(tree, CanonicalTree) else tuple(tree)
-    out = _strip(nodes, glossary)
-    return CanonicalTree(tuple(out))
+    return CanonicalTree(tuple(_walk(nodes, glossary, _emit_pattern)))

@@ -63,7 +63,8 @@ class TemplateCaptureMismatchError(SemtexError):
 
 
 class UnknownSemanticMacroError(SemtexError):
-    """strip_semantics met a semantic macro the glossary does not define."""
+    """An @-marked semantic macro the glossary does not define, or one
+    whose occurrence does not match its glossary signature."""
 
     def __init__(self, name: str, message: str = ""):
         self.name = name

@@ -56,8 +56,9 @@ class Token:
 
     Equality and hashing use (kind, text) only, so canonical trees compare
     by content.  span is the token's source offset range; inert marks
-    rewriter output that must never be rematched.  Tokens are never
-    mutated after construction.
+    rewriter output and semantic macros read back from source, which
+    must never be rematched.  Tokens are never mutated after
+    construction.
     """
 
     __slots__ = ("kind", "text", "span", "inert")

@@ -29,7 +29,12 @@ from .canonicalize import (
     canonicalize_string,
 )
 from .engine import ReplacementStats, replace_all
-from .errors import DuplicateTitleError, SemtexError, SubstitutionCycleError
+from .errors import (
+    DuplicateTitleError,
+    SemtexError,
+    SubstitutionCycleError,
+    UnknownSemanticMacroError,
+)
 from .glossary import Glossary
 from .lexer import (
     Group,
@@ -742,12 +747,19 @@ def extract_document(
                 )
             )
             continue
-        sem, stats = replace_all(core, glossary)
-        counts = Counter(stats.per_rule)
-        for clause in clauses:
-            rep, st = replace_all(CanonicalTree(clause), glossary)
-            counts.update(st.per_rule)
-            f.annotations.append(Annotation(AnnotationKind.CONSTRAINT, render(rep.nodes), f.id))
+        try:
+            sem, stats = replace_all(core, glossary)
+            counts = Counter(stats.per_rule)
+            for clause in clauses:
+                rep, st = replace_all(CanonicalTree(clause), glossary)
+                counts.update(st.per_rule)
+                f.annotations.append(
+                    Annotation(AnnotationKind.CONSTRAINT, render(rep.nodes), f.id)
+                )
+        except UnknownSemanticMacroError as exc:
+            where = _line_col(source, f.span[0])
+            failures.append((f.id, f"{type(exc).__name__}: {exc} for the row at line {where}"))
+            continue
         f.source_canonical = core
         f.semantic_nodes = sem.nodes
         f.source_semantic = render(sem.nodes)

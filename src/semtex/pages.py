@@ -60,9 +60,14 @@ class SiteInfo:
     comment: str = "seeded formula home page"
 
 
+# The types each bibliography field may have; bool is never one
+_BIB_FIELDS = {"author": (str,), "title": (str,), "publisher": (str,), "year": (str, int)}
+
+
 def load_bibliography(path: str | Path) -> dict[str, BibEntry]:
-    """Read a UTF-8 JSON object of key -> entry object; raises
-    ConfigInvalidError naming the file when it is anything else."""
+    """Read a UTF-8 JSON object of key -> entry object whose author, title
+    and publisher are strings and whose year is a string or an integer;
+    raises ConfigInvalidError naming the file when it is anything else."""
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, ValueError) as exc:
@@ -71,6 +76,13 @@ def load_bibliography(path: str | Path) -> dict[str, BibEntry]:
         raise ConfigInvalidError(f"bibliography {path} must map each key to an object")
     out = {}
     for key, obj in raw.items():
+        for name, types in _BIB_FIELDS.items():
+            value = obj.get(name, "")
+            if not isinstance(value, types) or isinstance(value, bool):
+                kinds = " or ".join(t.__name__ for t in types)
+                raise ConfigInvalidError(
+                    f"bibliography {path}: {name} of {key!r} must be a {kinds}"
+                )
         out[key] = BibEntry(
             key=key,
             author=obj.get("author", ""),
@@ -192,6 +204,11 @@ def _escape(text: str) -> str:
     return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
+def _attr(text: str) -> str:
+    """Escape text for a double-quoted XML attribute value."""
+    return _escape(text).replace('"', "&quot;")
+
+
 def emit_dump(pages: Sequence[FormulaPage], siteinfo: SiteInfo = SiteInfo()) -> str:
     """Deterministic MediaWiki export XML for the given pages, in order,
     with page ids 1..N.  Raises DuplicateTitleError on title collisions."""
@@ -206,15 +223,15 @@ def emit_dump(pages: Sequence[FormulaPage], siteinfo: SiteInfo = SiteInfo()) -> 
         f'<mediawiki xmlns="{EXPORT_NS}" '
         'xmlns:xsi="http://www.w3.org/2001/XMLSchema-instance" '
         f'xsi:schemaLocation="{EXPORT_NS} {EXPORT_SCHEMA}" '
-        f'version="0.10" xml:lang="{si.lang}">',
+        f'version="0.10" xml:lang="{_attr(si.lang)}">',
         "  <siteinfo>",
         f"    <sitename>{_escape(si.sitename)}</sitename>",
         f"    <dbname>{_escape(si.dbname)}</dbname>",
         f"    <base>{_escape(si.base)}</base>",
         f"    <generator>{_escape(si.generator)}</generator>",
-        f"    <case>{si.case}</case>",
+        f"    <case>{_escape(si.case)}</case>",
         "    <namespaces>",
-        f'      <namespace key="0" case="{si.case}" />',
+        f'      <namespace key="0" case="{_attr(si.case)}" />',
         "    </namespaces>",
         "  </siteinfo>",
     ]
@@ -227,7 +244,7 @@ def emit_dump(pages: Sequence[FormulaPage], siteinfo: SiteInfo = SiteInfo()) -> 
                 f"    <id>{num}</id>",
                 "    <revision>",
                 f"      <id>{num}</id>",
-                f"      <timestamp>{si.timestamp}</timestamp>",
+                f"      <timestamp>{_escape(si.timestamp)}</timestamp>",
                 "      <contributor>",
                 f"        <username>{_escape(si.contributor)}</username>",
                 "      </contributor>",

@@ -22,6 +22,7 @@ from .errors import (
     SemtexError,
     ServiceRejectedError,
     ServiceUnreachableError,
+    UnknownSemanticMacroError,
 )
 from .glossary import Glossary, builtin_glossary, load_glossary
 from .lexer import _lex, _row_ranges, render
@@ -30,6 +31,7 @@ from .metadata import (
     DEFAULT_KEYWORDS,
     Formula,
     SubstitutionDef,
+    _line_col,
     extract_document,
 )
 from .pages import (
@@ -141,6 +143,9 @@ def load_config(path: str | Path) -> PipelineConfig:
         bad = set(raw["siteinfo"]) - known
         if bad:
             raise ConfigInvalidError(f"unknown siteinfo keys: {sorted(bad)}")
+        bad = {k for k, v in raw["siteinfo"].items() if not isinstance(v, str)}
+        if bad:
+            raise ConfigInvalidError(f"siteinfo values must be strings: {sorted(bad)}")
         cfg.siteinfo = _dc_replace(SiteInfo(), **raw["siteinfo"])
     return cfg
 
@@ -265,10 +270,12 @@ def run_pipeline(cfg: PipelineConfig, write: bool = True) -> RunResult:
     dump = emit_dump(pages, cfg.siteinfo)
     report = stats_report(stats, formulae, defs, glossary, failures)
 
-    if write and cfg.output_path is not None:
-        cfg.output_path.write_text(dump, encoding="utf-8", newline="\n")
-    if write and cfg.report_path is not None:
-        cfg.report_path.write_text(report, encoding="utf-8", newline="\n")
+    for path, text in ((cfg.output_path, dump), (cfg.report_path, report)):
+        if write and path is not None:
+            try:
+                path.write_text(text, encoding="utf-8", newline="\n")
+            except OSError as exc:
+                raise ConfigInvalidError(f"cannot write {path}: {exc}") from exc
 
     return RunResult(
         exit_code=1 if file_error else 0,
@@ -287,7 +294,10 @@ def replace_text(source: str, glossary: Glossary) -> tuple[str, ReplacementStats
 
     The document is lexed once; each span is canonicalized straight from
     its token texts, labels kept, then replaced.  Only the span bodies
-    change, so the output diffs cleanly against the input for review.
+    change, so the output diffs cleanly against the input for review,
+    and semantic macros already in a span keep their form, so a second
+    pass changes nothing.  An @-marked macro the glossary does not read
+    raises UnknownSemanticMacroError naming the span's line:col.
     """
     texts, starts = _lex(source)
     parts: list[ReplacementStats] = []
@@ -297,7 +307,12 @@ def replace_text(source: str, glossary: Glossary) -> tuple[str, ReplacementStats
     # as extract_math does, so an unterminated or unbalanced span raises
     # even when an earlier span holds a lone \left
     for _, a, b, _ in list(_row_ranges(texts, starts)):
-        sem, stats = replace_all(_build(texts, starts, a, b, glossary.settings), glossary)
+        try:
+            sem, stats = replace_all(_build(texts, starts, a, b, glossary.settings), glossary)
+        except UnknownSemanticMacroError as exc:
+            where = _line_col(source, starts[a])
+            msg = f"{exc} in the span at line {where}"
+            raise UnknownSemanticMacroError(exc.name, msg) from None
         parts.append(stats)
         pieces += (source[cursor : starts[a]], render(sem.nodes))
         cursor = starts[b]

@@ -165,6 +165,62 @@ def test_replace_reports_an_undecodable_file(tmp_path, capsys):
     assert captured.out == "kls_mini.tex: 56 replacements\n"
 
 
+def test_replace_keeps_inputs_that_share_a_name_apart(tmp_path, capsys):
+    for d, body in (("a", "$\\Gamma(z)$"), ("b", "$\\sin z$ and $\\sin y$")):
+        (tmp_path / d).mkdir()
+        (tmp_path / d / "ch.tex").write_text(body)
+    out = tmp_path / "out"
+    args = ["replace", "--input", str(tmp_path / "a" / "ch.tex"), "--input", str(tmp_path / "b")]
+    rc = main(args + ["--input", MINI, "--out", str(out)])
+    assert rc == 0
+    assert capsys.readouterr().out == (
+        "a/ch.tex: 1 replacements\nb/ch.tex: 2 replacements\nkls_mini.tex: 56 replacements\n"
+    )
+    assert (out / "a" / "ch.tex").read_text() == "$\\EulerGamma@{z}$"
+    assert (out / "b" / "ch.tex").read_text() == "$\\sin@@{z}$ and $\\sin@@{y}$"
+    assert sorted(p.name for p in out.iterdir()) == ["a", "b", "kls_mini.tex"]
+
+
+def test_replace_reports_an_unknown_semantic_macro_and_converts_the_rest(tmp_path, capsys):
+    bad = tmp_path / "bad.tex"
+    bad.write_text("\\[ \\EulerGamma@@{z} \\]\n")
+    rc = main(["replace", "--input", str(bad), "--input", MINI, "--out", str(tmp_path / "o")])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"{bad}: UnknownSemanticMacroError: \\EulerGamma occurrence does not match "
+        "its glossary signature in the span at line 1:4\n"
+    )
+    assert captured.out == "kls_mini.tex: 56 replacements\n"
+    assert not (tmp_path / "o" / "bad.tex").exists()
+
+
+def test_convert_fails_the_row_of_an_unknown_semantic_macro(tmp_path, capsys):
+    src = tmp_path / "s.tex"
+    src.write_text("\\[ \\mystery@{z} \\label{a} \\]\n\\[ \\Gamma(z) \\label{b} \\]\n")
+    out = tmp_path / "d.xml"
+    rc = main(["convert", "--input", str(src), "--out", str(out)])
+    assert rc == 0
+    printed = capsys.readouterr().out
+    assert (
+        "  a: UnknownSemanticMacroError: unknown semantic macro \\mystery "
+        "for the row at line 1:4\n"
+    ) in printed
+    assert out.read_text().count("<page>") == 1
+
+
+def test_an_unwritable_output_is_a_config_error(tmp_path, capsys):
+    missing = tmp_path / "missing" / "d.xml"
+    assert main(["convert", "--input", MINI, "--out", str(missing)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and str(missing) in err
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert main(["replace", "--input", MINI, "--out", str(taken)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and str(taken) in err
+
+
 @pytest.mark.parametrize("content", [b'{"KLS": ', b'{"KLS": 3}', b'["KLS"]', b'{"KLS": {"author": "\xff"}}'])
 def test_a_malformed_bibliography_is_a_config_error(tmp_path, capsys, content):
     bib = tmp_path / "bib.json"

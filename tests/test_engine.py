@@ -159,11 +159,39 @@ def test_strip_leaves_presentation_alone(glossary):
     assert strip_semantics(tree, glossary) == tree
 
 
-@pytest.mark.parametrize("bad", [r"\mystery@@{z}", r"\sin@{z}", r"\EulerGamma@@{z}"])
+@pytest.mark.parametrize(
+    "bad", [r"\mystery@@{z}", r"\sin@{z}", r"\EulerGamma@@{z}", r"x+{\frac{ab}{cd}@e}"]
+)
 def test_strip_rejects_unknown_semantics(glossary, bad):
     tree = canonicalize_string(bad, glossary.settings)
-    with pytest.raises(UnknownSemanticMacroError):
+    with pytest.raises(UnknownSemanticMacroError) as stripping:
         strip_semantics(tree, glossary)
+    # one reader, one rule: replace_all rejects the same occurrence
+    with pytest.raises(UnknownSemanticMacroError) as replacing:
+        replace_all(tree, glossary)
+    assert str(replacing.value) == str(stripping.value)
+
+
+@pytest.mark.parametrize(
+    "semantic,expected,fired",
+    [
+        (r"\EulerGamma@{\sin}z", r"\EulerGamma@{\sin}z", 0),
+        (r"\EulerGamma@z", r"\EulerGamma@{z}", 0),
+        (r"\Jacobi\alpha\beta n@x", r"\Jacobi{\alpha}{\beta}{n}@{x}", 0),
+        (r"(\EulerGamma@z;q)_n", r"\qPochhammer{\EulerGamma@{z}}{q}@{n}", 1),
+        # presentation inside a hand-written field is still rewritten
+        (r"\EulerGamma@{\Gamma(z)}+\sin x", r"\EulerGamma@{\EulerGamma@{z}}+\sin@@{x}", 2),
+    ],
+)
+def test_replace_keeps_semantic_macros_it_reads_back(glossary, semantic, expected, fired):
+    out, stats = convert(semantic, glossary)
+    assert (out, stats.total) == (expected, fired)
+    assert convert(out, glossary) == (out, ReplacementStats.from_counts({}, 1))
+
+
+def test_the_walk_returns_a_tree_without_at_untouched(glossary):
+    tree = canonicalize_string(r"\frac{\Gamma(z)}{x^{2}}+\sin y", glossary.settings)
+    assert engine._walk(tree.nodes, glossary, instantiate) is tree.nodes
 
 
 # Rules the bundled glossary lacks, so that first-atom dispatch meets every

@@ -571,6 +571,29 @@ def test_row_failing_in_its_prose_leaks_no_note(glossary):
     assert res.formulae[0].annotations == []
 
 
+def test_an_unknown_semantic_macro_fails_its_row_only(glossary):
+    res = extract(
+        glossary,
+        "\\section{S}\n"
+        "\\begin{equation} \\mystery@@{z} \\label{a}\\end{equation}\n"
+        "\\begin{equation} y=\\sin@@{z}, \\EulerGamma@@ x>0 \\label{b}\\end{equation}\n"
+        "\\begin{equation} \\Gamma(z) \\label{c}\\end{equation}\n",
+    )
+    assert res.failures == [
+        (
+            "a",
+            "UnknownSemanticMacroError: unknown semantic macro \\mystery "
+            "for the row at line 2:18",
+        ),
+        (
+            "b",
+            "UnknownSemanticMacroError: \\EulerGamma occurrence does not match its "
+            "glossary signature for the row at line 3:18",
+        ),
+    ]
+    assert [(f.id, f.source_semantic) for f in res.formulae] == [("c", "\\EulerGamma@{z}")]
+
+
 def test_name_goes_to_the_first_row_that_converts(glossary):
     res = extract(
         glossary,

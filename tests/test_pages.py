@@ -7,7 +7,7 @@ import pytest
 
 from conftest import DATA
 from semtex.canonicalize import canonicalize_string
-from semtex.errors import DuplicateTitleError, MissingBibEntryError
+from semtex.errors import ConfigInvalidError, DuplicateTitleError, MissingBibEntryError
 from semtex.metadata import AnnotationKind, Citation, Formula
 from semtex.pages import (
     EXPORT_NS,
@@ -53,6 +53,17 @@ def test_year_numbers_become_strings(tmp_path):
     p = tmp_path / "b.json"
     p.write_text(json.dumps({"X": {"author": "A", "title": "T", "year": 1999}}))
     assert load_bibliography(p)["X"].year == "1999"
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [("title", ["T"]), ("year", None), ("year", True), ("author", 5), ("publisher", {})],
+)
+def test_a_bibliography_field_of_the_wrong_type_is_a_config_error(tmp_path, field, value):
+    p = tmp_path / "b.json"
+    p.write_text(json.dumps({"X": {"author": "A", "title": "T", field: value}}))
+    with pytest.raises(ConfigInvalidError, match=f"{p}: {field} of 'X' must be a "):
+        load_bibliography(p)
 
 
 # --------------------------------------------------------------- symbols list
@@ -173,6 +184,24 @@ def test_dump_header_fields(glossary, formulae, bib):
     si = root.find(f"{{{EXPORT_NS}}}siteinfo")
     assert si.findtext(f"{{{EXPORT_NS}}}sitename") == name
     assert root.get("version") == "0.10"
+
+
+def test_every_header_field_is_escaped(glossary, formulae, bib):
+    odd = 'en" x="1 & <b>'
+    fields = ("sitename", "dbname", "base", "generator", "case", "lang", "timestamp",
+              "contributor", "comment")
+    xml = emit_dump(
+        pages_of(glossary, formulae, bib, ["1.1.1"]), SiteInfo(**{f: odd for f in fields})
+    )
+    root = ElementTree.fromstring(xml)
+    assert root.get("{http://www.w3.org/XML/1998/namespace}lang") == odd
+    si = root.find(f"{{{EXPORT_NS}}}siteinfo")
+    for f in ("sitename", "dbname", "base", "generator", "case"):
+        assert si.findtext(f"{{{EXPORT_NS}}}{f}") == odd
+    assert si.find(f".//{{{EXPORT_NS}}}namespace").get("case") == odd
+    rev = root.find(f"{{{EXPORT_NS}}}page/{{{EXPORT_NS}}}revision")
+    assert rev.findtext(f"{{{EXPORT_NS}}}timestamp") == odd
+    assert rev.findtext(f"{{{EXPORT_NS}}}comment") == odd
 
 
 def test_duplicate_titles_rejected(glossary, formulae, bib):

@@ -18,6 +18,7 @@ from semtex.errors import (
     ServiceRejectedError,
     ServiceUnreachableError,
     UnbalancedGroupError,
+    UnknownSemanticMacroError,
     UnterminatedEnvironmentError,
 )
 from semtex.glossary import builtin_glossary
@@ -87,6 +88,8 @@ def test_load_config_single_input_string(tmp_path):
         {"output": 7},
         {"siteinfo": {"sitename": "x", "nope": "y"}},
         {"siteinfo": "x"},
+        {"siteinfo": {"sitename": 5}},
+        {"siteinfo": {"lang": None}},
     ],
 )
 def test_load_config_rejects_bad_values(tmp_path, overrides):
@@ -366,6 +369,42 @@ def test_replace_text_lexes_the_source_once_and_builds_no_source_token(
     out, stats = replace_text(mini_source, glossary)
     assert calls == [mini_source]
     assert stats.total == 56 and out != mini_source
+
+
+def test_replace_text_is_a_fixpoint(glossary, mini_source):
+    """A second pass over replace_text's output fires no rule and
+    returns the same bytes, on the fixture and on mixed documents."""
+    docs = [mini_source, "$\\Gamma(\\sin) z$"] + mixed_documents(13, 300)
+    checked = 0
+    for source in docs:
+        try:
+            once, _ = replace_text(source, glossary)
+        except SemtexError:
+            continue
+        twice, again = replace_text(once, glossary)
+        assert again.total == 0, source
+        assert twice == once, source
+        checked += 1
+    assert checked >= 200
+
+
+def test_gamma_of_sin_keeps_its_meaning_across_passes(glossary):
+    once, stats = replace_text("$\\Gamma(\\sin) z$", glossary)
+    assert (once, stats.total) == ("$\\EulerGamma@{\\sin}z$", 1)
+    assert replace_text(once, glossary)[0] == "$\\EulerGamma@{\\sin}z$"
+
+
+def test_replace_text_names_the_span_of_an_unknown_semantic_macro(glossary):
+    with pytest.raises(UnknownSemanticMacroError, match=r"\\mystery in the span at line 2:5$"):
+        replace_text("Let $x$ be\nso $\\mystery@{z}$ holds.", glossary)
+
+
+@pytest.mark.parametrize("attr", ["output_path", "report_path"])
+def test_an_unwritable_output_path_is_a_config_error(tmp_path, attr):
+    target = tmp_path / "missing" / "out.txt"
+    cfg = PipelineConfig(inputs=[DATA / "kls_mini.tex"], **{attr: target})
+    with pytest.raises(ConfigInvalidError, match=str(target)):
+        run_pipeline(cfg)
 
 
 # ------------------------------------------------------------ render client
