@@ -9,29 +9,7 @@ import sys
 from pathlib import Path
 
 from .errors import ConfigInvalidError, SemtexError
-from .pipeline import (
-    PipelineConfig,
-    expand_inputs,
-    load_config,
-    replace_text,
-    run_pipeline,
-    validate_config,
-    verify_render,
-    _FILE_ERRORS,
-    _id_prefixes,
-    _load_glossary,
-)
-
-
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON config file; flags override its values")
-    p.add_argument(
-        "--input",
-        action="append",
-        default=None,
-        help="input .tex file or directory (repeatable)",
-    )
-    p.add_argument("--glossary", help="glossary JSON (default: bundled)")
+from .pipeline import load_config, replace_files, run_pipeline, verify_render
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -41,32 +19,34 @@ def _build_parser() -> argparse.ArgumentParser:
         "LaTeX formula home pages.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # A flag that sets a config key has the key as its dest, so that
+    # load_config checks it with the reader of the key.
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", help="JSON config file; flags override its values")
+    common.add_argument(
+        "--input", action="append", help="input .tex file or directory (repeatable)"
+    )
+    common.add_argument("--glossary", help="glossary JSON (default: bundled)")
+    run = argparse.ArgumentParser(add_help=False)
+    run.add_argument("--bib", dest="bibliography", help="bibliography JSON")
+    run.add_argument("--report", help="also write the report here")
+    run.add_argument("--workers", type=int, help="validated only; files run in order")
+    run.add_argument("--prefix", dest="corpus_prefix", help="corpus prefix of page titles")
+    run.add_argument("--citation-key", dest="citation_key", help="bibliography key")
 
-    p = sub.add_parser("convert", help="full pipeline: dump plus report")
-    _add_common(p)
-    p.add_argument("--bib", help="bibliography JSON")
-    p.add_argument("--out", help="output dump path")
-    p.add_argument("--report", help="report path (default: stdout only)")
-    p.add_argument("--workers", type=int, help="validated only; files run in order")
-    p.add_argument("--prefix", help="corpus prefix used in page titles")
-    p.add_argument("--citation-key", dest="citation_key", help="bibliography key")
+    p = sub.add_parser("convert", parents=[common, run], help="full pipeline: dump, report")
+    p.add_argument("--out", dest="output", help="output dump path")
 
-    p = sub.add_parser("replace", help="rewrite math spans in place, for review")
-    _add_common(p)
+    p = sub.add_parser("replace", parents=[common], help="rewrite math spans, for review")
     p.add_argument("--out", required=True, help="output directory")
 
-    p = sub.add_parser("stats", help="run the pipeline and print the report")
-    _add_common(p)
-    p.add_argument("--bib", help="bibliography JSON")
-    p.add_argument("--report", help="also write the report here")
-    p.add_argument("--workers", type=int, help="validated only; files run in order")
-    p.add_argument("--prefix", help="corpus prefix used in page titles")
-    p.add_argument("--citation-key", dest="citation_key", help="bibliography key")
+    sub.add_parser("stats", parents=[common, run], help="run the pipeline, print the report")
 
     p = sub.add_parser(
-        "verify-render", help="spot-check formulae against a rendering service"
+        "verify-render",
+        parents=[common],
+        help="spot-check formulae against a rendering service",
     )
-    _add_common(p)
     p.add_argument(
         "--endpoint",
         help="rendering service URL (default: SEMTEX_ENDPOINT environment variable)",
@@ -75,34 +55,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from(args: argparse.Namespace) -> PipelineConfig:
-    cfg = load_config(args.config) if args.config else PipelineConfig()
-    if args.input:
-        cfg.inputs = [Path(p) for p in args.input]
-    if args.glossary:
-        cfg.glossary_path = Path(args.glossary)
-    for flag, attr in (
-        ("bib", "bibliography_path"),
-        ("out", "output_path"),
-        ("report", "report_path"),
-    ):
-        value = getattr(args, flag, None)
-        if value:
-            setattr(cfg, attr, Path(value))
-    for flag, attr in (
-        ("prefix", "corpus_prefix"),
-        ("citation_key", "citation_key"),
-        ("workers", "workers"),
-        ("endpoint", "endpoint"),
-    ):
-        value = getattr(args, flag, None)
-        if value is not None:
-            setattr(cfg, attr, value)
-    return cfg
-
-
 def _cmd_convert(args: argparse.Namespace) -> int:
-    cfg = _config_from(args)
+    cfg = load_config(args.config, vars(args))
     if cfg.output_path is None:
         print("convert: --out (or config output) is required", file=sys.stderr)
         return 2
@@ -112,7 +66,7 @@ def _cmd_convert(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    cfg = _config_from(args)
+    cfg = load_config(args.config, vars(args))
     cfg.output_path = None
     run = run_pipeline(cfg)
     print(run.report, end="")
@@ -120,38 +74,21 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _cmd_replace(args: argparse.Namespace) -> int:
-    cfg = _config_from(args)
-    validate_config(cfg)
-    glossary = _load_glossary(cfg)
-    outdir = Path(args.out)
-    try:
-        outdir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigInvalidError(f"cannot create output directory {outdir}: {exc}") from exc
+    cfg = load_config(args.config, vars(args))
     status = 0
-    files = expand_inputs(cfg.inputs)
-    # files that share a name land at their id-prefix paths, as in convert
-    for path, prefix in zip(files, _id_prefixes(files)):
-        name = prefix + path.suffix
-        try:
-            rewritten, stats = replace_text(
-                path.read_text(encoding="utf-8"), glossary
-            )
-            target = outdir / name
-            target.parent.mkdir(parents=True, exist_ok=True)
-            target.write_text(rewritten, encoding="utf-8")
-        except _FILE_ERRORS as exc:
-            print(f"{path}: {type(exc).__name__}: {exc}", file=sys.stderr)
+    for name, outcome in replace_files(cfg, Path(args.out)):
+        if isinstance(outcome, str):
+            print(f"{name}: {outcome}", file=sys.stderr)
             status = 1
-            continue
-        print(f"{name}: {stats.total} replacements")
+        else:
+            print(f"{name}: {outcome.total} replacements")
     return status
 
 
 def _cmd_verify_render(args: argparse.Namespace) -> int:
     if args.limit < 0:
         raise ConfigInvalidError("limit must be a non-negative integer")
-    cfg = _config_from(args)
+    cfg = load_config(args.config, vars(args))
     endpoint = cfg.endpoint or os.environ.get("SEMTEX_ENDPOINT")
     if not endpoint:
         print(

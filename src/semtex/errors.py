@@ -95,6 +95,15 @@ class DuplicateTitleError(SemtexError):
         super().__init__(f"duplicate page title {title!r}")
 
 
+class ForbiddenCharacterError(SemtexError):
+    """An input character that XML 1.0 does not allow, so no dump can
+    carry it."""
+
+    def __init__(self, char: str, where: str):
+        self.char = char
+        super().__init__(f"character U+{ord(char):04X} at line {where} is not allowed in XML")
+
+
 class ConfigInvalidError(SemtexError):
     """Pipeline configuration is missing or malformed."""
 

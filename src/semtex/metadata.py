@@ -265,7 +265,6 @@ def segment_formulae(
     source: str,
     glossary: Glossary,
     citation_key: str = "",
-    settings: CanonicalSettings | None = None,
 ) -> list[Formula]:
     """One Formula per display row, in document order.
 
@@ -276,11 +275,10 @@ def segment_formulae(
     bodies cannot be canonicalized are dropped here; extract_document
     reports them as failures.
     """
-    settings = settings or glossary.settings
     texts, starts = _lex(source)
     sections = _scan_sections(texts, starts)
     rows = (
-        _row(source, texts, starts, row, k, sections, citation_key, settings)
+        _row(source, texts, starts, row, k, sections, citation_key, glossary.settings)
         for k, row in enumerate(_display_rows(texts, starts), 1)
     )
     return [f for f in rows if isinstance(f, Formula)]
@@ -695,7 +693,6 @@ def extract_document(
     citation_key: str = "",
     keywords: Sequence[str] = DEFAULT_KEYWORDS,
     introducers: Sequence[str] = DEFAULT_INTRODUCERS,
-    settings: CanonicalSettings | None = None,
 ) -> ExtractionResult:
     """Full extraction for one document.
 
@@ -709,7 +706,7 @@ def extract_document(
     an earlier one left after inlining is such a failure, located by
     line:col, and the earlier one keeps the id.
     """
-    settings = settings or glossary.settings
+    settings = glossary.settings
     texts, starts = _lex(source)
     sections = _scan_sections(texts, starts)
     rows = _display_rows(texts, starts)

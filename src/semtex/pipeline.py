@@ -1,5 +1,5 @@
 """Pipeline orchestration: config, per-file conversion, dump and report
-assembly, and the optional rendering-service client.
+assembly, per-file replace, and the optional rendering-service client.
 
 Files are converted one after another, in input order, so the dump and
 report are identical for any worker count.
@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field, replace as _dc_replace
+import re
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Mapping, Sequence
 from urllib.parse import urlparse
 from xml.etree import ElementTree
 
@@ -19,6 +20,7 @@ from .canonicalize import _build
 from .engine import ReplacementStats, replace_all
 from .errors import (
     ConfigInvalidError,
+    ForbiddenCharacterError,
     SemtexError,
     ServiceRejectedError,
     ServiceUnreachableError,
@@ -68,23 +70,17 @@ class PipelineConfig:
                 setattr(self, attr, Path(value))
 
 
-_CONFIG_KEYS = {
-    "input",
-    "glossary",
-    "bibliography",
-    "output",
-    "report",
-    "corpus_prefix",
-    "citation_key",
-    "keywords",
-    "introducers",
-    "endpoint",
-    "workers",
-    "siteinfo",
-}
+def _string(value, key: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigInvalidError(f"{key} must be a string")
+    return value
 
 
-def _as_paths(value, key: str) -> list[Path]:
+def _path(value, key: str) -> Path:
+    return Path(_string(value, key))
+
+
+def _paths(value, key: str) -> list[Path]:
     if isinstance(value, str):
         return [Path(value)]
     if isinstance(value, list) and all(isinstance(v, str) for v in value):
@@ -92,61 +88,73 @@ def _as_paths(value, key: str) -> list[Path]:
     raise ConfigInvalidError(f"{key} must be a string or list of strings")
 
 
-def _string_tuple(value, key: str) -> tuple[str, ...]:
+def _strings(value, key: str) -> tuple[str, ...]:
     if isinstance(value, list) and all(isinstance(v, str) for v in value):
         return tuple(value)
     raise ConfigInvalidError(f"{key} must be a list of strings")
 
 
-def load_config(path: str | Path) -> PipelineConfig:
-    """Read a UTF-8 JSON config file.  CLI flags override afterwards."""
-    try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:
-        raise ConfigInvalidError(f"cannot read config {path}: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigInvalidError("config root must be a JSON object")
-    unknown = set(raw) - _CONFIG_KEYS
-    if unknown:
-        raise ConfigInvalidError(f"unknown config keys: {sorted(unknown)}")
+def _workers(value, key: str = "workers") -> int:
+    if type(value) is not int or value < 1:  # bool is an int subclass
+        raise ConfigInvalidError(f"{key} must be a positive integer")
+    return value
 
+
+def _siteinfo(value, key: str) -> SiteInfo:
+    if not isinstance(value, dict):
+        raise ConfigInvalidError(f"{key} must be an object")
+    bad = value.keys() - SiteInfo.__dataclass_fields__.keys()
+    if bad:
+        raise ConfigInvalidError(f"unknown {key} keys: {sorted(bad)}")
+    bad = {k for k, v in value.items() if not isinstance(v, str)}
+    if bad:
+        raise ConfigInvalidError(f"{key} values must be strings: {sorted(bad)}")
+    return SiteInfo(**value)
+
+
+# The run settings: each config key, the PipelineConfig attribute it sets
+# and the reader that checks its value.  A CLI flag that sets a key has
+# the key as its argparse dest, so it is read here too.
+_SETTINGS = {
+    "input": ("inputs", _paths),
+    "glossary": ("glossary_path", _path),
+    "bibliography": ("bibliography_path", _path),
+    "output": ("output_path", _path),
+    "report": ("report_path", _path),
+    "corpus_prefix": ("corpus_prefix", _string),
+    "citation_key": ("citation_key", _string),
+    "keywords": ("keywords", _strings),
+    "introducers": ("introducers", _strings),
+    "endpoint": ("endpoint", _string),
+    "workers": ("workers", _workers),
+    "siteinfo": ("siteinfo", _siteinfo),
+}
+
+
+def load_config(
+    path: str | Path | None = None, flags: Mapping[str, object] | None = None
+) -> PipelineConfig:
+    """Read a UTF-8 JSON config file, when a path is given, then apply the
+    flags over it: each entry named by a config key whose value is not
+    None, which is how argparse leaves an unset flag.  File values and
+    flags pass through the same readers."""
+    raw = {}
+    if path is not None:
+        try:
+            raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        except (OSError, ValueError) as exc:
+            raise ConfigInvalidError(f"cannot read config {path}: {exc}") from exc
+        if not isinstance(raw, dict):
+            raise ConfigInvalidError("config root must be a JSON object")
+        unknown = raw.keys() - _SETTINGS.keys()
+        if unknown:
+            raise ConfigInvalidError(f"unknown config keys: {sorted(unknown)}")
+    given = {k: v for k, v in (flags or {}).items() if k in _SETTINGS and v is not None}
     cfg = PipelineConfig()
-    if "input" in raw:
-        cfg.inputs = _as_paths(raw["input"], "input")
-    for key, attr in (
-        ("glossary", "glossary_path"),
-        ("bibliography", "bibliography_path"),
-        ("output", "output_path"),
-        ("report", "report_path"),
-    ):
-        if key in raw:
-            if not isinstance(raw[key], str):
-                raise ConfigInvalidError(f"{key} must be a string")
-            setattr(cfg, attr, Path(raw[key]))
-    for key in ("corpus_prefix", "citation_key", "endpoint"):
-        if key in raw:
-            if not isinstance(raw[key], str):
-                raise ConfigInvalidError(f"{key} must be a string")
-            setattr(cfg, key, raw[key])
-    if "keywords" in raw:
-        cfg.keywords = _string_tuple(raw["keywords"], "keywords")
-    if "introducers" in raw:
-        cfg.introducers = _string_tuple(raw["introducers"], "introducers")
-    if "workers" in raw:
-        if not isinstance(raw["workers"], int) or raw["workers"] < 1:
-            raise ConfigInvalidError("workers must be a positive integer")
-        cfg.workers = raw["workers"]
-    if "siteinfo" in raw:
-        if not isinstance(raw["siteinfo"], dict):
-            raise ConfigInvalidError("siteinfo must be an object")
-        known = {f.name for f in SiteInfo.__dataclass_fields__.values()}
-        bad = set(raw["siteinfo"]) - known
-        if bad:
-            raise ConfigInvalidError(f"unknown siteinfo keys: {sorted(bad)}")
-        bad = {k for k, v in raw["siteinfo"].items() if not isinstance(v, str)}
-        if bad:
-            raise ConfigInvalidError(f"siteinfo values must be strings: {sorted(bad)}")
-        cfg.siteinfo = _dc_replace(SiteInfo(), **raw["siteinfo"])
+    for values in (raw, given):
+        for key, value in values.items():
+            attr, read = _SETTINGS[key]
+            setattr(cfg, attr, read(value, key))
     return cfg
 
 
@@ -195,8 +203,7 @@ def validate_config(cfg: PipelineConfig) -> None:
         parsed = urlparse(cfg.endpoint)
         if parsed.scheme not in ("http", "https") or not parsed.netloc:
             raise ConfigInvalidError(f"endpoint is not an absolute URL: {cfg.endpoint}")
-    if cfg.workers < 1:
-        raise ConfigInvalidError("workers must be a positive integer")
+    _workers(cfg.workers)
 
 
 def _load_glossary(cfg: PipelineConfig) -> Glossary:
@@ -208,6 +215,10 @@ def _load_glossary(cfg: PipelineConfig) -> Glossary:
 # What reading and converting one input file may raise: a file-level
 # failure that drops the file, never the run
 _FILE_ERRORS = (SemtexError, OSError, UnicodeDecodeError)
+
+# The characters XML 1.0 does not allow, even as references.  Strict
+# UTF-8 decoding already rejects surrogates.
+_NOT_XML = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ufffe\uffff]")
 
 
 @dataclass
@@ -227,15 +238,29 @@ def run_pipeline(cfg: PipelineConfig, write: bool = True) -> RunResult:
 
     Per-formula failures are recorded in the report and skipped; a
     file-level failure drops the file and makes the exit status nonzero.
+    A bad setting, an output path whose directory is missing and two
+    inputs that would give the same formula ids raise ConfigInvalidError
+    before any input is read.
     """
     validate_config(cfg)
+    targets = (cfg.output_path, cfg.report_path) if write else ()
+    for path in targets:
+        if path is not None and not path.parent.is_dir():
+            raise ConfigInvalidError(f"cannot write {path}: no directory {path.parent}")
+    files = expand_inputs(cfg.inputs)
+    prefixes = _id_prefixes(files)
+    first: dict[str, Path] = {}
+    for path, prefix in zip(files, prefixes):
+        if first.setdefault(prefix, path) != path:
+            raise ConfigInvalidError(
+                f"inputs {first[prefix]} and {path} share the formula id prefix {prefix!r}"
+            )
     glossary = _load_glossary(cfg)
     bib = (
         load_bibliography(cfg.bibliography_path)
         if cfg.bibliography_path is not None
         else {cfg.citation_key: BibEntry(key=cfg.citation_key, author="", title="")}
     )
-    files = expand_inputs(cfg.inputs)
 
     multi = len(files) > 1
     formulae: list[Formula] = []
@@ -243,10 +268,14 @@ def run_pipeline(cfg: PipelineConfig, write: bool = True) -> RunResult:
     failures: list[tuple[str, str]] = []
     parts: list[ReplacementStats] = []
     file_error = False
-    for path, prefix in zip(files, _id_prefixes(files)):
+    for path, prefix in zip(files, prefixes):
         try:
+            text = path.read_text(encoding="utf-8")
+            bad = _NOT_XML.search(text)
+            if bad:
+                raise ForbiddenCharacterError(bad.group(), _line_col(text, bad.start()))
             res = extract_document(
-                path.read_text(encoding="utf-8"),
+                text,
                 glossary,
                 citation_key=cfg.citation_key,
                 keywords=cfg.keywords,
@@ -270,8 +299,8 @@ def run_pipeline(cfg: PipelineConfig, write: bool = True) -> RunResult:
     dump = emit_dump(pages, cfg.siteinfo)
     report = stats_report(stats, formulae, defs, glossary, failures)
 
-    for path, text in ((cfg.output_path, dump), (cfg.report_path, report)):
-        if write and path is not None:
+    for path, text in zip(targets, (dump, report)):
+        if path is not None:
             try:
                 path.write_text(text, encoding="utf-8", newline="\n")
             except OSError as exc:
@@ -318,6 +347,35 @@ def replace_text(source: str, glossary: Glossary) -> tuple[str, ReplacementStats
         cursor = starts[b]
     pieces.append(source[cursor:])
     return "".join(pieces), ReplacementStats.combine(parts)
+
+
+def replace_files(
+    cfg: PipelineConfig, outdir: Path
+) -> Iterator[tuple[str, ReplacementStats | str]]:
+    """Rewrite every input file with replace_text into outdir, one at a
+    time, and yield (output name, stats) for each file written and
+    (input path, error message) for each file that failed and was
+    skipped.  Files that share a name land at their id-prefix paths, as
+    in run_pipeline, each keeping its suffix.
+    """
+    validate_config(cfg)
+    glossary = _load_glossary(cfg)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigInvalidError(f"cannot create output directory {outdir}: {exc}") from exc
+    files = expand_inputs(cfg.inputs)
+    for path, prefix in zip(files, _id_prefixes(files)):
+        name = prefix + path.suffix
+        try:
+            rewritten, stats = replace_text(path.read_text(encoding="utf-8"), glossary)
+            target = outdir / name
+            target.parent.mkdir(parents=True, exist_ok=True)
+            target.write_text(rewritten, encoding="utf-8")
+        except _FILE_ERRORS as exc:
+            yield str(path), f"{type(exc).__name__}: {exc}"
+            continue
+        yield name, stats
 
 
 @dataclass(frozen=True)

@@ -8,11 +8,13 @@ import socket
 import subprocess
 import sys
 from pathlib import Path
+from xml.etree import ElementTree
 
 import pytest
 
 import semtex
 import semtex.cli
+import semtex.pipeline
 from conftest import DATA
 from semtex.cli import main
 from semtex.mockserver import start_server
@@ -155,6 +157,34 @@ def test_convert_lists_an_undecodable_file_and_converts_the_rest(tmp_path, capsy
     assert out.read_text().count("<page>") == 28
 
 
+def test_convert_lists_a_character_xml_forbids_and_converts_the_rest(tmp_path, capsys):
+    bad = tmp_path / "bad.tex"
+    bad.write_text("\\[ x = \\Gamma(z) \\text{a\x01b} \\]\n")
+    out = tmp_path / "d.xml"
+    rc = main(["convert", "--input", str(bad), "--input", MINI, "--out", str(out)])
+    assert rc == 1
+    assert (
+        f"  {bad}: ForbiddenCharacterError: character U+0001 at line 1:25 "
+        "is not allowed in XML\n"
+    ) in capsys.readouterr().out
+    assert len(ElementTree.parse(out).getroot()) == 29  # siteinfo and 28 pages
+
+
+def test_inputs_that_share_a_stem_and_a_directory_are_a_config_error(tmp_path, capsys):
+    for name in ("x.tex", "x.txt"):
+        (tmp_path / name).write_text("$\\Gamma(z)$\n")
+    inputs = ["--input", str(tmp_path / "x.tex"), "--input", str(tmp_path / "x.txt")]
+    assert main(["convert", *inputs, "--out", str(tmp_path / "d.xml")]) == 2
+    err = capsys.readouterr().err
+    assert err == (
+        f"config error: inputs {tmp_path / 'x.tex'} and {tmp_path / 'x.txt'} "
+        "share the formula id prefix 'x'\n"
+    )
+    assert not (tmp_path / "d.xml").exists()
+    assert main(["replace", *inputs, "--out", str(tmp_path / "o")]) == 0
+    assert capsys.readouterr().out == "x.tex: 1 replacements\nx.txt: 1 replacements\n"
+
+
 def test_replace_reports_an_undecodable_file(tmp_path, capsys):
     bad = tmp_path / "bad.tex"
     bad.write_bytes(b"\xff")
@@ -209,11 +239,14 @@ def test_convert_fails_the_row_of_an_unknown_semantic_macro(tmp_path, capsys):
     assert out.read_text().count("<page>") == 1
 
 
-def test_an_unwritable_output_is_a_config_error(tmp_path, capsys):
+def test_an_unwritable_output_is_a_config_error(tmp_path, capsys, monkeypatch):
+    extracted = []
+    monkeypatch.setattr(semtex.pipeline, "extract_document", lambda *a, **k: extracted.append(a))
     missing = tmp_path / "missing" / "d.xml"
     assert main(["convert", "--input", MINI, "--out", str(missing)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and str(missing) in err
+    assert extracted == []
     taken = tmp_path / "taken"
     taken.write_text("")
     assert main(["replace", "--input", MINI, "--out", str(taken)]) == 2
@@ -251,6 +284,33 @@ def test_workers_flag_is_checked_like_the_config_key(tmp_path, capsys):
     rc = main(["convert", "--input", MINI, "--out", str(tmp_path / "d.xml"), "--workers", "0"])
     assert rc == 2
     assert "config error: workers must be a positive integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "verb, flag, key, value",
+    [
+        ("convert", "--workers", "workers", 0),
+        ("stats", "--input", "input", "nope.tex"),
+        ("convert", "--glossary", "glossary", "nope.json"),
+        ("stats", "--bib", "bibliography", "nope.json"),
+        ("convert", "--out", "output", "missing/d.xml"),
+        ("stats", "--report", "report", "missing/r.txt"),
+        ("verify-render", "--endpoint", "endpoint", "ftp://x/"),
+    ],
+)
+def test_a_bad_flag_fails_as_its_config_key_does(
+    tmp_path, capsys, monkeypatch, verb, flag, key, value
+):
+    monkeypatch.chdir(tmp_path)
+    rest = [] if key == "input" else ["--input", MINI]
+    if verb == "convert" and key != "output":
+        rest += ["--out", "d.xml"]
+    assert main([verb, *rest, flag, str(value)]) == 2
+    by_flag = capsys.readouterr().err
+    Path("cfg.json").write_text(json.dumps({key: value}))
+    assert main([verb, *rest, "--config", "cfg.json"]) == 2
+    assert capsys.readouterr().err == by_flag
+    assert by_flag.startswith("config error: ") and by_flag.count("\n") == 1
 
 
 def test_verify_render_rejects_a_negative_limit(capsys):

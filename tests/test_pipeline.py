@@ -84,6 +84,7 @@ def test_load_config_single_input_string(tmp_path):
         {"no_such_key": 1},
         {"workers": 0},
         {"workers": "2"},
+        {"workers": True},
         {"keywords": "definition"},
         {"output": 7},
         {"siteinfo": {"sitename": "x", "nope": "y"}},
