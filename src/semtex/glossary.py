@@ -16,6 +16,7 @@ exactly once, separating parameter groups from argument groups.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
@@ -208,6 +209,11 @@ class Glossary:
     _by_first buckets the rules by _first_key: the bucket of a key holds
     the rules keyed by it plus every unkeyed rule, in the total order.
     _unkeyed holds the unkeyed rules alone, for nodes no bucket names.
+
+    _head_re matches a backslash that some rule head follows and
+    captures the longest such head.  A head is a control-sequence name
+    (a run of ASCII letters or one other character), so of two heads
+    found at one backslash the shorter is followed by a letter.
     """
 
     rules: tuple[MacroRule, ...]
@@ -239,6 +245,10 @@ class Glossary:
                 by_first.setdefault(key, list(unkeyed)).append(rule)
         self._by_first = {k: tuple(b) for k, b in by_first.items()}
         self._unkeyed = tuple(unkeyed)
+        heads = sorted(self.by_head, key=len, reverse=True)
+        # with no rules, (?!) keeps the empty alternation from matching
+        alternation = "|".join(map(re.escape, heads)) or "(?!)"
+        self._head_re = re.compile(r"\\(?=(%s))" % alternation)
 
     @property
     def macro_names(self) -> tuple[str, ...]:

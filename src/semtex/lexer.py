@@ -225,22 +225,40 @@ def render(nodes: Iterable[Node]) -> str:
 
     Unlike detokenize this is meant for synthesized trees with no
     whitespace tokens: a space is inserted after a letter-named control
-    word whenever the next token would otherwise extend its name.
+    word whenever the next token would otherwise extend its name.  The
+    texts are those of flatten(nodes), in order, so every token text of
+    the tree appears verbatim in the result.
     """
     parts: list[str] = []
-    prev: Token | None = None
-    for t in flatten(list(nodes)):
-        if (
-            prev is not None
-            and prev.kind is TokenKind.CONTROL
-            and len(prev.text) > 1
-            and prev.text[-1] in _LETTERS
-            and t.text[:1] in _LETTERS
-        ):
-            parts.append(" ")
-        parts.append(t.text)
-        prev = t
+    _render(nodes, parts.append, False)
     return "".join(parts)
+
+
+def _render(nodes: Iterable[Node], append, word: bool) -> bool:
+    """Append the texts of nodes, depth first; word says whether the
+    text appended last is a control word that a letter would extend.
+    Returns that flag for the last text appended here."""
+    for node in nodes:
+        if isinstance(node, Group):
+            # brace tokens that a group carries pass through this loop
+            if node.open_tok is None:
+                append("{")
+                word = False
+            else:
+                word = _render((node.open_tok,), append, word)
+            word = _render(node.children, append, word)
+            if node.close_tok is None:
+                append("}")
+                word = False
+            else:
+                word = _render((node.close_tok,), append, word)
+            continue
+        text = node.text
+        if word and text[:1] in _LETTERS:
+            append(" ")
+        append(text)
+        word = node.kind is TokenKind.CONTROL and len(text) > 1 and text[-1] in _LETTERS
+    return word
 
 
 MATH_ENVIRONMENTS = frozenset(

@@ -72,6 +72,9 @@ _RELATIONAL_CHARS = frozenset("<>=")
 _RELATIONAL_NAMES = frozenset({"le", "leq", "ge", "geq", "ne", "neq", "in"})
 
 _PROOF_RE = re.compile(r"%\s*proof:\s*(.+)$", re.IGNORECASE)
+_SPACES_RE = re.compile(r"\s+")
+_WORD_RE = re.compile(r"[A-Za-z]+")
+_TAIL_RE = re.compile(r"\s+([a-z]+)")
 
 
 class AnnotationKind(Enum):
@@ -107,8 +110,10 @@ class Formula:
     """One display-math row with its metadata.
 
     source_canonical is the retained core after constraint splitting;
-    source_semantic is the rendering of the replaced core and
-    semantic_nodes its tree form.
+    semantic_nodes is the replaced core and source_semantic is
+    render(semantic_nodes).  detect_substitutions, inline_substitutions
+    and the pages read source_semantic as that render: a token text
+    missing from it is missing from the tree.
     """
 
     id: str
@@ -344,11 +349,13 @@ def _sentences(text: str) -> list[str]:
             out.append("".join(buf))
             buf = []
     out.append("".join(buf))
-    return [re.sub(r"\s+", " ", s).strip() for s in out if s.strip()]
+    return [_SPACES_RE.sub(" ", s).strip() for s in out if s.strip()]
 
 
-def _begins_with_introducer(sentence: str, introducers: Sequence[str]) -> bool:
-    m = re.match(r"[A-Za-z]+", sentence)
+def _begins_with_introducer(sentence: str, introducers: frozenset[str]) -> bool:
+    """Whether the first word of sentence, lowercased, is one of the
+    lowercase introducers."""
+    m = _WORD_RE.match(sentence)
     return m is not None and m.group(0).lower() in introducers
 
 
@@ -375,9 +382,10 @@ def detect_constraints(
     Returns the retained core and the constraint clauses, as canonical
     nodes, from two sources: trailing top-level clauses of the body, and
     leading sentences of the following prose that begin with an
-    introducer word and contain inline math with a relational token.
-    Replacement is the caller's step.
+    introducer word, in any case, and contain inline math with a
+    relational token.  Replacement is the caller's step.
     """
+    introducers = frozenset(w.lower() for w in introducers)
     core, clauses = _split_trailing(f.source_canonical.nodes)
     for sentence in _sentences(following_prose):
         if not _begins_with_introducer(sentence, introducers):
@@ -395,14 +403,18 @@ def _sequences(nodes: Sequence[Node]) -> Iterator[Sequence[Node]]:
 
 def _head_finder(
     heads: Sequence[tuple[str, tuple[Node, ...], bool]]
-) -> Callable[[Sequence[Node], str], list[int]]:
+) -> Callable[..., list[int]]:
     """A search for many (unit, head run, is_function) entries at once.
 
-    The search takes nodes and their unit and returns, in order, the
-    positions in heads of the unit's entries whose run occurs in the
-    nodes or any nested group; a function head counts only where "("
-    follows it.  It walks the nodes once: only a token whose text starts
-    some run of the unit starts a full comparison with those runs.
+    The search takes nodes, their unit and optionally their render, and
+    returns, in order, the positions in heads of the unit's entries
+    whose run occurs in the nodes or any nested group; a function head
+    counts only where "(" follows it.  Given the render, it returns []
+    without a walk when the render holds no first-token text of the
+    unit's runs: render writes every token text verbatim, so then no
+    token can start a run.  Otherwise it walks the nodes once: only a
+    token whose text starts some run of the unit starts a full
+    comparison with those runs.
     """
     # unit -> text of the first token -> distinct runs
     index: dict[str, dict[str, list[tuple[Node, ...]]]] = {}
@@ -413,9 +425,9 @@ def _head_finder(
             bucket.append(run)
         positions.setdefault((unit, run, is_function), []).append(k)
 
-    def find(nodes: Sequence[Node], unit: str) -> list[int]:
+    def find(nodes: Sequence[Node], unit: str, text: str | None = None) -> list[int]:
         runs = index.get(unit)
-        if runs is None:
+        if runs is None or (text is not None and not any(t in text for t in runs)):
             return []
         hits: set[tuple[tuple[Node, ...], bool]] = set()
         for seq in _sequences(nodes):
@@ -530,7 +542,7 @@ def detect_substitutions(
     # ordinals of the rows that use each candidate's head; ids may repeat
     users: list[set[int]] = [set() for _ in candidates]
     for g in fs:
-        for k in find(g.semantic_nodes, g.unit):
+        for k in find(g.semantic_nodes, g.unit, g.source_semantic):
             users[k].add(g.ordinal)
 
     defs: list[SubstitutionDef] = []
@@ -620,7 +632,7 @@ def inline_substitutions(
     for f in fs:
         if f.ordinal in def_rows:
             continue
-        merged = _merge(closures[k] for k in find(f.semantic_nodes, f.unit))
+        merged = _merge(closures[k] for k in find(f.semantic_nodes, f.unit, f.source_semantic))
         for d in merged.values():
             f.annotations.append(
                 Annotation(
@@ -631,16 +643,23 @@ def inline_substitutions(
     return out
 
 
-def _match_keyword(sentence: str, keywords: Sequence[str]) -> str | None:
+def _keyword_patterns(keywords: Sequence[str]) -> list[tuple[str, re.Pattern]]:
+    """Each keyword, lowercased, with its whole-word pattern, longest
+    first; sentences are matched lowercased."""
+    words = sorted((kw.lower() for kw in keywords), key=len, reverse=True)
+    return [(kw, re.compile(r"\b" + re.escape(kw) + r"\b")) for kw in words]
+
+
+def _match_keyword(sentence: str, patterns: Sequence[tuple[str, re.Pattern]]) -> str | None:
     low = sentence.lower()
-    for kw in sorted(keywords, key=len, reverse=True):
-        m = re.search(r"\b" + re.escape(kw) + r"\b", low)
+    for kw, pattern in patterns:
+        m = pattern.search(low)
         if m is None:
             continue
         end = m.end()
-        tail = re.match(r"\s+([a-z]+)", low[end:])
+        tail = _TAIL_RE.match(low, end)
         if tail and tail.group(1) in _NAME_TAILS and not kw.endswith(tail.group(1)):
-            end += tail.end()
+            end = tail.end()
         return " ".join(low[m.start() : end].split())
     return None
 
@@ -663,7 +682,7 @@ def _gap_chunks(
 
 
 def _names_and_notes(
-    f: Formula, sentences: Sequence[str], keywords: Sequence[str]
+    f: Formula, sentences: Sequence[str], patterns: Sequence[tuple[str, re.Pattern]]
 ) -> list[Annotation]:
     """Name and Note annotations for f from the prose before its
     environment.
@@ -675,7 +694,7 @@ def _names_and_notes(
     out = []
     named = False
     for s in sentences:
-        phrase = _match_keyword(s, keywords)
+        phrase = _match_keyword(s, patterns)
         if phrase is not None:
             if not named and f.section_path:
                 out.append(
@@ -700,13 +719,16 @@ def extract_document(
     splits its constraints, replaces (cores and constraint bodies,
     counts merged per formula) and attaches names and notes, with prose
     bounded as the module docstring says; then substitutions are
-    detected and inlined.  Failures on individual formulae are recorded
+    detected and inlined.  Keywords and introducers match prose in any
+    case.  Failures on individual formulae are recorded
     and skipped; one in the prose after a row names the row's line:col.
     Document-level errors propagate.  A formula whose id repeats that of
     an earlier one left after inlining is such a failure, located by
     line:col, and the earlier one keeps the id.
     """
     settings = glossary.settings
+    patterns = _keyword_patterns(keywords)
+    introducers = frozenset(w.lower() for w in introducers)
     texts, starts = _lex(source)
     sections = _scan_sections(texts, starts)
     rows = _display_rows(texts, starts)
@@ -761,7 +783,7 @@ def extract_document(
         f.semantic_nodes = sem.nodes
         f.source_semantic = render(sem.nodes)
         f.stats = ReplacementStats.from_counts(counts, formulae=1)
-        f.annotations.extend(_names_and_notes(f, before, keywords))
+        f.annotations.extend(_names_and_notes(f, before, patterns))
         before = []
         ok.append(f)
 

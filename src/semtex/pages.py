@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .engine import ReplacementStats
 from .errors import ConfigInvalidError, DuplicateTitleError, MissingBibEntryError
@@ -97,27 +97,26 @@ def _placeholder_form(rule: MacroRule) -> str:
     return rule.template.replace("#", "")
 
 
-def _macro_occurs(name: str, text: str) -> bool:
-    needle = "\\" + name
-    start = 0
-    while True:
-        i = text.find(needle, start)
-        if i < 0:
-            return False
-        end = i + len(needle)
-        if end >= len(text) or not text[end].isalpha():
-            return True
-        start = i + 1
+def _heads_in(f: Formula, glossary: Glossary) -> Iterator[str]:
+    """Each glossary head that occurs in the formula or one of its
+    annotation bodies as \\head not followed by a letter (str.isalpha,
+    so \\cosé holds no cos but \\cos² does)."""
+    for text in (f.source_semantic, *(a.body for a in f.annotations)):
+        n = len(text)
+        for m in glossary._head_re.finditer(text):
+            end = m.end(1)
+            if end == n or not text[end].isalpha():
+                yield m.group(1)
 
 
 def build_symbols_list(f: Formula, glossary: Glossary) -> list[SymbolsListEntry]:
     """Deduplicated, name-sorted glossary macros occurring in the
     formula or any of its annotation bodies."""
-    texts = [f.source_semantic] + [a.body for a in f.annotations]
+    found = set(_heads_in(f, glossary))
     entries = []
     for name in glossary.macro_names:
         rule = glossary.by_name[name]
-        if any(_macro_occurs(rule.head, t) for t in texts):
+        if rule.head in found:
             entries.append(
                 SymbolsListEntry(
                     macro_name=name,
@@ -273,7 +272,7 @@ def stats_report(
     annotated = sum(
         1 for f in fs if f.annotations_of(AnnotationKind.SUBSTITUTION)
     )
-    non_empty = sum(1 for f in fs if build_symbols_list(f, glossary))
+    non_empty = sum(1 for f in fs if next(_heads_in(f, glossary), None) is not None)
     pages = len(fs)
     pct = (100.0 * non_empty / pages) if pages else 0.0
     lines = [

@@ -70,9 +70,22 @@ class PipelineConfig:
                 setattr(self, attr, Path(value))
 
 
+# The characters XML 1.0 does not allow, even as references.  Strict
+# UTF-8 decoding already rejects surrogates.
+_NOT_XML = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ufffe\uffff]")
+
+
 def _string(value, key: str) -> str:
     if not isinstance(value, str):
         raise ConfigInvalidError(f"{key} must be a string")
+    return value
+
+
+def _xml_text(value, key: str) -> str:
+    """A string that goes into the dump, so holds only XML 1.0 characters."""
+    bad = _NOT_XML.search(_string(value, key))
+    if bad:
+        raise ConfigInvalidError(f"{key} holds {bad.group()!r}, which XML 1.0 does not allow")
     return value
 
 
@@ -109,7 +122,7 @@ def _siteinfo(value, key: str) -> SiteInfo:
     bad = {k for k, v in value.items() if not isinstance(v, str)}
     if bad:
         raise ConfigInvalidError(f"{key} values must be strings: {sorted(bad)}")
-    return SiteInfo(**value)
+    return SiteInfo(**{k: _xml_text(v, f"{key}.{k}") for k, v in value.items()})
 
 
 # The run settings: each config key, the PipelineConfig attribute it sets
@@ -121,8 +134,8 @@ _SETTINGS = {
     "bibliography": ("bibliography_path", _path),
     "output": ("output_path", _path),
     "report": ("report_path", _path),
-    "corpus_prefix": ("corpus_prefix", _string),
-    "citation_key": ("citation_key", _string),
+    "corpus_prefix": ("corpus_prefix", _xml_text),
+    "citation_key": ("citation_key", _xml_text),
     "keywords": ("keywords", _strings),
     "introducers": ("introducers", _strings),
     "endpoint": ("endpoint", _string),
@@ -215,11 +228,6 @@ def _load_glossary(cfg: PipelineConfig) -> Glossary:
 # What reading and converting one input file may raise: a file-level
 # failure that drops the file, never the run
 _FILE_ERRORS = (SemtexError, OSError, UnicodeDecodeError)
-
-# The characters XML 1.0 does not allow, even as references.  Strict
-# UTF-8 decoding already rejects surrogates.
-_NOT_XML = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ufffe\uffff]")
-
 
 @dataclass
 class RunResult:

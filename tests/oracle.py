@@ -18,6 +18,10 @@ semtex.canonicalize's one-pass builder replaced: the source is lexed,
 grouped with build_groups, stripped of row markup, then each node
 sequence is rebuilt in two passes, recursing into its groups.
 
+render() serializes the token list flatten() gives, as semtex.lexer's
+one-pass render did before; macro_occurs() searches a text for one
+glossary head, which semtex.pages now finds for all heads in one scan.
+
 Slow and simple on purpose.
 """
 
@@ -31,7 +35,7 @@ from semtex.canonicalize import (
 )
 from semtex.errors import MismatchedLeftRightError, SubstitutionCycleError
 from semtex.glossary import AtomKind
-from semtex.lexer import Group, Token, TokenKind, build_groups
+from semtex.lexer import Group, Token, TokenKind, build_groups, flatten
 from semtex.metadata import (
     Annotation,
     AnnotationKind,
@@ -421,3 +425,36 @@ def canonicalize_row(source, settings=DEFAULT_SETTINGS):
     """The canonical tree of a display row body: lex, group, strip the
     markup, canonicalize."""
     return canonicalize(strip_markup(build_groups(tokenize(source))), settings)
+
+
+def render(nodes):
+    """Join the texts of flatten(nodes), with a space after a letter-named
+    control word that a letter follows."""
+    parts = []
+    prev = None
+    for t in flatten(list(nodes)):
+        if (
+            prev is not None
+            and prev.kind is TokenKind.CONTROL
+            and len(prev.text) > 1
+            and prev.text[-1] in _LETTERS
+            and t.text[:1] in _LETTERS
+        ):
+            parts.append(" ")
+        parts.append(t.text)
+        prev = t
+    return "".join(parts)
+
+
+def macro_occurs(name, text):
+    """Whether \\name occurs in text with no letter (str.isalpha) after it."""
+    needle = "\\" + name
+    start = 0
+    while True:
+        i = text.find(needle, start)
+        if i < 0:
+            return False
+        end = i + len(needle)
+        if end >= len(text) or not text[end].isalpha():
+            return True
+        start = i + 1

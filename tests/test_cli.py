@@ -280,6 +280,29 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     assert "WRONG" not in out.read_text()
 
 
+def test_a_prefix_that_xml_forbids_writes_no_dump(tmp_path, capsys):
+    out = tmp_path / "dump.xml"
+    assert main(["convert", "--input", MINI, "--out", str(out), "--prefix", "K\x01"]) == 2
+    assert "corpus_prefix" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_keywords_and_introducers_match_in_any_case(tmp_path, capsys):
+    tex = tmp_path / "j.tex"
+    tex.write_text(
+        "\\section{Jacobi} The Generating function is \\[ x+1 \\label{a} \\]\n"
+        "Where $0<q<1$ holds here. \\[ y=2 \\label{b} \\]\n"
+    )
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"keywords": ["Generating function"], "introducers": ["WHERE"]}))
+    out = tmp_path / "dump.xml"
+    assert main(["convert", "--config", str(cfg), "--input", str(tex), "--out", str(out)]) == 0
+    texts = [t.text for t in ElementTree.parse(out).iter() if t.tag.endswith("text")]
+    assert texts[0].startswith("''Jacobi generating function''\n")
+    assert "== Constraints ==\n:<math>0<q<1</math>" in texts[0]
+    assert "== Notes ==" not in texts[1]
+
+
 def test_workers_flag_is_checked_like_the_config_key(tmp_path, capsys):
     rc = main(["convert", "--input", MINI, "--out", str(tmp_path / "d.xml"), "--workers", "0"])
     assert rc == 2
@@ -296,6 +319,8 @@ def test_workers_flag_is_checked_like_the_config_key(tmp_path, capsys):
         ("convert", "--out", "output", "missing/d.xml"),
         ("stats", "--report", "report", "missing/r.txt"),
         ("verify-render", "--endpoint", "endpoint", "ftp://x/"),
+        ("convert", "--prefix", "corpus_prefix", "K\x01"),
+        ("stats", "--citation-key", "citation_key", "\x0b"),
     ],
 )
 def test_a_bad_flag_fails_as_its_config_key_does(

@@ -5,7 +5,7 @@ import pytest
 
 import gen
 import oracle
-from semtex import detokenize, extract_math, render, tokenize
+from semtex import canonicalize_string, detokenize, extract_math, render, replace_all, tokenize
 from semtex.errors import UnbalancedGroupError, UnterminatedEnvironmentError
 from semtex.lexer import Group, Token, TokenKind, _lex, build_groups, flatten
 from semtex.metadata import _scan_sections
@@ -157,6 +157,49 @@ def test_render_inserts_space_after_control_word_before_letter():
     # no space needed before a non-letter
     toks[1] = Token(TokenKind.CHAR, "(")
     assert render(toks) == "\\sin("
+
+
+def _random_tree(rng, depth):
+    """Nodes mixing control words, control symbols, letters, other
+    characters and empty texts, with groups that do and do not carry
+    brace tokens; a carried token may be of any kind."""
+    pool = (
+        Token(TokenKind.CONTROL, "\\sin"),
+        Token(TokenKind.CONTROL, "\\a"),
+        Token(TokenKind.CONTROL, "\\,"),
+        Token(TokenKind.CONTROL, "\\"),
+        Token(TokenKind.CHAR, "z"),
+        Token(TokenKind.CHAR, "("),
+        Token(TokenKind.CHAR, "é"),
+        Token(TokenKind.CHAR, ""),
+        Token(TokenKind.SUBSCRIPT, "_"),
+    )
+    braces = (None, None, Token(TokenKind.GROUP_OPEN, "{"), Token(TokenKind.GROUP_CLOSE, "}"))
+    out = []
+    for _ in range(rng.randint(0, 5)):
+        if depth and rng.random() < 0.3:
+            kids = tuple(_random_tree(rng, depth - 1))
+            out.append(Group(kids, rng.choice(braces + pool), rng.choice(braces + pool)))
+        else:
+            out.append(rng.choice(pool))
+    return out
+
+
+def test_render_matches_the_flatten_reference(glossary):
+    trees = []
+    for s in gen.corpus(4, 300):
+        canonical = canonicalize_string(s, glossary.settings)
+        trees += [canonical.nodes, replace_all(canonical, glossary)[0].nodes]
+        # groups that carry the source's brace tokens
+        trees.append(build_groups(tokenize(s)))
+    rng = random.Random(4)
+    trees += [_random_tree(rng, 3) for _ in range(2000)]
+    # control words right before letters, in and out of groups
+    sin, z = Token(TokenKind.CONTROL, "\\sin"), Token(TokenKind.CHAR, "z")
+    trees += [[sin, Group((z,))], [Group((sin,)), z], [sin, Group(()), z], [sin, z, sin]]
+    for nodes in trees:
+        assert render(nodes) == oracle.render(nodes), nodes
+        assert render(iter(nodes)) == oracle.render(nodes)
 
 
 def test_token_and_group_value_semantics():

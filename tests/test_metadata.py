@@ -236,6 +236,25 @@ def test_glossary_heads_never_define(glossary):
     assert res.defs == []
 
 
+# The head search skips a row whose source_semantic holds no first-token
+# text of its unit's heads, so these uses must still be found through it.
+def test_a_head_used_only_inside_a_nested_group_is_found(glossary):
+    res = extract(glossary, wrap("\\Omega_3=x+1", "y=\\frac{\\sqrt{{\\Omega_3}^2}}{2}", "z=1"))
+    assert [d.def_formula_id for d in res.defs] == ["f1"]
+    f = by_id(res)
+    assert bodies(AnnotationKind.SUBSTITUTION, f["f2"]) == ["\\Omega_3=x+1"]
+    assert bodies(AnnotationKind.SUBSTITUTION, f["f3"]) == []
+
+
+def test_a_function_head_used_only_as_a_call_is_found(glossary):
+    res = extract(glossary, wrap("\\Psi(x)=x^2", "y=\\Psi(t)+1", "z=\\Psi+t"))
+    assert [(d.def_formula_id, d.is_function) for d in res.defs] == [("f1", True)]
+    f = by_id(res)
+    assert f["f2"].source_semantic == "y=\\Psi(t)+1"
+    assert bodies(AnnotationKind.SUBSTITUTION, f["f2"]) == ["\\Psi(x)=x^2"]
+    assert bodies(AnnotationKind.SUBSTITUTION, f["f3"]) == []
+
+
 def test_transitive_inlining(glossary):
     res = extract(glossary, wrap("y=u+u^2", "u=v+1", "v=2"))
     assert {d.def_formula_id for d in res.defs} == {"f2", "f3"}
@@ -455,6 +474,23 @@ def test_notes_from_fixture(mini):
     ]
     assert bodies(AnnotationKind.NOTE, f["9.8.7"]) == ["Further generating functions."]
     assert bodies(AnnotationKind.NOTE, f["9.8.1"]) == []
+
+
+def test_keywords_and_introducers_with_capitals_match(glossary):
+    src = (
+        "\\section{Jacobi} The Generating function is \\[ x+1 \\label{a} \\]\n"
+        "Where $0<q<1$ holds here. \\[ y=2 \\label{b} \\]\n"
+    )
+    res = extract_document(src, glossary, keywords=["Generating function"], introducers=["Where"])
+    f = by_id(res)
+    assert bodies(AnnotationKind.NAME, f["a"]) == ["Jacobi generating function"]
+    assert bodies(AnnotationKind.NOTE, f["a"]) == []
+    # the introducer sentence constrains the row before it, not the next
+    assert bodies(AnnotationKind.CONSTRAINT, f["a"]) == ["0<q<1"]
+    assert bodies(AnnotationKind.NOTE, f["b"]) == []
+    fs = segment_formulae("\\[ y=s \\]", glossary)
+    _, clauses = detect_constraints(fs[0], "PROVIDED $|t|<1$.", ["Provided"])
+    assert [render(c) for c in clauses] == ["|t|<1"]
 
 
 def test_formula_without_section_gets_no_name(glossary):

@@ -1,14 +1,18 @@
 """Wiki page rendering, the XML dump, and the stats report."""
 
 import json
+import random
 from xml.etree import ElementTree
 
 import pytest
 
+import oracle
 from conftest import DATA
+from semtex import loads_glossary
 from semtex.canonicalize import canonicalize_string
+from semtex.engine import ReplacementStats
 from semtex.errors import ConfigInvalidError, DuplicateTitleError, MissingBibEntryError
-from semtex.metadata import AnnotationKind, Citation, Formula
+from semtex.metadata import Annotation, AnnotationKind, Citation, Formula
 from semtex.pages import (
     EXPORT_NS,
     SiteInfo,
@@ -97,6 +101,82 @@ def test_symbols_entries_carry_links(glossary):
 def test_rows_without_macros_have_empty_lists(glossary, formulae):
     assert build_symbols_list(formulae["9.2.4"], glossary) == []
     assert build_symbols_list(formulae["14.20.4"], glossary) == []
+
+
+def _head_rule(name):
+    return {
+        "name": name,
+        "priority": 1,
+        "pattern": [{"lit": "\\" + name}, {"capture": "z"}],
+        "template": f"\\{name}@@{{#z}}",
+        "at": "@@",
+        "url": f"http://example.org/{name}",
+    }
+
+
+# heads of which one is a prefix of another
+PREFIX_GLOSSARY = loads_glossary(
+    json.dumps({"rules": [_head_rule("cos"), _head_rule("cosh"), _head_rule("c")]})
+)
+# é is a letter to str.isalpha, ² is not
+_PIECES = (
+    "\\", "\\", "\\", "\\\\", "cos", "cosh", "c", "h", "é", "²", "@@{z}", " ", "(", "1",
+    "EulerGamma", "sin", "\\EulerGamma@{z}",
+)
+
+
+def _reference_symbols(f, glossary):
+    texts = [f.source_semantic] + [a.body for a in f.annotations]
+    return [
+        name
+        for name in glossary.macro_names
+        if any(oracle.macro_occurs(glossary.by_name[name].head, t) for t in texts)
+    ]
+
+
+@pytest.mark.parametrize(
+    "text, names",
+    [
+        ("\\\\cos", ["cos"]),
+        ("\\cosé", []),
+        ("\\cos²", ["cos"]),
+        ("\\cosh²", ["cosh"]),
+        ("\\coshx+\\c", ["c"]),
+        ("\\cosh@@{z}\\cos", ["cos", "cosh"]),
+    ],
+)
+def test_symbols_of_prefix_heads(text, names):
+    got = build_symbols_list(make_formula(text), PREFIX_GLOSSARY)
+    assert [s.macro_name for s in got] == names
+    assert _reference_symbols(make_formula(text), PREFIX_GLOSSARY) == names
+
+
+def test_symbols_lists_match_the_per_head_reference(glossary):
+    rng = random.Random(15)
+    for g in (glossary, PREFIX_GLOSSARY):
+        fs = []
+        for k in range(1500):
+            texts = [
+                "".join(rng.choice(_PIECES) for _ in range(rng.randint(0, 8)))
+                for _ in range(rng.randint(1, 3))
+            ]
+            anns = [Annotation(rng.choice(list(AnnotationKind)), t) for t in texts[1:]]
+            fs.append(make_formula(texts[0], fid=f"t{k}", annotations=anns))
+        non_empty = 0
+        for f in fs:
+            want = _reference_symbols(f, g)
+            assert [s.macro_name for s in build_symbols_list(f, g)] == want, f
+            non_empty += bool(want)
+        assert 200 < non_empty < 1300
+        report = stats_report(ReplacementStats(), fs, [], g)
+        assert f"non-empty symbols lists: {non_empty}/1500 (" in report
+
+
+def test_a_glossary_without_rules_lists_no_symbols():
+    g = loads_glossary('{"rules": []}')
+    f = make_formula("\\, x+\\")
+    assert build_symbols_list(f, g) == []
+    assert "non-empty symbols lists: 0/1 (0.0%)" in stats_report(ReplacementStats(), [f], [], g)
 
 
 # ----------------------------------------------------------------- page text

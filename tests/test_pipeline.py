@@ -91,6 +91,10 @@ def test_load_config_single_input_string(tmp_path):
         {"siteinfo": "x"},
         {"siteinfo": {"sitename": 5}},
         {"siteinfo": {"lang": None}},
+        # characters XML 1.0 forbids, in values that go into the dump
+        {"siteinfo": {"sitename": "a\x02"}},
+        {"corpus_prefix": "K\x01"},
+        {"citation_key": "\ufffe"},
     ],
 )
 def test_load_config_rejects_bad_values(tmp_path, overrides):
