@@ -168,6 +168,14 @@ def _row_end(texts: Sequence[str], a: int, b: int) -> int:
     return b
 
 
+def _leaf(leaves: dict[str, Token], text: str) -> Token:
+    """The leaf of a lexed token text, built once per table."""
+    leaf = leaves.get(text)
+    if leaf is None:
+        leaf = leaves[text] = Token(_FIRST.get(text[0], _CHAR), text)
+    return leaf
+
+
 def _build(
     texts: Sequence[str],
     pos: Sequence[int | None],
@@ -175,11 +183,21 @@ def _build(
     b: int,
     settings: CanonicalSettings,
     row: bool = False,
+    leaves: dict[str, Token] | None = None,
 ) -> CanonicalTree:
     """The canonical tree of the balanced tokens texts[a:b], read once, by
     the rules canonicalize gives; pos[k] is the offset an error at token k
     names.  A row also drops \\label{...}, \\nonumber, \\notag and
-    trailing whitespace and , . ; tokens at its top level."""
+    trailing whitespace and , . ; tokens at its top level.
+
+    Leaves are spanless, non-inert and never mutated, so one leaf serves
+    every occurrence of its text: leaves maps each lexed text to the
+    leaf built for it, and a caller that builds many rows of a document
+    passes one table to all of them.  A delimiter synonym's canonical
+    spelling, whose kind the lexer does not decide, gets a fresh leaf.
+    """
+    if leaves is None:
+        leaves = {}
     spacing = settings.spacing_tokens
     if row:
         b = _row_end(texts, a, b)
@@ -229,7 +247,7 @@ def _build(
                 continue
         else:
             if prefix >= 0:
-                out.append(Token(_CONTROL, texts[prefix]))
+                out.append(_leaf(leaves, texts[prefix]))
                 prefix = -1
             if c == "{":
                 stack.append((out, depth, first))
@@ -251,15 +269,15 @@ def _build(
         # the leaf, with bar and delimiter synonyms mapped to one spelling;
         # tabs and comments go
         if c == "\\" and name in settings.bar_synonyms:
-            out.append(Token(_CHAR, "|"))
+            out.append(_leaf(leaves, "|"))
             continue
         mapped = settings.delimiter_map.get(t)
         if mapped is not None:
             out.append(Token(_CONTROL if mapped.startswith("\\") else _CHAR, mapped))
         elif c != "&" and c != "%":
-            out.append(Token(_FIRST.get(c, _CHAR), t))
+            out.append(_leaf(leaves, t))
     if prefix >= 0:
-        out.append(Token(_CONTROL, texts[prefix]))
+        out.append(_leaf(leaves, texts[prefix]))
     if depth:
         raise MismatchedLeftRightError(pos[first])
     return CanonicalTree(tuple(out))

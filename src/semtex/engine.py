@@ -11,9 +11,11 @@ template is spliced in inert.  Inert groups are descended into, so
 presentation left in a hand-written field is still rewritten, and a
 second pass fires nothing: replace reaches a fixpoint after one pass.
 Only the rules whose first pattern atom can match the node at hand are
-tried (the glossary buckets them by that atom), in the same total
-order, so the rule that fires is the one a try-every-rule walk would
-pick.  strip_semantics walks with _emit_pattern and is the inverse.
+tried (the glossary buckets them by that atom: a token by its text, a
+group by whether it is empty), in the same total order, so the rule
+that fires is the one a try-every-rule walk would pick.  match_at runs
+the steps each rule compiles its pattern to.  strip_semantics walks
+with _emit_pattern and is the inverse.
 """
 
 from __future__ import annotations
@@ -25,10 +27,19 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from .canonicalize import CanonicalTree
 from .errors import UnknownSemanticMacroError
-from .glossary import AtomKind, Glossary, MacroRule
+from .glossary import (
+    _CLOSER,
+    EMPTY_GROUP,
+    END,
+    FIELD,
+    GROUP,
+    LIT,
+    TOKEN,
+    AtomKind,
+    Glossary,
+    MacroRule,
+)
 from .lexer import Group, Node, Token, TokenKind, tokenize
-
-_CLOSER = {"(": ")", "[": "]"}
 
 # Leaves a single-token/single-group capture refuses: delimiters,
 # separators, operators, relationals, and structural kinds.
@@ -72,7 +83,8 @@ class MatchResult:
 
 
 def match_at(nodes: Sequence[Node], pos: int, rule: MacroRule) -> MatchResult | None:
-    """Try to match rule's pattern starting at nodes[pos].
+    """Try to match rule's pattern starting at nodes[pos], by running its
+    compiled steps.
 
     Structural atoms (literals, separators, delimiters) only match
     non-inert tokens; captures may swallow inert content since replaced
@@ -81,88 +93,57 @@ def match_at(nodes: Sequence[Node], pos: int, rule: MacroRule) -> MatchResult | 
     caps: dict[str, tuple[Node, ...]] = {}
     seq: Sequence[Node] = nodes
     i = pos
-    # stack entries: ("group", outer_seq, outer_resume) or ("paren", closer)
-    stack: list[tuple] = []
-
-    for atom in rule.pattern:
+    # (enclosing sequence, index past the group) per group entered
+    stack: list[tuple[Sequence[Node], int]] = []
+    for op, arg in rule.steps:
+        if op == END:
+            if i != len(seq):
+                return None
+            seq, i = stack.pop()
+            continue
         node = seq[i] if i < len(seq) else None
-        if atom.kind is AtomKind.LITERAL or atom.kind is AtomKind.SEPARATOR:
-            if not (
-                isinstance(node, Token)
-                and not node.inert
-                and node.text == atom.value
-            ):
+        if op == LIT:
+            if node.__class__ is not Token or node.inert or node.text != arg:
                 return None
             i += 1
-        elif atom.kind is AtomKind.OPEN:
-            if atom.value == "{":
-                if not isinstance(node, Group) or node.inert:
-                    return None
-                stack.append(("group", seq, i + 1))
-                seq = node.children
-                i = 0
-            else:
-                if not (
-                    isinstance(node, Token)
-                    and not node.inert
-                    and node.text == atom.value
-                ):
-                    return None
-                stack.append(("paren", _CLOSER[atom.value]))
-                i += 1
-        elif atom.kind is AtomKind.CLOSE:
-            if not stack:
+        elif op == GROUP:
+            if node.__class__ is not Group or node.inert:
                 return None
-            ctx = stack.pop()
-            if ctx[0] == "group":
-                if i != len(seq):
-                    return None
-                _, seq, i = ctx
+            stack.append((seq, i + 1))
+            seq = node.children
+            i = 0
+        elif op == TOKEN:
+            if not _single_ok(node):
+                return None
+            caps[arg] = (node,)
+            i += 1
+        elif op == FIELD:
+            if node.__class__ is Group and not node.inert:
+                caps[arg] = tuple(node.children)
+            elif _single_ok(node):
+                caps[arg] = (node,)
             else:
-                if not (
-                    isinstance(node, Token)
-                    and not node.inert
-                    and node.text == ctx[1]
-                ):
-                    return None
-                i += 1
-        else:  # capture
-            if atom.mode == "single-token":
-                if not _single_ok(node):
-                    return None
-                caps[atom.name] = (node,)
-                i += 1
-            elif atom.mode == "single-group":
-                if isinstance(node, Group) and not node.inert:
-                    caps[atom.name] = tuple(node.children)
-                    i += 1
-                elif _single_ok(node):
-                    caps[atom.name] = (node,)
-                    i += 1
-                else:
-                    return None
-            else:  # balanced-expression: maximal run to separator/closer
-                depth = 0
-                taken: list[Node] = []
-                while i < len(seq):
-                    node = seq[i]
-                    if isinstance(node, Token):
-                        t = node.text
-                        if depth == 0 and t in _SEPARATOR_TEXTS:
+                return None
+            i += 1
+        else:  # RUN: maximal run to a separator or closer
+            depth = 0
+            start = i
+            while i < len(seq):
+                node = seq[i]
+                if node.__class__ is Token:
+                    t = node.text
+                    if depth == 0 and t in _SEPARATOR_TEXTS:
+                        break
+                    if t in ("(", "["):
+                        depth += 1
+                    elif t in (")", "]"):
+                        if depth == 0:
                             break
-                        if t in ("(", "["):
-                            depth += 1
-                        elif t in (")", "]"):
-                            if depth == 0:
-                                break
-                            depth -= 1
-                    taken.append(node)
-                    i += 1
-                if not taken or depth != 0:
-                    return None
-                caps[atom.name] = tuple(taken)
-    if stack:
-        return None
+                        depth -= 1
+                i += 1
+            if i == start or depth != 0:
+                return None
+            caps[arg] = tuple(seq[start:i])
     return MatchResult(caps, i)
 
 
@@ -224,7 +205,10 @@ def _rewrite(nodes: Sequence[Node], glossary: Glossary, counts: Counter) -> Sequ
     while i < len(nodes):
         node = nodes[i]
         if not node.inert:
-            key = node.text if isinstance(node, Token) else Group
+            if node.__class__ is Token:
+                key = node.text
+            else:
+                key = Group if node.children else EMPTY_GROUP
             m = None
             for rule in by_first.get(key, unkeyed):
                 m = match_at(nodes, i, rule)
@@ -257,8 +241,9 @@ def replace_all(
     Semantic macros already in the tree are marked inert first and keep
     their form; an @-marked one the glossary does not read raises
     UnknownSemanticMacroError, as in strip_semantics.  At each position
-    only the rules whose first pattern atom can match the node are
-    tried, in the glossary's total order.  Returns the rewritten tree
+    only the rules whose first pattern atom can match the node (a token
+    of its text, an empty or a non-empty group) are tried, in the
+    glossary's total order.  Returns the rewritten tree
     and per-rule firing counts for this one formula (formulae == 1 in
     the stats).
     """

@@ -42,6 +42,21 @@ class AtomKind(Enum):
 CAPTURE_MODES = ("balanced-expression", "single-group", "single-token")
 SEPARATOR_CHARS = (",", ";", "|")
 OPEN_CHARS = ("(", "[", "{")
+_CLOSER = {"(": ")", "[": "]"}
+
+# Opcodes of MacroRule.steps, each step an (opcode, argument) pair:
+# LIT matches a non-inert token of the argument's text (a literal, a
+# separator, or a ( [ opener or its closer); GROUP enters a non-inert
+# group and END leaves it, matching only at its end; TOKEN, FIELD and
+# RUN capture under the argument's name a single token, a single group
+# or token, and a balanced expression.
+LIT, GROUP, END, TOKEN, FIELD, RUN = range(6)
+_CAPTURE_OPS = {"single-token": TOKEN, "single-group": FIELD, "balanced-expression": RUN}
+
+# The first-atom key of a rule whose pattern opens with an empty group:
+# no token text can equal it, nor can the Group class, which keys a
+# group opener followed by anything else.
+EMPTY_GROUP = (Group, 0)
 
 
 @dataclass(frozen=True)
@@ -67,10 +82,39 @@ class MacroRule:
     head: str = field(default="", compare=False)
     param_names: tuple[str, ...] = field(default=(), compare=False)
     arg_names: tuple[str, ...] = field(default=(), compare=False)
+    # Derived from pattern on construction: the steps match_at runs.
+    steps: tuple[tuple[int, str], ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "steps", _compile(self.macro_name, self.pattern))
 
     @property
     def capture_names(self) -> tuple[str, ...]:
         return tuple(a.name for a in self.pattern if a.kind is AtomKind.CAPTURE)
+
+
+def _compile(rule_name: str, pattern: tuple[PatternAtom, ...]) -> tuple[tuple[int, str], ...]:
+    """The steps of a pattern.  An opener and its close become LIT steps
+    of their two texts, or GROUP and END for a brace group; raises
+    GlossaryParseError when the opens and closes do not pair up."""
+    steps: list[tuple[int, str]] = []
+    opens: list[str] = []
+    for atom in pattern:
+        if atom.kind is AtomKind.CAPTURE:
+            steps.append((_CAPTURE_OPS[atom.mode], atom.name))
+        elif atom.kind is AtomKind.OPEN:
+            opens.append(atom.value)
+            steps.append((GROUP, "") if atom.value == "{" else (LIT, atom.value))
+        elif atom.kind is AtomKind.CLOSE:
+            if not opens:
+                raise GlossaryParseError(None, f"rule {rule_name!r}: unbalanced pattern close")
+            o = opens.pop()
+            steps.append((END, "") if o == "{" else (LIT, _CLOSER[o]))
+        else:
+            steps.append((LIT, atom.value))
+    if opens:
+        raise GlossaryParseError(None, f"rule {rule_name!r}: unbalanced pattern opens")
+    return tuple(steps)
 
 
 def _parse_atom(obj, rule_name: str) -> PatternAtom:
@@ -170,36 +214,23 @@ def _validate_rule(rule: MacroRule) -> None:
             f"rule {rule.macro_name!r}: template placeholders {sorted(placeholders)} "
             f"do not match pattern captures {sorted(captures)}",
         )
-    depth = 0
-    for atom in rule.pattern:
-        if atom.kind is AtomKind.OPEN:
-            depth += 1
-        elif atom.kind is AtomKind.CLOSE:
-            depth -= 1
-            if depth < 0:
-                raise GlossaryParseError(
-                    None, f"rule {rule.macro_name!r}: unbalanced pattern close"
-                )
-    if depth != 0:
-        raise GlossaryParseError(
-            None, f"rule {rule.macro_name!r}: unbalanced pattern opens"
-        )
 
 
 def _first_key(rule: MacroRule) -> object:
-    """The node key that a rule's first atom can match, or None.
+    """The node key that a rule's first step can match, or None.
 
-    A literal, separator or ( [ opener matches only a token of its text,
-    so it is keyed by that text.  A { opener matches only a non-inert
-    group, keyed by the Group class, which no token text can equal.  A
-    leading capture can match any node and gives None.
+    A LIT step matches only a token of its text, so it is keyed by that
+    text.  A GROUP step matches only a non-inert group: an empty one
+    when END follows, keyed EMPTY_GROUP, since no other step matches
+    inside an empty group, and otherwise a non-empty one, keyed by the
+    Group class.  A leading capture can match any node and gives None.
     """
-    atom = rule.pattern[0]
-    if atom.kind is AtomKind.CAPTURE:
-        return None
-    if atom.kind is AtomKind.OPEN and atom.value == "{":
-        return Group
-    return atom.value
+    (op, arg), *rest = rule.steps
+    if op == LIT:
+        return arg
+    if op == GROUP:
+        return EMPTY_GROUP if rest[0][0] == END else Group
+    return None
 
 
 @dataclass

@@ -58,7 +58,9 @@ class Token:
     by content.  span is the token's source offset range; inert marks
     rewriter output and semantic macros read back from source, which
     must never be rematched.  Tokens are never mutated after
-    construction.
+    construction, so one token may stand at many places: the canonical
+    builder gives every occurrence of a text in a document the same
+    leaf.
     """
 
     __slots__ = ("kind", "text", "span", "inert")

@@ -31,6 +31,7 @@ from .canonicalize import (
 from .engine import ReplacementStats, replace_all
 from .errors import (
     DuplicateTitleError,
+    MismatchedLeftRightError,
     SemtexError,
     SubstitutionCycleError,
     UnknownSemanticMacroError,
@@ -228,9 +229,11 @@ def _row(
     sections: Sequence[_Heading],
     citation_key: str,
     settings: CanonicalSettings,
+    leaves: dict[str, Token],
 ) -> Formula | tuple[str, str]:
     """The Formula of a display row of _row_ranges, or its (id, message)
-    failure when the body cannot be canonicalized."""
+    failure, naming the line:col of the fault, when the body cannot be
+    canonicalized.  leaves is the document's leaf table (see _build)."""
     _, a, b, outer = row
     fid = _find_label(texts, a, b) or f"f{ordinal}"
     span = (starts[a], starts[b])
@@ -246,9 +249,10 @@ def _row(
         ]
     path, unit = _locate(sections, outer[0])
     try:
-        core = _build(texts, starts, a, b, settings, row=True)
-    except SemtexError as exc:
-        return fid, f"{type(exc).__name__}: {exc}"
+        core = _build(texts, starts, a, b, settings, True, leaves)
+    except MismatchedLeftRightError as exc:
+        where = _line_col(source, span[0] if exc.position is None else exc.position)
+        return fid, f"{type(exc).__name__}: {exc} in the row at line {where}"
     return Formula(
         id=fid,
         source_canonical=core,
@@ -282,8 +286,9 @@ def segment_formulae(
     """
     texts, starts = _lex(source)
     sections = _scan_sections(texts, starts)
+    leaves: dict[str, Token] = {}
     rows = (
-        _row(source, texts, starts, row, k, sections, citation_key, glossary.settings)
+        _row(source, texts, starts, row, k, sections, citation_key, glossary.settings, leaves)
         for k, row in enumerate(_display_rows(texts, starts), 1)
     )
     return [f for f in rows if isinstance(f, Formula)]
@@ -732,6 +737,7 @@ def extract_document(
     texts, starts = _lex(source)
     sections = _scan_sections(texts, starts)
     rows = _display_rows(texts, starts)
+    leaves: dict[str, Token] = {}
     ok: list[Formula] = []
     failures: list[tuple[str, str]] = []
     prev: tuple[int, int] | None = None
@@ -745,7 +751,7 @@ def extract_document(
                 while before and _begins_with_introducer(before[0], introducers):
                     before.pop(0)
             prev = outer
-        f = _row(source, texts, starts, row, k + 1, sections, citation_key, settings)
+        f = _row(source, texts, starts, row, k + 1, sections, citation_key, settings, leaves)
         if not isinstance(f, Formula):
             failures.append(f)
             continue

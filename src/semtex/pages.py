@@ -33,7 +33,6 @@ class SymbolsListEntry:
 class FormulaPage:
     title: str
     wikitext: str
-    formula_id: str
 
 
 @dataclass(frozen=True)
@@ -194,7 +193,7 @@ def render_page(
     lines.append(cite + ".")
 
     title = f"Formula:{corpus_prefix}:{f.id}"
-    return FormulaPage(title=title, wikitext="\n".join(lines), formula_id=f.id)
+    return FormulaPage(title=title, wikitext="\n".join(lines))
 
 
 def _escape(text: str) -> str:

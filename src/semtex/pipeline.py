@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import os
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 from urllib.parse import urlparse
@@ -27,7 +27,7 @@ from .errors import (
     UnknownSemanticMacroError,
 )
 from .glossary import Glossary, builtin_glossary, load_glossary
-from .lexer import _lex, _row_ranges, render
+from .lexer import Token, _lex, _row_ranges, render
 from .metadata import (
     DEFAULT_INTRODUCERS,
     DEFAULT_KEYWORDS,
@@ -217,6 +217,10 @@ def validate_config(cfg: PipelineConfig) -> None:
         if parsed.scheme not in ("http", "https") or not parsed.netloc:
             raise ConfigInvalidError(f"endpoint is not an absolute URL: {cfg.endpoint}")
     _workers(cfg.workers)
+    # a config built in code has not been through the readers
+    _xml_text(cfg.corpus_prefix, "corpus_prefix")
+    _xml_text(cfg.citation_key, "citation_key")
+    _siteinfo(asdict(cfg.siteinfo), "siteinfo")
 
 
 def _load_glossary(cfg: PipelineConfig) -> Glossary:
@@ -337,6 +341,7 @@ def replace_text(source: str, glossary: Glossary) -> tuple[str, ReplacementStats
     raises UnknownSemanticMacroError naming the span's line:col.
     """
     texts, starts = _lex(source)
+    leaves: dict[str, Token] = {}
     parts: list[ReplacementStats] = []
     pieces: list[str] = []
     cursor = 0
@@ -345,7 +350,8 @@ def replace_text(source: str, glossary: Glossary) -> tuple[str, ReplacementStats
     # even when an earlier span holds a lone \left
     for _, a, b, _ in list(_row_ranges(texts, starts)):
         try:
-            sem, stats = replace_all(_build(texts, starts, a, b, glossary.settings), glossary)
+            tree = _build(texts, starts, a, b, glossary.settings, False, leaves)
+            sem, stats = replace_all(tree, glossary)
         except UnknownSemanticMacroError as exc:
             where = _line_col(source, starts[a])
             msg = f"{exc} in the span at line {where}"

@@ -213,6 +213,10 @@ _EXTRA_RULES = [
     # shares \sin with the bundled sin rule (40) and ranks below it
     {"name": "SinExpr", "priority": 30, "template": "\\SinExpr@{#z}",
      "pattern": [{"lit": "\\sin"}, {"capture": "z"}]},
+    # opens with a non-empty group, where qHypergeometric opens with {}
+    {"name": "Ratio", "priority": 20, "template": "\\Ratio@{#a}{#b}",
+     "pattern": [{"open": "{"}, {"capture": "a"}, {"close": True},
+                 {"open": "{"}, {"capture": "b"}, {"close": True}]},
 ]
 
 
@@ -250,7 +254,7 @@ def _every_rule_walk(nodes, glossary):
 
 
 def test_dispatch_keeps_the_global_rule_order(mixed_glossary):
-    texts = [r"\Gamma(z)", r"\sin -x", r"[a+b]_n", r"x , y", r"a^2"]
+    texts = [r"\Gamma(z)", r"\sin -x", r"[a+b]_n", r"x , y", r"a^2", r"\frac{a+1}{b+c}"]
     for seed in range(3):
         for k, text in enumerate(gen.corpus(seed=1000 + seed, count=150)):
             if k % 2:
@@ -281,3 +285,21 @@ def test_only_rules_whose_first_atom_fits_are_tried(glossary, monkeypatch):
     out, stats = convert(r"\Gamma(z)+x", glossary)
     assert out == r"\EulerGamma@{z}+x"
     assert tried == ["EulerGamma"]
+
+
+def test_a_group_is_tried_only_with_the_rules_for_its_shape(mixed_glossary, monkeypatch):
+    tried = Counter()
+
+    def counting(nodes, pos, rule):
+        node = nodes[pos]
+        if isinstance(node, Group):
+            tried[rule.macro_name, "{}" if not node.children else "{...}"] += 1
+        return match_at(nodes, pos, rule)
+
+    monkeypatch.setattr(engine, "match_at", counting)
+    out, _ = convert(r"{}_2\phi_1(a,b;c;q,z)+\frac{a+1}{b+c}+{x+y}", mixed_glossary)
+    assert out == r"\qHypergeometric{2}{1}{a}{b}{c}@{q}{z}+\frac\Ratio@{a+1}{b+c}+{x+y}"
+    assert tried["qHypergeometric", "{}"] == 1
+    assert tried["Ratio", "{...}"] == 2
+    assert tried["qHypergeometric", "{...}"] == 0
+    assert tried["Ratio", "{}"] == 0

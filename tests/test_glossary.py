@@ -92,6 +92,8 @@ def test_template_capture_mismatch_raises():
         {"url": ""},
         {"priority": "high"},
         {"pattern": [{"what": "?"}]},
+        {"pattern": [{"capture": "x"}, {"close": True}]},
+        {"pattern": [{"open": "("}, {"open": "{"}, {"capture": "x"}, {"close": True}]},
     ],
 )
 def test_malformed_rules_raise_parse_error(breakage):

@@ -11,7 +11,7 @@ import oracle
 from conftest import DATA
 from semtex.engine import replace_all
 from semtex.errors import SubstitutionCycleError, UnbalancedGroupError
-from semtex.lexer import render
+from semtex.lexer import flatten, render
 from semtex.metadata import (
     AnnotationKind,
     contains_relational,
@@ -563,6 +563,25 @@ def test_extraction_leaves_no_cyclic_garbage(glossary, mini_source):
         gc.enable()
 
 
+def test_rows_of_a_document_share_one_leaf_per_text(glossary):
+    rows = [r"(a;q)_n+q_1", r"\Gamma(q)", r"f(q_2)"]
+    doc = "".join(
+        f"\\begin{{equation}} {r} \\label{{r{k}}} \\end{{equation}}\n" for k, r in enumerate(rows)
+    )
+    res = extract(glossary, doc)
+    assert [f.stats.total for f in res.formulae] == [1, 1, 0]
+    leaves = [t for f in res.formulae for t in flatten(f.source_canonical.nodes)]
+    assert all(t.span is None and not t.inert for t in leaves)
+    by_text: dict[str, set[int]] = {}
+    for t in leaves:
+        by_text.setdefault(t.text, set()).add(id(t))
+    assert {"(", "q", "_"} <= by_text.keys()
+    assert all(len(ids) == 1 for ids in by_text.values()), by_text
+    # a shared leaf changes no formula: each converts as it does alone
+    alone = [extract(glossary, f"\\[ {r} \\]").formulae[0].source_semantic for r in rows]
+    assert [f.source_semantic for f in res.formulae] == alone
+
+
 def test_failures_are_isolated_per_row(glossary):
     src = (DATA / "mixed_errors.tex").read_text()
     res = extract(glossary, src)
@@ -570,7 +589,11 @@ def test_failures_are_isolated_per_row(glossary):
     assert len(res.failures) == 1
     fid, msg = res.failures[0]
     assert fid == "e.2"
-    assert "MismatchedLeftRight" in msg
+    # the \left of "f(x)=\left(1+x" on line 11
+    assert msg == (
+        "MismatchedLeftRightError: mismatched \\left/\\right at offset 173 "
+        "in the row at line 11:6"
+    )
 
 
 def test_row_failing_to_segment_leaks_no_note(glossary):

@@ -24,6 +24,7 @@ from semtex.errors import (
 from semtex.glossary import builtin_glossary
 from semtex.lexer import extract_math, render
 from semtex.mockserver import start_server
+from semtex.pages import SiteInfo
 from semtex.pipeline import (
     PipelineConfig,
     expand_inputs,
@@ -123,6 +124,16 @@ def test_validate_config_checks_endpoint(endpoint):
     cfg = PipelineConfig(inputs=[DATA / "kls_mini.tex"], endpoint=endpoint)
     with pytest.raises(ConfigInvalidError):
         validate_config(cfg)
+
+
+@pytest.mark.parametrize(
+    "settings",
+    [{"corpus_prefix": "K\x01"}, {"citation_key": "\ufffe"}, {"siteinfo": SiteInfo(sitename="a\x02")}],
+)
+def test_validate_config_checks_dump_text_of_a_config_built_in_code(settings):
+    cfg = PipelineConfig(inputs=[DATA / "kls_mini.tex"], **settings)
+    with pytest.raises(ConfigInvalidError, match="XML 1.0"):
+        run_pipeline(cfg, write=False)
 
 
 def test_expand_inputs(tmp_path):
