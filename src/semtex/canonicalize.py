@@ -113,6 +113,8 @@ _CHAR = TokenKind.CHAR
 _LEAF_KINDS = (_CHAR, _CONTROL)
 # Markup a display row drops at its top level, besides \label{...}.
 _ROW_MARKUP = frozenset({"\\nonumber", "\\notag"})
+# Control words that reach a leaf only where their context lets them
+_NOT_PLAIN = _ROW_MARKUP | {"\\label"}
 
 
 def _match(texts: Sequence[str], j: int, step: int = 1) -> int:
@@ -168,14 +170,6 @@ def _row_end(texts: Sequence[str], a: int, b: int) -> int:
     return b
 
 
-def _leaf(leaves: dict[str, Token], text: str) -> Token:
-    """The leaf of a lexed token text, built once per table."""
-    leaf = leaves.get(text)
-    if leaf is None:
-        leaf = leaves[text] = Token(_FIRST.get(text[0], _CHAR), text)
-    return leaf
-
-
 def _build(
     texts: Sequence[str],
     pos: Sequence[int | None],
@@ -191,13 +185,18 @@ def _build(
     trailing whitespace and , . ; tokens at its top level.
 
     Leaves are spanless, non-inert and never mutated, so one leaf serves
-    every occurrence of its text: leaves maps each lexed text to the
-    leaf built for it, and a caller that builds many rows of a document
-    passes one table to all of them.  A delimiter synonym's canonical
-    spelling, whose kind the lexer does not decide, gets a fresh leaf.
+    every occurrence of its text.  leaves maps each plain text met so
+    far to its leaf, and a caller that builds many rows of a document
+    passes one table, with one settings, to all of them.  A plain text
+    is one whose treatment does not depend on its context: wherever no
+    size prefix waits, it becomes its own leaf, so one lookup decides
+    it.  Whitespace, spacing tokens, { } & and comments, size prefixes,
+    bar and delimiter synonyms, \\label, \\nonumber, \\notag, \\hspace
+    and \\mspace are not plain; a leaf built for one of them is fresh.
     """
     if leaves is None:
         leaves = {}
+    plain = leaves.get
     spacing = settings.spacing_tokens
     if row:
         b = _row_end(texts, a, b)
@@ -212,6 +211,11 @@ def _build(
     while k < b:
         t = texts[k]
         k += 1
+        if prefix < 0:
+            leaf = plain(t)
+            if leaf is not None:
+                out.append(leaf)
+                continue
         c = t[0]
         if c == "\\":
             name = t[1:]
@@ -247,7 +251,7 @@ def _build(
                 continue
         else:
             if prefix >= 0:
-                out.append(_leaf(leaves, texts[prefix]))
+                out.append(Token(_CONTROL, texts[prefix]))
                 prefix = -1
             if c == "{":
                 stack.append((out, depth, first))
@@ -269,15 +273,20 @@ def _build(
         # the leaf, with bar and delimiter synonyms mapped to one spelling;
         # tabs and comments go
         if c == "\\" and name in settings.bar_synonyms:
-            out.append(_leaf(leaves, "|"))
+            out.append(Token(_CHAR, "|"))
             continue
         mapped = settings.delimiter_map.get(t)
         if mapped is not None:
             out.append(Token(_CONTROL if mapped.startswith("\\") else _CHAR, mapped))
         elif c != "&" and c != "%":
-            out.append(_leaf(leaves, t))
+            leaf = plain(t)
+            if leaf is None:
+                leaf = Token(_FIRST.get(c, _CHAR), t)
+                if c != "\\" or (name not in _ARG_SPACING and t not in _NOT_PLAIN):
+                    leaves[t] = leaf
+            out.append(leaf)
     if prefix >= 0:
-        out.append(_leaf(leaves, texts[prefix]))
+        out.append(Token(_CONTROL, texts[prefix]))
     if depth:
         raise MismatchedLeftRightError(pos[first])
     return CanonicalTree(tuple(out))

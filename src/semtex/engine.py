@@ -202,18 +202,22 @@ def _rewrite(nodes: Sequence[Node], glossary: Glossary, counts: Counter) -> Sequ
     out: list[Node] = []
     fired = False
     i = 0
-    while i < len(nodes):
+    n = len(nodes)
+    while i < n:
         node = nodes[i]
-        if not node.inert:
-            if node.__class__ is Token:
-                key = node.text
-            else:
-                key = Group if node.children else EMPTY_GROUP
-            m = None
-            for rule in by_first.get(key, unkeyed):
-                m = match_at(nodes, i, rule)
-                if m is not None:
-                    break
+        if node.__class__ is Token:
+            if node.inert or (not unkeyed and node.text not in by_first):
+                # no rule can start at this token
+                out.append(node)
+                i += 1
+                continue
+            rules = by_first.get(node.text, unkeyed)
+        elif node.inert:
+            rules = ()
+        else:
+            rules = by_first.get(Group if node.children else EMPTY_GROUP, unkeyed)
+        for rule in rules:
+            m = match_at(nodes, i, rule)
             if m is not None:
                 fired = True
                 counts[rule.macro_name] += 1
@@ -222,14 +226,15 @@ def _rewrite(nodes: Sequence[Node], glossary: Glossary, counts: Counter) -> Sequ
                 }
                 out.extend(instantiate(rule, rewritten))
                 i = m.end
-                continue
-        if isinstance(node, Group):
-            kids = _rewrite(node.children, glossary, counts)
-            if kids is not node.children:
-                node = Group(tuple(kids), node.open_tok, node.close_tok, node.inert)
-                fired = True
-        out.append(node)
-        i += 1
+                break
+        else:
+            if node.__class__ is Group:
+                kids = _rewrite(node.children, glossary, counts)
+                if kids is not node.children:
+                    node = Group(tuple(kids), node.open_tok, node.close_tok, node.inert)
+                    fired = True
+            out.append(node)
+            i += 1
     return out if fired else nodes
 
 

@@ -19,8 +19,9 @@ and {, } and $ always have their own kinds: math and headings are found
 by comparing token text.
 
 A document is lexed to token texts and start offsets only; math rows
-and headings are found on those as index ranges, and rows are
-canonicalized straight from the texts.  No verb goes through
+and headings are found on those as index ranges, reading only the
+structural tokens _marks lists, and rows are canonicalized straight
+from the texts.  No verb goes through
 extract_math: it is the public, Token-building view of the same rows,
 and only it builds Tokens, for the bodies of the MathSpans it returns.
 """
@@ -28,6 +29,7 @@ and only it builds Tokens, for the bodies of the MathSpans it returns.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate
@@ -379,91 +381,111 @@ def extract_math(source: str) -> list[MathSpan]:
     return [
         MathSpan(env, tuple(build_groups(_tokens(texts, starts, a, b))),
                  (starts[a], starts[b]), _find_label(texts, a, b), outer)
-        for env, a, b, outer in _row_ranges(texts, starts)
+        for env, a, b, outer in _row_ranges(texts, starts, _marks(source, texts, starts))
     ]
 
 
 _OPENERS = frozenset({"\\begin", "\\[", "$"})
 
+# Where a structural token may start: \begin, \end, \[, \], $, \section
+# and \subsection, or the start of a longer control word
+_MARK_RE = re.compile(r"\\(?:begin|end|section|subsection|\[|\])|\$")
 
-def _row_ranges(texts: list[str], starts: list[int]) -> Iterator[tuple]:
+
+def _marks(source: str, texts: list[str], starts: list[int]) -> list[int]:
+    """Indices, in order, of the structural tokens of a lexed document:
+    \\begin, \\end, \\[, \\], $, \\section and \\subsection.  The scans of
+    math rows and headings read only these.  A hit of _MARK_RE counts
+    only where a token of its text starts, so one inside a comment,
+    after a backslash or at the head of a longer control word is none."""
+    out: list[int] = []
+    for m in _MARK_RE.finditer(source):
+        p = m.start()
+        k = bisect_left(starts, p)
+        if starts[k] == p and texts[k] == m.group():
+            out.append(k)
+    return out
+
+
+def _row_ranges(texts: list[str], starts: list[int], marks: list[int]) -> Iterator[tuple]:
     """The math rows of a lexed document as (environment, a, b, outer):
     tokens a..b-1 are the body with whitespace trimmed, outer the source
-    extent of the environment.  Rows of only whitespace and comments are
-    skipped; raises as extract_math does."""
+    extent of the environment.  marks are the document's _marks: an
+    environment opens and closes only at one of them.  Rows of only
+    whitespace and comments are skipped; raises as extract_math does."""
     n = len(texts)
-    i = 0
-    while i < n:
+    nm = len(marks)
+    m = 0
+    while m < nm:
+        i = marks[m]
+        m += 1
         t = texts[i]
         if t not in _OPENERS:
-            i += 1
             continue
         if t == "\\begin":
             got = _group_text(texts, i + 1, n)
             if got is None:
-                i += 1
                 continue
-            env, after = got
-            if env not in MATH_ENVIRONMENTS:
-                i = after
-                continue
-            j = after
-            depth = 0
-            end_at = None
-            while j < n:
-                u = texts[j]
-                if u == "\\begin":
-                    inner = _group_text(texts, j + 1, n)
-                    if inner is not None and inner[0] == env:
+            env, end = got
+            if env in MATH_ENVIRONMENTS:
+                after = end
+                depth = 0
+                j = after  # the next \begin or \end looked at starts here
+                end_at = None
+                while m < nm:
+                    q = marks[m]
+                    m += 1
+                    u = texts[q]
+                    if q < j or (u != "\\begin" and u != "\\end"):
+                        continue
+                    inner = _group_text(texts, q + 1, n)
+                    if inner is None or inner[0] != env:
+                        continue
+                    if u == "\\begin":
                         depth += 1
-                        j = inner[1]
-                        continue
-                elif u == "\\end":
-                    inner = _group_text(texts, j + 1, n)
-                    if inner is not None and inner[0] == env:
-                        if depth == 0:
-                            end_at = j
-                            after_end = inner[1]
-                            break
+                    elif depth:
                         depth -= 1
-                        j = inner[1]
-                        continue
-                j += 1
-            if end_at is None:
-                raise UnterminatedEnvironmentError(env, starts[i])
-            outer = (starts[i], starts[after_end])
-            if env in ROW_SPLIT_ENVIRONMENTS:
-                rows = _split_rows(texts, after, end_at)
+                    else:
+                        end_at, end = q, inner[1]
+                        break
+                    j = inner[1]
+                if end_at is None:
+                    raise UnterminatedEnvironmentError(env, starts[i])
+                if env in ROW_SPLIT_ENVIRONMENTS:
+                    rows = _split_rows(texts, after, end_at)
+                else:
+                    rows = [(after, end_at)]
             else:
-                rows = [(after, end_at)]
-            i = after_end
+                rows = ()
         elif t == "\\[":
-            j = i + 1
-            while j < n and texts[j] != "\\]":
-                j += 1
-            if j >= n:
+            while m < nm and texts[marks[m]] != "\\]":
+                m += 1
+            if m == nm:
                 raise UnterminatedEnvironmentError("bracket-display", starts[i])
-            env, rows, outer = "bracket-display", [(i + 1, j)], (starts[i], starts[j + 1])
-            i = j + 1
+            j = marks[m]
+            env, rows, end = "bracket-display", [(i + 1, j)], j + 1
         # t is $ from here on
         elif i + 1 < n and texts[i + 1] == "$":
-            j = i + 2
-            while j < n:
+            m += 1  # past the second $
+            while m < nm:
+                j = marks[m]
                 if texts[j] == "$" and j + 1 < n and texts[j + 1] == "$":
                     break
-                j += 1
-            if j >= n:
+                m += 1
+            if m == nm:
                 raise UnterminatedEnvironmentError("bracket-display", starts[i])
-            env, rows, outer = "bracket-display", [(i + 2, j)], (starts[i], starts[j + 2])
-            i = j + 2
+            env, rows, end = "bracket-display", [(i + 2, j)], j + 2
         else:
-            j = i + 1
-            while j < n and texts[j] != "$":
-                j += 1
-            if j >= n:
+            while m < nm and texts[marks[m]] != "$":
+                m += 1
+            if m == nm:
                 raise UnterminatedEnvironmentError("inline-dollar", starts[i])
-            env, rows, outer = "inline-dollar", [(i + 1, j)], (starts[i], starts[j + 1])
-            i = j + 1
+            j = marks[m]
+            env, rows, end = "inline-dollar", [(i + 1, j)], j + 1
+        # marks before end lie inside what was just read
+        while m < nm and marks[m] < end:
+            m += 1
+        outer = (starts[i], starts[end])
         for a, b in rows:
             while a < b and texts[a][0].isspace():
                 a += 1

@@ -46,6 +46,7 @@ from .lexer import (
     _find_label,
     _group_text,
     _lex,
+    _marks,
     _row_ranges,
     flatten,
     render,
@@ -71,6 +72,16 @@ _NAME_TAILS = frozenset({"relation", "formula", "function", "equation"})
 
 _RELATIONAL_CHARS = frozenset("<>=")
 _RELATIONAL_NAMES = frozenset({"le", "leq", "ge", "geq", "ne", "neq", "in"})
+
+_CHAR = TokenKind.CHAR
+# The texts the top-level scans of a canonical body act on: brackets,
+# which step the depth, and the comma and relational texts they test
+# further, since a token's kind need not follow from its text
+_BRACKET_STEP = {"(": 1, "[": 1, ")": -1, "]": -1}
+_EQUATION_TEXTS = frozenset({*_BRACKET_STEP, "="})
+_TOP_TEXTS = frozenset(
+    {*_BRACKET_STEP, ",", *_RELATIONAL_CHARS, *("\\" + name for name in _RELATIONAL_NAMES)}
+)
 
 _PROOF_RE = re.compile(r"%\s*proof:\s*(.+)$", re.IGNORECASE)
 _SPACES_RE = re.compile(r"\s+")
@@ -181,26 +192,26 @@ class _Heading:
 _HEADINGS = frozenset({"\\section", "\\subsection"})
 
 
-def _scan_sections(texts: list[str], starts: list[int]) -> list[_Heading]:
+def _scan_sections(texts: list[str], starts: list[int], marks: list[int]) -> list[_Heading]:
+    """The headings of a lexed document; marks are its lexer._marks.  A
+    heading inside the title of another is part of that title."""
     out: list[_Heading] = []
-    i = 0
     n = len(texts)
-    while i < n:
+    after = 0
+    for i in marks:
         t = texts[i]
-        if t in _HEADINGS:
-            # TeX skips spaces after a control word, so \section * {T} is
-            # starred too
-            k = i + 1
-            while k < n and texts[k][0].isspace():
-                k += 1
-            j = k + 1 if k < n and texts[k] == "*" else i + 1
-            got = _group_text(texts, j, n)
-            if got is not None:
-                title, after = got
-                out.append(_Heading(starts[i], starts[after], t[1:], title.strip()))
-                i = after
-                continue
-        i += 1
+        if i < after or t not in _HEADINGS:
+            continue
+        # TeX skips spaces after a control word, so \section * {T} is
+        # starred too
+        k = i + 1
+        while k < n and texts[k][0].isspace():
+            k += 1
+        j = k + 1 if k < n and texts[k] == "*" else i + 1
+        got = _group_text(texts, j, n)
+        if got is not None:
+            title, after = got
+            out.append(_Heading(starts[i], starts[after], t[1:], title.strip()))
     return out
 
 
@@ -266,8 +277,8 @@ def _row(
     )
 
 
-def _display_rows(texts: list[str], starts: list[int]) -> list[tuple]:
-    return [r for r in _row_ranges(texts, starts) if r[0] != "inline-dollar"]
+def _display_rows(texts: list[str], starts: list[int], marks: list[int]) -> list[tuple]:
+    return [r for r in _row_ranges(texts, starts, marks) if r[0] != "inline-dollar"]
 
 
 def segment_formulae(
@@ -285,46 +296,46 @@ def segment_formulae(
     reports them as failures.
     """
     texts, starts = _lex(source)
-    sections = _scan_sections(texts, starts)
+    marks = _marks(source, texts, starts)
+    sections = _scan_sections(texts, starts, marks)
     leaves: dict[str, Token] = {}
     rows = (
         _row(source, texts, starts, row, k, sections, citation_key, glossary.settings, leaves)
-        for k, row in enumerate(_display_rows(texts, starts), 1)
+        for k, row in enumerate(_display_rows(texts, starts, marks), 1)
     )
     return [f for f in rows if isinstance(f, Formula)]
-
-
-def _top_level(nodes: Sequence[Node]) -> Iterator[tuple[int, Token]]:
-    """(index, token) of each token of nodes outside ( ) and [ ]; a
-    closer with nothing open is ignored."""
-    depth = 0
-    for i, nd in enumerate(nodes):
-        if not isinstance(nd, Token):
-            continue
-        if nd.text in ("(", "["):
-            depth += 1
-        elif nd.text in (")", "]"):
-            depth = max(0, depth - 1)
-        elif depth == 0:
-            yield i, nd
 
 
 def _split_trailing(nodes: Sequence[Node]) -> tuple[tuple[Node, ...], list[tuple[Node, ...]]]:
     """Split trailing constraint clauses off a canonical body.
 
-    Top-level commas cut the body into segments.  Each segment after the
-    first that carries a relational token starts a clause, which runs up
-    to the next such segment (so enumerations like n=0,1,...,N stay
-    together); the segments before the first clause form the core.
+    Top-level commas cut the body into segments; a token is at the top
+    level when it lies outside ( ) and [ ], and a closer with nothing
+    open is ignored.  Each segment after the first that carries a
+    relational token starts a clause, which runs up to the next such
+    segment (so enumerations like n=0,1,...,N stay together); the
+    segments before the first clause form the core.
     """
     nodes = list(nodes)
     cuts = [-1]  # segment k runs from cuts[k] + 1 to cuts[k + 1]
     relational: set[int] = set()  # the segments that hold a relational token
-    for i, nd in _top_level(nodes):
-        if nd.is_char(","):
-            cuts.append(i)
-        elif _is_relational(nd):
-            relational.add(len(cuts) - 1)
+    depth = 0
+    for i, nd in enumerate(nodes):
+        if nd.__class__ is not Token:
+            continue
+        t = nd.text
+        if t in _TOP_TEXTS:
+            step = _BRACKET_STEP.get(t)
+            if step is not None:
+                if depth or step > 0:
+                    depth += step
+            elif depth:
+                continue
+            elif t == ",":
+                if nd.kind is _CHAR:
+                    cuts.append(i)
+            elif _is_relational(nd):
+                relational.add(len(cuts) - 1)
     heads = sorted(relational - {0})
     if not heads:
         return tuple(nodes), []
@@ -376,9 +387,17 @@ def _prose_constraints(sentence: str, settings: CanonicalSettings) -> list[tuple
     return out
 
 
+def _introduced(sentences: Sequence[str], introducers: frozenset[str]) -> int:
+    """How many of the leading sentences begin with an introducer."""
+    k = 0
+    while k < len(sentences) and _begins_with_introducer(sentences[k], introducers):
+        k += 1
+    return k
+
+
 def detect_constraints(
     f: Formula,
-    following_prose: str = "",
+    following_prose: str | Sequence[str] = "",
     introducers: Sequence[str] = DEFAULT_INTRODUCERS,
     settings: CanonicalSettings = DEFAULT_SETTINGS,
 ) -> tuple[CanonicalTree, list[tuple[Node, ...]]]:
@@ -388,13 +407,15 @@ def detect_constraints(
     nodes, from two sources: trailing top-level clauses of the body, and
     leading sentences of the following prose that begin with an
     introducer word, in any case, and contain inline math with a
-    relational token.  Replacement is the caller's step.
+    relational token.  The prose is given as text or as the sentences
+    _sentences splits it into.  Replacement is the caller's step.
     """
     introducers = frozenset(w.lower() for w in introducers)
+    sentences = (
+        _sentences(following_prose) if isinstance(following_prose, str) else following_prose
+    )
     core, clauses = _split_trailing(f.source_canonical.nodes)
-    for sentence in _sentences(following_prose):
-        if not _begins_with_introducer(sentence, introducers):
-            break
+    for sentence in sentences[: _introduced(sentences, introducers)]:
         clauses.extend(_prose_constraints(sentence, settings))
     return CanonicalTree(core), clauses
 
@@ -505,13 +526,23 @@ def _parse_def_lhs(nodes: Sequence[Node]) -> tuple[tuple[Node, ...], bool] | Non
 
 
 def _top_level_equation(nodes: Sequence[Node]) -> int | None:
-    """Index of the single top-level '=' at paren depth 0, if any."""
+    """Index of the single '=' outside ( ) and [ ], if any, reading
+    brackets as _split_trailing does."""
     found = None
-    for i, nd in _top_level(nodes):
-        if nd.is_char("="):
-            if found is not None:
-                return None
-            found = i
+    depth = 0
+    for i, nd in enumerate(nodes):
+        if nd.__class__ is not Token:
+            continue
+        t = nd.text
+        if t in _EQUATION_TEXTS:
+            step = _BRACKET_STEP.get(t)
+            if step is not None:
+                if depth or step > 0:
+                    depth += step
+            elif not depth and nd.kind is _CHAR:
+                if found is not None:
+                    return None
+                found = i
     return found
 
 
@@ -735,32 +766,41 @@ def extract_document(
     patterns = _keyword_patterns(keywords)
     introducers = frozenset(w.lower() for w in introducers)
     texts, starts = _lex(source)
-    sections = _scan_sections(texts, starts)
-    rows = _display_rows(texts, starts)
+    marks = _marks(source, texts, starts)
+    sections = _scan_sections(texts, starts, marks)
+    rows = _display_rows(texts, starts, marks)
     leaves: dict[str, Token] = {}
     ok: list[Formula] = []
     failures: list[tuple[str, str]] = []
-    prev: tuple[int, int] | None = None
+    # upcoming holds the sentences of the prose before the next
+    # environment, following those of the prose after the current row's
+    # environment when the row is its last
+    upcoming = _sentences(_gap_chunks(source, sections, 0, rows[0][3][0])[-1]) if rows else []
+    following: list[str] = []
     before: list[str] = []
     for k, row in enumerate(rows):
         outer = row[3]
-        if outer != prev:
-            chunks = _gap_chunks(source, sections, prev[1] if prev else 0, outer[0])
-            before = _sentences(chunks[-1])
-            if len(chunks) == 1 and prev is not None:
-                while before and _begins_with_introducer(before[0], introducers):
-                    before.pop(0)
-            prev = outer
+        if k == 0 or outer != rows[k - 1][3]:
+            before = upcoming
+        nxt = rows[k + 1][3] if k + 1 < len(rows) else None
+        if nxt != outer:
+            # each gap is split into sentences once: its introducer
+            # sentences constrain this row, the rest are the next
+            # environment's before, unless a heading cuts the gap
+            chunks = _gap_chunks(source, sections, outer[1], nxt[0] if nxt else len(source))
+            following = _sentences(chunks[0])
+            if len(chunks) > 1:
+                upcoming = _sentences(chunks[-1]) if nxt else []
+            else:
+                upcoming = following[_introduced(following, introducers) :]
+        else:
+            following = []
         f = _row(source, texts, starts, row, k + 1, sections, citation_key, settings, leaves)
         if not isinstance(f, Formula):
             failures.append(f)
             continue
-        prose = ""
-        nxt = rows[k + 1][3] if k + 1 < len(rows) else None
-        if nxt != outer:
-            prose = _gap_chunks(source, sections, outer[1], nxt[0] if nxt else len(source))[0]
         try:
-            core, clauses = detect_constraints(f, prose, introducers, settings)
+            core, clauses = detect_constraints(f, following, introducers, settings)
         except SemtexError as exc:
             # offsets in a prose snippet are not source offsets
             what = str(exc).split(" at offset ")[0]

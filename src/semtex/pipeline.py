@@ -14,20 +14,20 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 from urllib.parse import urlparse
-from xml.etree import ElementTree
 
 from .canonicalize import _build
 from .engine import ReplacementStats, replace_all
 from .errors import (
     ConfigInvalidError,
     ForbiddenCharacterError,
+    MismatchedLeftRightError,
     SemtexError,
     ServiceRejectedError,
     ServiceUnreachableError,
     UnknownSemanticMacroError,
 )
 from .glossary import Glossary, builtin_glossary, load_glossary
-from .lexer import Token, _lex, _row_ranges, render
+from .lexer import Token, _lex, _marks, _row_ranges, render
 from .metadata import (
     DEFAULT_INTRODUCERS,
     DEFAULT_KEYWORDS,
@@ -233,6 +233,17 @@ def _load_glossary(cfg: PipelineConfig) -> Glossary:
 # failure that drops the file, never the run
 _FILE_ERRORS = (SemtexError, OSError, UnicodeDecodeError)
 
+
+def _file_failure(exc: Exception, source: str) -> str:
+    """The report line of a file that failed with exc, naming the line:col
+    of the error's source position when it has one."""
+    msg = f"{type(exc).__name__}: {exc}"
+    position = getattr(exc, "position", None)
+    if position is not None:
+        msg += f" at line {_line_col(source, position)}"
+    return msg
+
+
 @dataclass
 class RunResult:
     exit_code: int
@@ -281,6 +292,7 @@ def run_pipeline(cfg: PipelineConfig, write: bool = True) -> RunResult:
     parts: list[ReplacementStats] = []
     file_error = False
     for path, prefix in zip(files, prefixes):
+        text = ""
         try:
             text = path.read_text(encoding="utf-8")
             bad = _NOT_XML.search(text)
@@ -294,7 +306,7 @@ def run_pipeline(cfg: PipelineConfig, write: bool = True) -> RunResult:
                 introducers=cfg.introducers,
             )
         except _FILE_ERRORS as exc:
-            failures.append((str(path), f"{type(exc).__name__}: {exc}"))
+            failures.append((str(path), _file_failure(exc, text)))
             file_error = True
             continue
         for f in res.formulae:
@@ -338,7 +350,9 @@ def replace_text(source: str, glossary: Glossary) -> tuple[str, ReplacementStats
     change, so the output diffs cleanly against the input for review,
     and semantic macros already in a span keep their form, so a second
     pass changes nothing.  An @-marked macro the glossary does not read
-    raises UnknownSemanticMacroError naming the span's line:col.
+    raises UnknownSemanticMacroError naming the span's line:col, and a
+    span whose \\left and \\right do not pair raises
+    MismatchedLeftRightError naming the line:col of the fault.
     """
     texts, starts = _lex(source)
     leaves: dict[str, Token] = {}
@@ -348,10 +362,14 @@ def replace_text(source: str, glossary: Glossary) -> tuple[str, ReplacementStats
     # every span is found and brace-checked before any is canonicalized,
     # as extract_math does, so an unterminated or unbalanced span raises
     # even when an earlier span holds a lone \left
-    for _, a, b, _ in list(_row_ranges(texts, starts)):
+    for _, a, b, _ in list(_row_ranges(texts, starts, _marks(source, texts, starts))):
         try:
             tree = _build(texts, starts, a, b, glossary.settings, False, leaves)
             sem, stats = replace_all(tree, glossary)
+        except MismatchedLeftRightError as exc:
+            where = _line_col(source, starts[a] if exc.position is None else exc.position)
+            msg = f"{exc} in the span at line {where}"
+            raise MismatchedLeftRightError(exc.position, msg) from None
         except UnknownSemanticMacroError as exc:
             where = _line_col(source, starts[a])
             msg = f"{exc} in the span at line {where}"
@@ -406,6 +424,7 @@ def request_mathml(semantic_latex: str, endpoint: str) -> RenderedMath:
     failures raise ServiceUnreachableError.
     """
     import requests
+    from xml.etree import ElementTree
 
     try:
         resp = requests.post(

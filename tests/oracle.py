@@ -22,6 +22,13 @@ render() serializes the token list flatten() gives, as semtex.lexer's
 one-pass render did before; macro_occurs() searches a text for one
 glossary head, which semtex.pages now finds for all heads in one scan.
 
+split_trailing() and top_level_equation() read a canonical body through
+the top_level() generator, as semtex.metadata's one-loop scans did
+before.  row_ranges() and scan_sections() walk every token of a lexed
+document, where semtex's scans read only its structural marks.  build()
+is semtex.canonicalize._build without a leaf table: every leaf is built
+afresh and every token takes the full path.
+
 Slow and simple on purpose.
 """
 
@@ -30,18 +37,36 @@ from collections import Counter
 from semtex.canonicalize import (
     _ARG_SPACING,
     _DELIMITER_TEXTS,
+    _ROW_MARKUP,
     DEFAULT_SETTINGS,
     CanonicalTree,
+    _match,
+    _row_end,
+    _skip_blank,
 )
-from semtex.errors import MismatchedLeftRightError, SubstitutionCycleError
+from semtex.errors import (
+    MismatchedLeftRightError,
+    SubstitutionCycleError,
+    UnterminatedEnvironmentError,
+)
 from semtex.glossary import AtomKind
-from semtex.lexer import Group, Token, TokenKind, build_groups, flatten
+from semtex.lexer import (
+    MATH_ENVIRONMENTS,
+    ROW_SPLIT_ENVIRONMENTS,
+    Group,
+    Token,
+    TokenKind,
+    _check_balance,
+    _group_text,
+    _split_rows,
+    build_groups,
+    flatten,
+)
 from semtex.metadata import (
     Annotation,
     AnnotationKind,
     SubstitutionDef,
     _parse_def_lhs,
-    _top_level_equation,
 )
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
@@ -67,6 +92,7 @@ _STOP_KINDS = frozenset(
     }
 )
 _STOP_CONTROL = frozenset({"le", "leq", "ge", "geq", "ne", "neq", "in", "\\"})
+_RELATIONAL_NAMES = frozenset({"le", "leq", "ge", "geq", "ne", "neq", "in"})
 
 
 def _plain_single(nd):
@@ -202,7 +228,7 @@ def detect_substitutions(fs, glossary):
     defs = []
     for f in fs:
         nodes = f.semantic_nodes
-        eq = _top_level_equation(nodes)
+        eq = top_level_equation(nodes)
         if eq is None or eq == 0 or eq == len(nodes) - 1:
             continue
         parsed = _parse_def_lhs(nodes[:eq])
@@ -458,3 +484,251 @@ def macro_occurs(name, text):
         if end >= len(text) or not text[end].isalpha():
             return True
         start = i + 1
+
+
+def top_level(nodes):
+    """(index, token) of each token of nodes outside ( ) and [ ]; a
+    closer with nothing open is ignored."""
+    depth = 0
+    for i, nd in enumerate(nodes):
+        if not isinstance(nd, Token):
+            continue
+        if nd.text in ("(", "["):
+            depth += 1
+        elif nd.text in (")", "]"):
+            depth = max(0, depth - 1)
+        elif depth == 0:
+            yield i, nd
+
+
+def _is_relational(tok):
+    if tok.kind is TokenKind.CHAR:
+        return tok.text in ("<", ">", "=")
+    return tok.kind is TokenKind.CONTROL and tok.name in _RELATIONAL_NAMES
+
+
+def split_trailing(nodes):
+    """Core and trailing clauses of a canonical body, cut at top-level
+    commas: a clause starts at each later segment holding a relational."""
+    nodes = list(nodes)
+    cuts = [-1]
+    relational = set()
+    for i, nd in top_level(nodes):
+        if nd.is_char(","):
+            cuts.append(i)
+        elif _is_relational(nd):
+            relational.add(len(cuts) - 1)
+    heads = sorted(relational - {0})
+    if not heads:
+        return tuple(nodes), []
+    cuts.append(len(nodes))
+    ends = heads[1:] + [len(cuts) - 1]
+    core = tuple(nodes[: cuts[heads[0]]])
+    return core, [tuple(nodes[cuts[a] + 1 : cuts[b]]) for a, b in zip(heads, ends)]
+
+
+def top_level_equation(nodes):
+    """Index of the single top-level '=', if any."""
+    found = None
+    for i, nd in top_level(nodes):
+        if nd.is_char("="):
+            if found is not None:
+                return None
+            found = i
+    return found
+
+
+def row_ranges(texts, starts):
+    """The math rows of a lexed document, read token by token."""
+    n = len(texts)
+    i = 0
+    while i < n:
+        t = texts[i]
+        if t not in ("\\begin", "\\[", "$"):
+            i += 1
+            continue
+        if t == "\\begin":
+            got = _group_text(texts, i + 1, n)
+            if got is None:
+                i += 1
+                continue
+            env, after = got
+            if env not in MATH_ENVIRONMENTS:
+                i = after
+                continue
+            j = after
+            depth = 0
+            end_at = None
+            while j < n:
+                u = texts[j]
+                if u == "\\begin":
+                    inner = _group_text(texts, j + 1, n)
+                    if inner is not None and inner[0] == env:
+                        depth += 1
+                        j = inner[1]
+                        continue
+                elif u == "\\end":
+                    inner = _group_text(texts, j + 1, n)
+                    if inner is not None and inner[0] == env:
+                        if depth == 0:
+                            end_at = j
+                            after_end = inner[1]
+                            break
+                        depth -= 1
+                        j = inner[1]
+                        continue
+                j += 1
+            if end_at is None:
+                raise UnterminatedEnvironmentError(env, starts[i])
+            outer = (starts[i], starts[after_end])
+            if env in ROW_SPLIT_ENVIRONMENTS:
+                rows = _split_rows(texts, after, end_at)
+            else:
+                rows = [(after, end_at)]
+            i = after_end
+        elif t == "\\[":
+            j = i + 1
+            while j < n and texts[j] != "\\]":
+                j += 1
+            if j >= n:
+                raise UnterminatedEnvironmentError("bracket-display", starts[i])
+            env, rows, outer = "bracket-display", [(i + 1, j)], (starts[i], starts[j + 1])
+            i = j + 1
+        elif i + 1 < n and texts[i + 1] == "$":
+            j = i + 2
+            while j < n:
+                if texts[j] == "$" and j + 1 < n and texts[j + 1] == "$":
+                    break
+                j += 1
+            if j >= n:
+                raise UnterminatedEnvironmentError("bracket-display", starts[i])
+            env, rows, outer = "bracket-display", [(i + 2, j)], (starts[i], starts[j + 2])
+            i = j + 2
+        else:
+            j = i + 1
+            while j < n and texts[j] != "$":
+                j += 1
+            if j >= n:
+                raise UnterminatedEnvironmentError("inline-dollar", starts[i])
+            env, rows, outer = "inline-dollar", [(i + 1, j)], (starts[i], starts[j + 1])
+            i = j + 1
+        for a, b in rows:
+            while a < b and texts[a][0].isspace():
+                a += 1
+            while b > a and texts[b - 1][0].isspace():
+                b -= 1
+            if all(u[0] == "%" or u[0].isspace() for u in texts[a:b]):
+                continue
+            _check_balance(texts, starts, a, b)
+            yield env, a, b, outer
+
+
+def scan_sections(texts, starts):
+    """The (pos, end, level, title) of each heading, read token by token."""
+    out = []
+    i = 0
+    n = len(texts)
+    while i < n:
+        t = texts[i]
+        if t in ("\\section", "\\subsection"):
+            k = i + 1
+            while k < n and texts[k][0].isspace():
+                k += 1
+            j = k + 1 if k < n and texts[k] == "*" else i + 1
+            got = _group_text(texts, j, n)
+            if got is not None:
+                title, after = got
+                out.append((starts[i], starts[after], t[1:], title.strip()))
+                i = after
+                continue
+        i += 1
+    return out
+
+
+def build(texts, pos, a, b, settings, row=False):
+    """The canonical tree of texts[a:b], token by token, every leaf built
+    afresh, by the rules semtex.canonicalize._build documents."""
+    spacing = settings.spacing_tokens
+    if row:
+        b = _row_end(texts, a, b)
+    stack = []
+    out = []
+    depth, first = 0, -1
+    prefix = -1
+    k = a
+    while k < b:
+        t = texts[k]
+        k += 1
+        c = t[0]
+        if c == "\\":
+            name = t[1:]
+            if row and not stack and (t in _ROW_MARKUP or name == "label"):
+                j = _skip_blank(texts, k - 1, b, True)
+                if j >= k:
+                    k = j
+                    continue
+            if t in spacing:
+                continue
+            if name in _ARG_SPACING:
+                markup = row and not stack
+                j = _skip_blank(texts, k, b, markup)
+                if j < b and texts[j] == "*":
+                    j = _skip_blank(texts, j + 1, b, markup)
+                if j < b and texts[j] == "{":
+                    k = _match(texts, j) + 1
+                    continue
+        elif c.isspace() or (t in spacing and c not in "{}"):
+            continue
+        if prefix >= 0 and t in _DELIMITER_TEXTS:
+            size = texts[prefix][1:]
+            if size == "left":
+                depth += 1
+                if first < 0:
+                    first = prefix
+            elif size == "right":
+                depth -= 1
+                if depth < 0:
+                    raise MismatchedLeftRightError(pos[prefix])
+            prefix = -1
+            if t == "." and (size == "left" or size == "right"):
+                continue
+        else:
+            if prefix >= 0:
+                out.append(Token(TokenKind.CONTROL, texts[prefix]))
+                prefix = -1
+            if c == "{":
+                stack.append((out, depth, first))
+                out, depth, first = [], 0, -1
+                continue
+            if c == "}":
+                if depth:
+                    raise MismatchedLeftRightError(pos[first])
+                kids = out
+                out, depth, first = stack.pop()
+                if (
+                    len(kids) == 1
+                    and isinstance(kids[0], Token)
+                    and kids[0].kind in (TokenKind.CHAR, TokenKind.CONTROL)
+                ):
+                    out.append(kids[0])
+                else:
+                    out.append(Group(tuple(kids)))
+                continue
+            if c == "\\" and name in settings.size_prefixes:
+                prefix = k - 1
+                continue
+        if c == "\\" and name in settings.bar_synonyms:
+            out.append(Token(TokenKind.CHAR, "|"))
+            continue
+        mapped = settings.delimiter_map.get(t)
+        if mapped is not None:
+            kind = TokenKind.CONTROL if mapped.startswith("\\") else TokenKind.CHAR
+            out.append(Token(kind, mapped))
+        elif c != "&" and c != "%":
+            kind = TokenKind.CONTROL if c == "\\" else _SINGLE.get(c, TokenKind.CHAR)
+            out.append(Token(kind, t))
+    if prefix >= 0:
+        out.append(Token(TokenKind.CONTROL, texts[prefix]))
+    if depth:
+        raise MismatchedLeftRightError(pos[first])
+    return CanonicalTree(tuple(out))

@@ -7,9 +7,9 @@ import pytest
 import gen
 import oracle
 from semtex import canonicalize_string, render
-from semtex.canonicalize import _build, canonicalize
+from semtex.canonicalize import CanonicalSettings, _build, canonicalize
 from semtex.errors import MismatchedLeftRightError, SemtexError
-from semtex.lexer import Token, _check_balance, _lex, build_groups, tokenize
+from semtex.lexer import Token, _check_balance, _lex, build_groups, flatten, tokenize
 
 
 def canon(source):
@@ -193,3 +193,49 @@ def test_builder_matches_the_tree_walk_reference(glossary):
     assert seen["tree"] > 2000
     assert seen["MismatchedLeftRightError"] > 200
     assert seen["UnbalancedGroupError"] > 200
+
+
+def _bar_mapped():
+    """Settings where | is a delimiter synonym, so only the bar spelling
+    of \\mid stays |, and where x is a spacing token."""
+    return CanonicalSettings.from_config(
+        {
+            "spacing_tokens": ["\\,", "x"],
+            "size_prefixes": ["left", "right", "big"],
+            "bar_synonyms": ["mid"],
+            "delimiter_classes": [{"canonical": "\\vert", "variants": ["|", "\\lvert"]}],
+        }
+    )
+
+
+@pytest.mark.parametrize("custom", [False, True])
+def test_builder_leaf_table_matches_the_table_free_reference(glossary, custom):
+    settings = _bar_mapped() if custom else glossary.settings
+    rng = random.Random(20261019)
+    sources = [*_EDGES, *(_soup(rng) for _ in range(3000)), *gen.corpus(seed=12, count=300)]
+    # one table per row kind, each shared by every row, as in a document
+    tables = {True: {}, False: {}}
+    seen = Counter()
+    for source in sources:
+        texts, starts = _lex(source)
+        if _outcome(lambda: _check_balance(texts, starts, 0, len(texts))) is not None:
+            continue
+        for row in (True, False):
+            want = _outcome(lambda: oracle.build(texts, starts, 0, len(texts), settings, row))
+            got = _outcome(
+                lambda: _build(texts, starts, 0, len(texts), settings, row, tables[row])
+            )
+            assert got == want, (source, row)
+            if isinstance(got, tuple):
+                seen[got[0]] += 1
+            else:
+                seen["tree"] += 1
+                leaves = flatten(got.nodes)
+                assert all(t.span is None and not t.inert for t in leaves)
+    assert seen["tree"] > 2000 and seen["MismatchedLeftRightError"] > 100
+    # the tables hold only texts whose leaf does not depend on context
+    for table in tables.values():
+        assert table and all(t == leaf.text for t, leaf in table.items())
+        assert not table.keys() & {"\\label", "\\nonumber", "\\notag", "\\hspace", "\\mspace"}
+        assert not table.keys() & (settings.spacing_tokens | settings.delimiter_map.keys())
+        assert not {t[1:] for t in table} & (settings.size_prefixes | settings.bar_synonyms)

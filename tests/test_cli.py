@@ -62,6 +62,20 @@ def test_a_caller_that_paused_the_collector_finds_it_paused(tmp_path, capsys):
         gc.enable()
 
 
+def test_replace_names_the_line_of_a_span_that_fails_to_canonicalize(tmp_path, capsys):
+    bad = tmp_path / "a.tex"
+    bad.write_text("Intro.\n\\[ x+1 \\]\n\\[ f(x)=\\left(1+x \\]\n")
+    rc = main(["replace", "--input", str(bad), "--input", MINI, "--out", str(tmp_path / "o")])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"{bad}: MismatchedLeftRightError: mismatched \\left/\\right at offset 25 "
+        "in the span at line 3:9\n"
+    )
+    assert captured.out == "kls_mini.tex: 56 replacements\n"
+    assert not (tmp_path / "o" / "a.tex").exists()
+
+
 def test_convert_requires_output(capsys):
     rc = main(["convert", "--input", MINI])
     assert rc == 2
@@ -108,7 +122,8 @@ def test_convert_reads_a_file_reached_twice_once(tmp_path, capsys):
 def test_importing_the_cli_loads_no_network_stack():
     code = (
         "import sys, semtex.cli; "
-        "print(sorted({'urllib.request', 'http.client', 'ssl', 'email'} & set(sys.modules)))"
+        "print(sorted({'urllib.request', 'http.client', 'ssl', 'email', 'xml.etree.ElementTree'}"
+        " & set(sys.modules)))"
     )
     src = str(Path(semtex.__file__).resolve().parent.parent)
     path = os.environ.get("PYTHONPATH")

@@ -1,5 +1,6 @@
 import bisect
 import random
+from collections import Counter
 
 import pytest
 
@@ -7,7 +8,16 @@ import gen
 import oracle
 from semtex import canonicalize_string, detokenize, extract_math, render, replace_all, tokenize
 from semtex.errors import UnbalancedGroupError, UnterminatedEnvironmentError
-from semtex.lexer import Group, Token, TokenKind, _lex, build_groups, flatten
+from semtex.lexer import (
+    Group,
+    Token,
+    TokenKind,
+    _lex,
+    _marks,
+    _row_ranges,
+    build_groups,
+    flatten,
+)
 from semtex.metadata import _scan_sections
 
 from conftest import DATA
@@ -284,7 +294,9 @@ def rows(source):
 
 
 def headings(source):
-    return [(h.pos, h.end, h.level, h.title) for h in _scan_sections(*_lex(source))]
+    texts, starts = _lex(source)
+    marks = _marks(source, texts, starts)
+    return [(h.pos, h.end, h.level, h.title) for h in _scan_sections(texts, starts, marks)]
 
 
 def test_escaped_dollars_and_commented_dollars_open_no_math():
@@ -378,3 +390,44 @@ def test_math_rows_hold_the_tokens_tokenize_gives_inside_their_spans():
             a = bisect.bisect_left(starts, m.span[0])
             b = bisect.bisect_left(starts, m.span[1])
             assert _lexed(flatten(m.body)) == tokens[a:b]
+
+
+# pieces of documents that open, close, hide or nest environments and
+# headings: comments, \\, \$, display and inline dollars, titles that
+# hold headings or math, and control words that only start like a mark
+_DOC_PIECES = (
+    "\\begin{equation}", "\\end{equation}", "\\begin{align}", "\\end{align}",
+    "\\begin {equation*}", "\\end{equation*}", "\\begin{itemize}", "\\end{itemize}",
+    "\\begin{\\end{equation}}", "\\begin", "\\end", "\\[", "\\]", "$", "$$", "\\$",
+    "\\\\", "\\\\[", "% c $ \\begin{equation} \\[\n", "\\section{", "\\subsection * {",
+    "\\section{A \\subsection{B} $x$}", "\\section", "}", "{", "x", "=", " ", "\n", "&",
+    "\\label{a}", "\\beginx", "\\endgroup", "\\sectionmark", "\\left(", "\\right)",
+)
+_MARK_TEXTS = frozenset(
+    {"\\begin", "\\end", "\\[", "\\]", "$", "\\section", "\\subsection"}
+)
+
+
+def _scan_outcome(make):
+    try:
+        return make()
+    except (UnbalancedGroupError, UnterminatedEnvironmentError) as exc:
+        return type(exc).__name__, str(exc), exc.position
+
+
+def test_structural_scans_match_the_token_walk_reference():
+    rng = random.Random(20261019)
+    seen = Counter()
+    for _ in range(3000):
+        source = "".join(rng.choice(_DOC_PIECES) for _ in range(rng.randint(1, 20)))
+        texts, starts = _lex(source)
+        marks = _marks(source, texts, starts)
+        assert marks == [k for k, t in enumerate(texts) if t in _MARK_TEXTS], source
+        want = _scan_outcome(lambda: list(oracle.row_ranges(texts, starts)))
+        got = _scan_outcome(lambda: list(_row_ranges(texts, starts, marks)))
+        assert got == want, source
+        heads = [(h.pos, h.end, h.level, h.title) for h in _scan_sections(texts, starts, marks)]
+        assert heads == oracle.scan_sections(texts, starts), source
+        seen[want[0] if isinstance(want, tuple) else "rows" if want else "none"] += 1
+        seen["headings"] += bool(heads)
+    assert min(seen.values()) > 200, seen

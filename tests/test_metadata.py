@@ -11,9 +11,11 @@ import oracle
 from conftest import DATA
 from semtex.engine import replace_all
 from semtex.errors import SubstitutionCycleError, UnbalancedGroupError
-from semtex.lexer import flatten, render
+from semtex.lexer import Group, Token, TokenKind, flatten, render
 from semtex.metadata import (
     AnnotationKind,
+    _split_trailing,
+    _top_level_equation,
     contains_relational,
     detect_constraints,
     detect_substitutions,
@@ -663,3 +665,41 @@ def test_name_goes_to_the_first_row_that_converts(glossary):
     f = by_id(res)
     assert bodies(AnnotationKind.NAME, f["b"]) == ["Jacobi orthogonality relation"]
     assert f["c"].annotations == []
+
+
+def _odd_tree(rng, depth=2):
+    """Random nodes: brackets that need not pair, commas and relationals,
+    some with a kind their text does not give, and nested groups."""
+    kinds = (TokenKind.CHAR, TokenKind.CONTROL, TokenKind.ALIGN_TAB)
+    texts = ("(", ")", "[", "]", ",", "=", "<", ">", "\\le", "\\in", "\\neq", "x", "\\alpha")
+    out = []
+    for _ in range(rng.randint(0, 12)):
+        r = rng.random()
+        if r < 0.1 and depth:
+            out.append(Group(tuple(_odd_tree(rng, depth - 1))))
+        else:
+            text = rng.choice(texts)
+            kind = rng.choice(kinds) if r < 0.25 else (
+                TokenKind.CONTROL if text[0] == "\\" else TokenKind.CHAR
+            )
+            out.append(Token(kind, text, inert=rng.random() < 0.05))
+    return out
+
+
+def test_top_level_scans_match_the_generator_reference(glossary):
+    rng = random.Random(20261019)
+    rows = [canonicalize_string(s).nodes for s in gen.corpus(seed=13, count=400)]
+    trees = [
+        *rows,
+        *(replace_all(r, glossary)[0].nodes for r in rows),
+        *(_odd_tree(rng) for _ in range(3000)),
+    ]
+    clauses = equations = 0
+    for nodes in trees:
+        got = _split_trailing(nodes)
+        assert got == oracle.split_trailing(nodes), nodes
+        eq = _top_level_equation(nodes)
+        assert eq == oracle.top_level_equation(nodes), nodes
+        clauses += bool(got[1])
+        equations += eq is not None
+    assert clauses > 300 and equations > 300

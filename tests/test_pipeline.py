@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 import socket
 import threading
 
@@ -23,6 +24,7 @@ from semtex.errors import (
 )
 from semtex.glossary import builtin_glossary
 from semtex.lexer import extract_math, render
+from semtex.metadata import _line_col
 from semtex.mockserver import start_server
 from semtex.pages import SiteInfo
 from semtex.pipeline import (
@@ -301,10 +303,16 @@ def stats_zero():
 
 def composed_replace(source, glossary):
     """replace_text as the public steps compose it: extract every span,
-    canonicalize its body, then replace and render it in place."""
+    canonicalize its body, naming the line:col of a \\left/\\right fault,
+    then replace and render it in place."""
     parts, pieces, cursor = [], [], 0
     for ms in extract_math(source):
-        sem, stats = replace_all(canonicalize(list(ms.body), glossary.settings), glossary)
+        try:
+            tree = canonicalize(list(ms.body), glossary.settings)
+        except MismatchedLeftRightError as exc:
+            where = _line_col(source, ms.span[0] if exc.position is None else exc.position)
+            raise MismatchedLeftRightError(exc.position, f"{exc} in the span at line {where}")
+        sem, stats = replace_all(tree, glossary)
         parts.append(stats)
         pieces += [source[cursor : ms.span[0]], render(sem.nodes)]
         cursor = ms.span[1]
@@ -413,6 +421,77 @@ def test_gamma_of_sin_keeps_its_meaning_across_passes(glossary):
 def test_replace_text_names_the_span_of_an_unknown_semantic_macro(glossary):
     with pytest.raises(UnknownSemanticMacroError, match=r"\\mystery in the span at line 2:5$"):
         replace_text("Let $x$ be\nso $\\mystery@{z}$ holds.", glossary)
+
+
+def test_replace_text_names_the_line_of_a_span_that_fails_to_canonicalize(glossary):
+    source = "Intro.\n\\[ x+1 \\]\n\\[ f(x)=\\left(1+x \\]\n"
+    with pytest.raises(MismatchedLeftRightError) as info:
+        replace_text(source, glossary)
+    assert str(info.value) == (
+        "mismatched \\left/\\right at offset 25 in the span at line 3:9"
+    )
+    assert info.value.position == 25
+
+
+@pytest.mark.parametrize(
+    "source, message",
+    [
+        (
+            "\\begin{equation} x+1",
+            "UnterminatedEnvironmentError: unterminated 'equation' starting at offset 0 "
+            "at line 1:1",
+        ),
+        (
+            "Intro.\n\\[ {x+1 \\]\n",
+            "UnbalancedGroupError: unbalanced group at offset 10 at line 2:4",
+        ),
+    ],
+)
+def test_a_file_failure_names_the_line_of_its_fault(tmp_path, source, message):
+    bad = tmp_path / "bad.tex"
+    bad.write_text(source)
+    result = run_pipeline(PipelineConfig(inputs=[bad, DATA / "kls_mini.tex"]), write=False)
+    assert result.exit_code == 1
+    assert result.failures == [(str(bad), message)]
+    assert len(result.pages) == 28
+
+
+_EDIT_PIECES = ("{", "}", "$", "\\[", "\\]", "\\begin", "\\end", "\\section", "\\left", "\\right", "@")
+
+
+def _edited(rng, source):
+    """source with one to three pieces inserted at, or deleted from,
+    seeded places."""
+    for _ in range(rng.randint(1, 3)):
+        piece = rng.choice(_EDIT_PIECES)
+        at = [m.start() for m in re.finditer(re.escape(piece), source)]
+        if at and rng.random() < 0.5:
+            i = rng.choice(at)
+            source = source[:i] + source[i + len(piece) :]
+        else:
+            i = rng.randrange(len(source) + 1)
+            source = source[:i] + piece + source[i:]
+    return source
+
+
+def test_edited_documents_fail_only_with_located_semtex_errors(tmp_path, glossary, mini_source):
+    rng = random.Random(20261019)
+    paths = []
+    for k in range(200):
+        source = _edited(rng, mini_source)
+        try:
+            replace_text(source, glossary)
+        except SemtexError:
+            pass
+        paths.append(tmp_path / f"e{k:03d}.tex")
+        paths[-1].write_text(source, encoding="utf-8")
+    result = run_pipeline(PipelineConfig(inputs=paths), write=False)
+    files = {str(p) for p in paths}
+    failed_files = {where for where, _ in result.failures if where in files}
+    assert result.exit_code == (1 if failed_files else 0)
+    assert len(failed_files) > 50 and len(result.failures) > len(failed_files)
+    for where, message in result.failures:
+        assert re.search(r"\bline \d+:\d+\b", message), (where, message)
 
 
 @pytest.mark.parametrize("attr", ["output_path", "report_path"])
