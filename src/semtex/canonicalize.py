@@ -115,21 +115,22 @@ _LEAF_KINDS = (_CHAR, _CONTROL)
 _ROW_MARKUP = frozenset({"\\nonumber", "\\notag"})
 # Control words that reach a leaf only where their context lets them
 _NOT_PLAIN = _ROW_MARKUP | {"\\label"}
+# Leaves a display row drops off the end of its canonical top level
+_ROW_PUNCTUATION = frozenset({",", ".", ";"})
 
 
-def _match(texts: Sequence[str], j: int, step: int = 1) -> int:
-    """Index of the brace that matches the one at texts[j], looking
-    forward from a { with step 1 and back from a } with step -1."""
+def _match(texts: Sequence[str], j: int) -> int:
+    """Index of the } that matches the { at texts[j]."""
     depth = 0
     while True:
         t = texts[j]
         if t == "{":
-            depth += step
+            depth += 1
         elif t == "}":
-            depth -= step
-        if not depth:
-            return j
-        j += step
+            depth -= 1
+            if not depth:
+                return j
+        j += 1
 
 
 def _skip_blank(texts: Sequence[str], i: int, b: int, markup: bool) -> int:
@@ -150,26 +151,6 @@ def _skip_blank(texts: Sequence[str], i: int, b: int, markup: bool) -> int:
     return i
 
 
-def _row_end(texts: Sequence[str], a: int, b: int) -> int:
-    """End of a row body a..b-1 without its trailing whitespace, , . ;
-    and markup."""
-    while b > a:
-        t = texts[b - 1]
-        if t == "}":
-            # the argument of a trailing \label goes with it
-            p = _match(texts, b - 1, -1) - 1
-            while p >= a and texts[p][0].isspace():
-                p -= 1
-            if p < a or texts[p] != "\\label":
-                break
-            b = p
-        elif t[0].isspace() or t in _ROW_MARKUP or t in (",", ".", ";"):
-            b -= 1
-        else:
-            break
-    return b
-
-
 def _build(
     texts: Sequence[str],
     pos: Sequence[int | None],
@@ -181,8 +162,9 @@ def _build(
 ) -> CanonicalTree:
     """The canonical tree of the balanced tokens texts[a:b], read once, by
     the rules canonicalize gives; pos[k] is the offset an error at token k
-    names.  A row also drops \\label{...}, \\nonumber, \\notag and
-    trailing whitespace and , . ; tokens at its top level.
+    names.  A row also drops \\label{...}, \\nonumber and \\notag at its
+    top level, and then the , . ; leaves that end its canonical top
+    level, so the . of a closing \\right. is a delimiter, not punctuation.
 
     Leaves are spanless, non-inert and never mutated, so one leaf serves
     every occurrence of its text.  leaves maps each plain text met so
@@ -198,8 +180,6 @@ def _build(
         leaves = {}
     plain = leaves.get
     spacing = settings.spacing_tokens
-    if row:
-        b = _row_end(texts, a, b)
     # one (nodes, depth, first) frame per enclosing group: the sequence
     # built so far, its \left count less its \right count, and the index
     # of its first \left (-1 before it)
@@ -289,6 +269,9 @@ def _build(
         out.append(Token(_CONTROL, texts[prefix]))
     if depth:
         raise MismatchedLeftRightError(pos[first])
+    if row:
+        while out and out[-1].__class__ is Token and out[-1].text in _ROW_PUNCTUATION:
+            out.pop()
     return CanonicalTree(tuple(out))
 
 

@@ -97,7 +97,6 @@ def _cmd_verify_render(args: argparse.Namespace) -> int:
         )
         return 2
     cfg.endpoint = endpoint
-    cfg.output_path = None
     run = run_pipeline(cfg, write=False)
     formulae = run.formulae
     if args.limit:

@@ -15,7 +15,8 @@ tried (the glossary buckets them by that atom: a token by its text, a
 group by whether it is empty), in the same total order, so the rule
 that fires is the one a try-every-rule walk would pick.  match_at runs
 the steps each rule compiles its pattern to.  strip_semantics walks
-with _emit_pattern and is the inverse.
+with _emit_pattern, which runs the same steps to rebuild presentation,
+and is the inverse.
 """
 
 from __future__ import annotations
@@ -28,14 +29,14 @@ from typing import Callable, Iterable, Mapping, Sequence
 from .canonicalize import CanonicalTree
 from .errors import UnknownSemanticMacroError
 from .glossary import (
-    _CLOSER,
     EMPTY_GROUP,
     END,
     FIELD,
     GROUP,
     LIT,
+    RUN,
+    SEPARATOR_CHARS,
     TOKEN,
-    AtomKind,
     Glossary,
     MacroRule,
 )
@@ -56,7 +57,7 @@ _SINGLE_STOP_KINDS = frozenset(
 )
 _SINGLE_STOP_CONTROL = frozenset({"le", "leq", "ge", "geq", "ne", "neq", "in", "\\"})
 
-_SEPARATOR_TEXTS = frozenset({",", ";", "|"})
+_SEPARATOR_TEXTS = frozenset(SEPARATOR_CHARS)
 
 # Token kinds a bare semantic-macro field may have
 _FIELD_KINDS = (TokenKind.CHAR, TokenKind.CONTROL)
@@ -296,39 +297,28 @@ def _parse_semantic(nodes: Sequence[Node], i: int, rule: MacroRule):
     return None if end is None else (caps, end)
 
 
-def _emit_pattern(rule: MacroRule, caps: Mapping[str, list[Node]]) -> list[Node]:
-    """Rebuild the presentation form of one rule from stripped captures."""
+def _emit_pattern(rule: MacroRule, caps: Mapping[str, Sequence[Node]]) -> list[Node]:
+    """Rebuild the presentation form of one rule from stripped captures,
+    by running its compiled steps."""
     buffers: list[list[Node]] = [[]]
-    opens: list[str] = []
-    for atom in rule.pattern:
-        buf = buffers[-1]
-        if atom.kind is AtomKind.LITERAL:
-            buf.append(_token_for(atom.value))
-        elif atom.kind is AtomKind.SEPARATOR:
-            buf.append(_token_for(atom.value))
-        elif atom.kind is AtomKind.OPEN:
-            if atom.value == "{":
-                buffers.append([])
+    for op, arg in rule.steps:
+        if op == LIT:
+            buffers[-1].append(_token_for(arg))
+        elif op == GROUP:
+            buffers.append([])
+        elif op == END:
+            kids = buffers.pop()
+            buffers[-1].append(Group(tuple(kids)))
+        elif op == RUN:
+            buffers[-1].extend(caps[arg])
+        else:  # TOKEN or FIELD
+            seq = caps[arg]
+            # canonical trees carry no one-leaf brace groups, so a lone
+            # token round-trips bare and anything else braced
+            if len(seq) == 1 and isinstance(seq[0], Token):
+                buffers[-1].append(seq[0])
             else:
-                buf.append(_token_for(atom.value))
-            opens.append(atom.value)
-        elif atom.kind is AtomKind.CLOSE:
-            o = opens.pop()
-            if o == "{":
-                kids = buffers.pop()
-                buffers[-1].append(Group(tuple(kids)))
-            else:
-                buffers[-1].append(_token_for(_CLOSER[o]))
-        else:  # capture
-            seq = list(caps[atom.name])
-            if atom.mode == "balanced-expression":
-                buf.extend(seq)
-            elif len(seq) == 1 and isinstance(seq[0], Token):
-                # canonical trees carry no one-leaf brace groups, so a
-                # lone token round-trips bare and anything else braced
-                buf.append(seq[0])
-            else:
-                buf.append(Group(tuple(seq)))
+                buffers[-1].append(Group(tuple(seq)))
     return buffers[0]
 
 

@@ -457,31 +457,21 @@ def _row_ranges(texts: list[str], starts: list[int], marks: list[int]) -> Iterat
                     rows = [(after, end_at)]
             else:
                 rows = ()
-        elif t == "\\[":
-            while m < nm and texts[marks[m]] != "\\]":
-                m += 1
-            if m == nm:
-                raise UnterminatedEnvironmentError("bracket-display", starts[i])
-            j = marks[m]
-            env, rows, end = "bracket-display", [(i + 1, j)], j + 1
-        # t is $ from here on
-        elif i + 1 < n and texts[i + 1] == "$":
-            m += 1  # past the second $
+        else:
+            # \[ closes at \], $$ at $ followed by $ and $ at $; width is
+            # the number of tokens in the opener and in the closer
+            close = "\\]" if t == "\\[" else "$"
+            width = 2 if t == "$" and i + 1 < n and texts[i + 1] == "$" else 1
+            env = "inline-dollar" if t == "$" and width == 1 else "bracket-display"
+            m += width - 1  # past the second $ of $$
             while m < nm:
                 j = marks[m]
-                if texts[j] == "$" and j + 1 < n and texts[j + 1] == "$":
+                if texts[j] == close and (width == 1 or (j + 1 < n and texts[j + 1] == "$")):
                     break
                 m += 1
             if m == nm:
-                raise UnterminatedEnvironmentError("bracket-display", starts[i])
-            env, rows, end = "bracket-display", [(i + 2, j)], j + 2
-        else:
-            while m < nm and texts[marks[m]] != "$":
-                m += 1
-            if m == nm:
-                raise UnterminatedEnvironmentError("inline-dollar", starts[i])
-            j = marks[m]
-            env, rows, end = "inline-dollar", [(i + 1, j)], j + 1
+                raise UnterminatedEnvironmentError(env, starts[i])
+            rows, end = [(i + width, j)], j + width
         # marks before end lie inside what was just read
         while m < nm and marks[m] < end:
             m += 1

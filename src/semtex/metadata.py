@@ -429,18 +429,17 @@ def _sequences(nodes: Sequence[Node]) -> Iterator[Sequence[Node]]:
 
 def _head_finder(
     heads: Sequence[tuple[str, tuple[Node, ...], bool]]
-) -> Callable[..., list[int]]:
+) -> Callable[[Sequence[Node], str, str], list[int]]:
     """A search for many (unit, head run, is_function) entries at once.
 
-    The search takes nodes, their unit and optionally their render, and
-    returns, in order, the positions in heads of the unit's entries
-    whose run occurs in the nodes or any nested group; a function head
-    counts only where "(" follows it.  Given the render, it returns []
-    without a walk when the render holds no first-token text of the
-    unit's runs: render writes every token text verbatim, so then no
-    token can start a run.  Otherwise it walks the nodes once: only a
-    token whose text starts some run of the unit starts a full
-    comparison with those runs.
+    The search takes nodes, their unit and a text holding every token
+    text of the nodes, such as their render, and returns, in order, the
+    positions in heads of the unit's entries whose run occurs in the
+    nodes or any nested group; a function head counts only where "("
+    follows it.  It returns [] without a walk when the text holds no
+    first-token text of the unit's runs: then no token can start a run.
+    Otherwise it walks the nodes once: only a token whose text starts
+    some run of the unit starts a full comparison with those runs.
     """
     # unit -> text of the first token -> distinct runs
     index: dict[str, dict[str, list[tuple[Node, ...]]]] = {}
@@ -451,9 +450,9 @@ def _head_finder(
             bucket.append(run)
         positions.setdefault((unit, run, is_function), []).append(k)
 
-    def find(nodes: Sequence[Node], unit: str, text: str | None = None) -> list[int]:
+    def find(nodes: Sequence[Node], unit: str, text: str) -> list[int]:
         runs = index.get(unit)
-        if runs is None or (text is not None and not any(t in text for t in runs)):
+        if runs is None or not any(t in text for t in runs):
             return []
         hits: set[tuple[tuple[Node, ...], bool]] = set()
         for seq in _sequences(nodes):
@@ -661,7 +660,10 @@ def inline_substitutions(
     |fs| == |result| + |defs|.
     """
     find = _head_finder([(d.unit, d.lhs_head, d.is_function) for d in defs])
-    edges = [[k for k in find(d.rhs, d.unit) if k != j] for j, d in enumerate(defs)]
+    # a def's equation holds every token text of its right side
+    edges = [
+        [k for k in find(d.rhs, d.unit, d.equation) if k != j] for j, d in enumerate(defs)
+    ]
     closures = _closures(defs, edges)
     def_rows = {d.ordinal for d in defs}
     out = []

@@ -15,7 +15,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 from .engine import ReplacementStats
 from .errors import ConfigInvalidError, DuplicateTitleError, MissingBibEntryError
 from .glossary import Glossary, MacroRule
-from .metadata import Annotation, AnnotationKind, Formula, SubstitutionDef
+from .metadata import AnnotationKind, Formula, SubstitutionDef
 
 EXPORT_NS = "http://www.mediawiki.org/xml/export-0.10/"
 EXPORT_SCHEMA = "http://www.mediawiki.org/xml/export-0.10.xsd"
@@ -127,22 +127,10 @@ def build_symbols_list(f: Formula, glossary: Glossary) -> list[SymbolsListEntry]
     return entries
 
 
-def _math_section(title: str, anns: Sequence[Annotation]) -> list[str]:
-    if not anns:
-        return []
-    lines = [f"== {title} =="]
-    lines.extend(f":<math>{a.body}</math>" for a in anns)
-    lines.append("")
-    return lines
-
-
-def _prose_section(title: str, anns: Sequence[Annotation]) -> list[str]:
-    if not anns:
-        return []
-    lines = [f"== {title} =="]
-    lines.extend(a.body for a in anns)
-    lines.append("")
-    return lines
+def _section(title: str, lines: Sequence[str]) -> list[str]:
+    """A page section: its heading, its lines and a blank line, or
+    nothing when it has no lines."""
+    return [f"== {title} ==", *lines, ""] if lines else []
 
 
 def render_page(
@@ -167,22 +155,21 @@ def render_page(
         lines.append("")
     lines.append(f"<math>{f.source_semantic}</math>")
     lines.append("")
-    lines.extend(_math_section("Constraints", f.annotations_of(AnnotationKind.CONSTRAINT)))
-    lines.extend(
-        _math_section("Substitutions", f.annotations_of(AnnotationKind.SUBSTITUTION))
+    for title, kind in (
+        ("Constraints", AnnotationKind.CONSTRAINT),
+        ("Substitutions", AnnotationKind.SUBSTITUTION),
+    ):
+        lines += _section(title, [f":<math>{a.body}</math>" for a in f.annotations_of(kind)])
+    for title, kind in (("Proof", AnnotationKind.PROOF), ("Notes", AnnotationKind.NOTE)):
+        lines += _section(title, [a.body for a in f.annotations_of(kind)])
+    lines += _section(
+        "Symbols List",
+        [
+            f"* <math>{s.rendered_form}</math> : {s.description} "
+            f"([{s.definition_link} definition])"
+            for s in build_symbols_list(f, glossary)
+        ],
     )
-    lines.extend(_prose_section("Proof", f.annotations_of(AnnotationKind.PROOF)))
-    lines.extend(_prose_section("Notes", f.annotations_of(AnnotationKind.NOTE)))
-
-    symbols = build_symbols_list(f, glossary)
-    if symbols:
-        lines.append("== Symbols List ==")
-        for s in symbols:
-            lines.append(
-                f"* <math>{s.rendered_form}</math> : {s.description} "
-                f"([{s.definition_link} definition])"
-            )
-        lines.append("")
 
     lines.append("== Bibliography ==")
     cite = f"Equation ({f.citation.tag}) of {entry.author}, ''{entry.title}''"

@@ -24,7 +24,9 @@ from .errors import (
     SemtexError,
     ServiceRejectedError,
     ServiceUnreachableError,
+    UnbalancedGroupError,
     UnknownSemanticMacroError,
+    UnterminatedEnvironmentError,
 )
 from .glossary import Glossary, builtin_glossary, load_glossary
 from .lexer import Token, _lex, _marks, _row_ranges, render
@@ -236,11 +238,10 @@ _FILE_ERRORS = (SemtexError, OSError, UnicodeDecodeError)
 
 def _file_failure(exc: Exception, source: str) -> str:
     """The report line of a file that failed with exc, naming the line:col
-    of the error's source position when it has one."""
+    of a document-structure error; a span failure names its own."""
     msg = f"{type(exc).__name__}: {exc}"
-    position = getattr(exc, "position", None)
-    if position is not None:
-        msg += f" at line {_line_col(source, position)}"
+    if isinstance(exc, (UnbalancedGroupError, UnterminatedEnvironmentError)):
+        msg += f" at line {_line_col(source, exc.position)}"
     return msg
 
 
@@ -399,13 +400,15 @@ def replace_files(
     files = expand_inputs(cfg.inputs)
     for path, prefix in zip(files, _id_prefixes(files)):
         name = prefix + path.suffix
+        text = ""
         try:
-            rewritten, stats = replace_text(path.read_text(encoding="utf-8"), glossary)
+            text = path.read_text(encoding="utf-8")
+            rewritten, stats = replace_text(text, glossary)
             target = outdir / name
             target.parent.mkdir(parents=True, exist_ok=True)
             target.write_text(rewritten, encoding="utf-8")
         except _FILE_ERRORS as exc:
-            yield str(path), f"{type(exc).__name__}: {exc}"
+            yield str(path), _file_failure(exc, text)
             continue
         yield name, stats
 

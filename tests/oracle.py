@@ -41,7 +41,6 @@ from semtex.canonicalize import (
     DEFAULT_SETTINGS,
     CanonicalTree,
     _match,
-    _row_end,
     _skip_blank,
 )
 from semtex.errors import (
@@ -423,7 +422,7 @@ def canonicalize(nodes, settings=DEFAULT_SETTINGS):
 
 def strip_markup(nodes):
     """Drop top-level \\label{...} (TeX skips spaces before the brace),
-    \\nonumber and \\notag, then trailing whitespace and , . ; tokens."""
+    \\nonumber and \\notag."""
     out = []
     i = 0
     while i < len(nodes):
@@ -439,18 +438,22 @@ def strip_markup(nodes):
                 continue
         out.append(nd)
         i += 1
-    while out and (
-        isinstance(out[-1], Token)
-        and (out[-1].kind is TokenKind.WHITESPACE or out[-1].text in (",", ".", ";"))
-    ):
-        out.pop()
     return out
+
+
+def _drop_punctuation(nodes):
+    """nodes without the , . ; tokens that end them."""
+    nodes = list(nodes)
+    while nodes and isinstance(nodes[-1], Token) and nodes[-1].text in (",", ".", ";"):
+        nodes.pop()
+    return tuple(nodes)
 
 
 def canonicalize_row(source, settings=DEFAULT_SETTINGS):
     """The canonical tree of a display row body: lex, group, strip the
-    markup, canonicalize."""
-    return canonicalize(strip_markup(build_groups(tokenize(source))), settings)
+    markup, canonicalize, then drop the trailing , . ; leaves."""
+    tree = canonicalize(strip_markup(build_groups(tokenize(source))), settings)
+    return CanonicalTree(_drop_punctuation(tree.nodes))
 
 
 def render(nodes):
@@ -649,8 +652,6 @@ def build(texts, pos, a, b, settings, row=False):
     """The canonical tree of texts[a:b], token by token, every leaf built
     afresh, by the rules semtex.canonicalize._build documents."""
     spacing = settings.spacing_tokens
-    if row:
-        b = _row_end(texts, a, b)
     stack = []
     out = []
     depth, first = 0, -1
@@ -731,4 +732,4 @@ def build(texts, pos, a, b, settings, row=False):
         out.append(Token(TokenKind.CONTROL, texts[prefix]))
     if depth:
         raise MismatchedLeftRightError(pos[first])
-    return CanonicalTree(tuple(out))
+    return CanonicalTree(_drop_punctuation(out) if row else tuple(out))

@@ -141,6 +141,9 @@ _EDGES = (
     r"\left\label{a}( x \right)",
     r"\hspace \label{a} * \notag {2mm} x",
     r"x . \,",
+    r"\left( x \right \label{a} .",
+    r"\left. y \right \, .",
+    r"x \bigr.",
 )
 
 

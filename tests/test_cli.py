@@ -21,6 +21,7 @@ from semtex.mockserver import start_server
 
 MINI = str(DATA / "kls_mini.tex")
 BIB = str(DATA / "bib.json")
+BROKEN_FAILURE = "UnbalancedGroupError: unbalanced group at offset 78 at line 5:9"
 
 
 def test_convert(tmp_path, capsys):
@@ -87,7 +88,9 @@ def test_convert_reports_file_failures(tmp_path, capsys):
         ["convert", "--input", str(DATA / "broken.tex"), "--out", str(tmp_path / "d.xml")]
     )
     assert rc == 1
-    assert "failures: 1" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "failures: 1" in out
+    assert f"  {DATA / 'broken.tex'}: {BROKEN_FAILURE}\n" in out
 
 
 def test_convert_keeps_the_first_row_of_a_repeated_label(tmp_path, capsys):
@@ -157,7 +160,8 @@ def test_replace_reports_broken_files(tmp_path, capsys):
     )
     assert rc == 1
     captured = capsys.readouterr()
-    assert "UnbalancedGroup" in captured.err
+    # the line convert lists for the same file
+    assert captured.err == f"{DATA / 'broken.tex'}: {BROKEN_FAILURE}\n"
     assert (tmp_path / "kls_mini.tex").exists()  # good file still converted
 
 

@@ -253,15 +253,21 @@ def _every_rule_walk(nodes, glossary):
     return out
 
 
-def test_dispatch_keeps_the_global_rule_order(mixed_glossary):
+def _dispatch_texts():
+    """Formulae that fire every rule of the mixed glossary, half of them
+    with ( ) spelled [ ]."""
     texts = [r"\Gamma(z)", r"\sin -x", r"[a+b]_n", r"x , y", r"a^2", r"\frac{a+1}{b+c}"]
     for seed in range(3):
         for k, text in enumerate(gen.corpus(seed=1000 + seed, count=150)):
             if k % 2:
                 text = text.replace("(", "[").replace(")", "]")
             texts.append(text)
+    return texts
+
+
+def test_dispatch_keeps_the_global_rule_order(mixed_glossary):
     fired = Counter()
-    for text in texts:
+    for text in _dispatch_texts():
         tree = canonicalize_string(text, mixed_glossary.settings)
         out, stats = replace_all(tree, mixed_glossary)
         assert dict(stats.per_rule) == dict(oracle.scan(tree.nodes, mixed_glossary)), text
@@ -272,6 +278,18 @@ def test_dispatch_keeps_the_global_rule_order(mixed_glossary):
     assert set(fired) >= {r["name"] for r in _EXTRA_RULES}, fired
     assert convert(r"\Gamma(z)", mixed_glossary)[0] == r"\Apply{\Gamma}@{z}"
     assert convert(r"\sin z", mixed_glossary)[0] == r"\sin@@{z}"
+
+
+def test_strip_inverts_replace_under_every_step_kind(mixed_glossary):
+    # Bracket's [ ] closers, Ratio's two groups, Comma's separator and
+    # Apply's leading capture take every kind of step back to presentation
+    fired = Counter()
+    for text in _dispatch_texts():
+        tree = canonicalize_string(text, mixed_glossary.settings)
+        sem, stats = replace_all(tree, mixed_glossary)
+        assert strip_semantics(sem, mixed_glossary) == tree, text
+        fired.update(stats.per_rule)
+    assert set(fired) >= {"Bracket", "Ratio", "Comma", "Apply"}, fired
 
 
 def test_only_rules_whose_first_atom_fits_are_tried(glossary, monkeypatch):

@@ -94,6 +94,34 @@ def test_a_label_with_a_space_before_its_brace_is_stripped(glossary):
     assert f.source_semantic == "x=\\EulerGamma@{z}"
 
 
+@pytest.mark.parametrize(
+    "row, semantic",
+    [
+        # the . of a closing \right. is a null delimiter, not punctuation
+        ("f(x) = \\left\\{ a \\right.", "f(x)=\\{a"),
+        ("\\left. \\frac{d}{dx}\\Gamma(x) \\right. .", "\\frac d{dx}\\EulerGamma@{x}"),
+        # punctuation before a comment still ends the row
+        ("a+b. % note\n", "a+b"),
+    ],
+)
+def test_a_row_drops_the_punctuation_that_ends_its_canonical_form(glossary, row, semantic):
+    res = extract_document(wrap(row), glossary)
+    assert res.failures == []
+    assert [f.source_semantic for f in res.formulae] == [semantic]
+
+
+def test_a_lone_right_dot_ending_a_row_is_a_mismatch(glossary):
+    res = extract_document("\\[ x \\right. \\]", glossary)
+    assert res.formulae == []
+    assert res.failures == [
+        (
+            "f1",
+            "MismatchedLeftRightError: mismatched \\left/\\right at offset 5 "
+            "in the row at line 1:6",
+        )
+    ]
+
+
 def test_segment_skips_inline_math(glossary):
     fs = segment_formulae("text $a+b$ more \\[ c \\]", glossary)
     assert [f.id for f in fs] == ["f1"]
