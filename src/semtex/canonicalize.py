@@ -48,6 +48,10 @@ DEFAULT_DELIMITER_CLASSES = (
 # Spacing commands that take a braced argument which goes away with them.
 _ARG_SPACING = frozenset({"hspace", "mspace"})
 
+# Commands whose braced argument is text, in which each whitespace run
+# is kept as one space leaf.
+_TEXT_ARGS = frozenset({"text", "mbox", "textrm", "textit", "textbf"})
+
 # Token texts a size prefix may be applied to.
 _DELIMITER_TEXTS = frozenset(
     {"(", ")", "[", "]", "\\{", "\\}", "|", ".", "/",
@@ -111,10 +115,12 @@ _CONTROL = TokenKind.CONTROL
 _CHAR = TokenKind.CHAR
 # Token kinds a one-leaf brace group unwraps to.
 _LEAF_KINDS = (_CHAR, _CONTROL)
-# Markup a display row drops at its top level, besides \label{...}.
+# Markup a display row drops at every depth, besides \label{...}.
 _ROW_MARKUP = frozenset({"\\nonumber", "\\notag"})
 # Control words that reach a leaf only where their context lets them
-_NOT_PLAIN = _ROW_MARKUP | {"\\label"}
+_NOT_PLAIN = _ROW_MARKUP | {"\\label"} | {"\\" + name for name in _TEXT_ARGS}
+# The leaf of a whitespace run in a text argument
+_SPACE = Token(TokenKind.WHITESPACE, " ")
 # Leaves a display row drops off the end of its canonical top level
 _ROW_PUNCTUATION = frozenset({",", ".", ";"})
 
@@ -162,9 +168,9 @@ def _build(
 ) -> CanonicalTree:
     """The canonical tree of the balanced tokens texts[a:b], read once, by
     the rules canonicalize gives; pos[k] is the offset an error at token k
-    names.  A row also drops \\label{...}, \\nonumber and \\notag at its
-    top level, and then the , . ; leaves that end its canonical top
-    level, so the . of a closing \\right. is a delimiter, not punctuation.
+    names.  A row also drops \\label{...}, \\nonumber and \\notag at every
+    depth, and then the , . ; leaves that end its canonical top level,
+    so the . of a closing \\right. is a delimiter, not punctuation.
 
     Leaves are spanless, non-inert and never mutated, so one leaf serves
     every occurrence of its text.  leaves maps each plain text met so
@@ -173,8 +179,9 @@ def _build(
     is one whose treatment does not depend on its context: wherever no
     size prefix waits, it becomes its own leaf, so one lookup decides
     it.  Whitespace, spacing tokens, { } & and comments, size prefixes,
-    bar and delimiter synonyms, \\label, \\nonumber, \\notag, \\hspace
-    and \\mspace are not plain; a leaf built for one of them is fresh.
+    bar and delimiter synonyms, \\label, \\nonumber, \\notag, \\hspace,
+    \\mspace and the text commands of _TEXT_ARGS are not plain; a leaf
+    built for one of them is fresh.
     """
     if leaves is None:
         leaves = {}
@@ -187,6 +194,8 @@ def _build(
     out: list[Node] = []
     depth, first = 0, -1
     prefix = -1  # index of a size prefix waiting for the next token
+    text_at = -1  # index of the { that opens the last text argument seen
+    quoted = -1  # len(stack) inside the text argument being read, else -1
     k = a
     while k < b:
         t = texts[k]
@@ -199,22 +208,31 @@ def _build(
         c = t[0]
         if c == "\\":
             name = t[1:]
-            if row and not stack and (t in _ROW_MARKUP or name == "label"):
-                j = _skip_blank(texts, k - 1, b, True)
-                if j >= k:
-                    k = j
+            if row and t in _ROW_MARKUP:
+                continue
+            if row and name == "label":
+                j = _skip_blank(texts, k, b, False)
+                if j < b and texts[j] == "{":
+                    k = _match(texts, j) + 1
                     continue
             if t in spacing:
                 continue
             if name in _ARG_SPACING:
-                markup = row and not stack
-                j = _skip_blank(texts, k, b, markup)
+                j = _skip_blank(texts, k, b, row)
                 if j < b and texts[j] == "*":
-                    j = _skip_blank(texts, j + 1, b, markup)
+                    j = _skip_blank(texts, j + 1, b, row)
                 if j < b and texts[j] == "{":
                     k = _match(texts, j) + 1
                     continue
-        elif c.isspace() or (t in spacing and c not in "{}"):
+            if name in _TEXT_ARGS:
+                # the argument follows past spaces and, in a row, markup
+                j = _skip_blank(texts, k, b, row)
+                if j < b and texts[j] == "{":
+                    k = text_at = j
+        elif c.isspace():
+            if quoted < 0:
+                continue
+        elif t in spacing and c not in "{}":
             continue
         if prefix >= 0 and t in _DELIMITER_TEXTS:
             size = texts[prefix][1:]
@@ -236,10 +254,14 @@ def _build(
             if c == "{":
                 stack.append((out, depth, first))
                 out, depth, first = [], 0, -1
+                if k - 1 == text_at and quoted < 0:
+                    quoted = len(stack)
                 continue
             if c == "}":
                 if depth:
                     raise MismatchedLeftRightError(pos[first])
+                if len(stack) == quoted:
+                    quoted = -1
                 kids = out
                 out, depth, first = stack.pop()
                 if len(kids) == 1 and kids[0].__class__ is Token and kids[0].kind in _LEAF_KINDS:
@@ -252,6 +274,9 @@ def _build(
                 continue
         # the leaf, with bar and delimiter synonyms mapped to one spelling;
         # tabs and comments go
+        if c.isspace():
+            out.append(_SPACE)
+            continue
         if c == "\\" and name in settings.bar_synonyms:
             out.append(Token(_CHAR, "|"))
             continue
@@ -280,7 +305,9 @@ def canonicalize(
 ) -> CanonicalTree:
     """Canonicalize in one walk.  In each node sequence, in order:
 
-    1. drop whitespace, spacing tokens and \\hspace/\\mspace{...};
+    1. drop whitespace, spacing tokens and \\hspace/\\mspace{...}, but
+       keep each whitespace run inside the braced argument of \\text,
+       \\mbox, \\textrm, \\textit or \\textbf as one space leaf;
     2. collapse sized and synonym delimiters to one spelling per class
        (\\left. and \\right. disappear) and raise MismatchedLeftRightError
        when \\left/\\right do not pair up within the sequence;

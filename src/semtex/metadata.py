@@ -19,7 +19,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .canonicalize import (
     DEFAULT_SETTINGS,
@@ -38,7 +38,6 @@ from .errors import (
 )
 from .glossary import Glossary
 from .lexer import (
-    Group,
     Node,
     Token,
     TokenKind,
@@ -149,7 +148,9 @@ class SubstitutionDef:
     """A formula that merely defines a symbol used by its neighbours.
 
     ordinal is the defining row's Formula.ordinal, which, unlike its id,
-    is unique in a document.
+    is unique in a document.  users holds the ordinals of the rows of
+    the def's unit whose semantic body uses its head, its own row
+    included.
     """
 
     lhs_head: tuple[Node, ...]
@@ -159,6 +160,7 @@ class SubstitutionDef:
     equation: str
     unit: str
     ordinal: int
+    users: frozenset[int]
 
 
 @dataclass
@@ -420,11 +422,19 @@ def detect_constraints(
     return CanonicalTree(core), clauses
 
 
-def _sequences(nodes: Sequence[Node]) -> Iterator[Sequence[Node]]:
-    yield nodes
-    for nd in nodes:
-        if isinstance(nd, Group):
-            yield from _sequences(nd.children)
+class _State:
+    """One state of a head trie, the goto function of Aho and Corasick
+    (1975) over a unit's head runs.  next holds the states that follow
+    it, keyed by node; plain and call hold the positions of the heads
+    whose run ends here, call those of function heads, which count only
+    where "(" follows."""
+
+    __slots__ = ("next", "plain", "call")
+
+    def __init__(self) -> None:
+        self.next: dict[Node, _State] = {}
+        self.plain: list[int] = []
+        self.call: list[int] = []
 
 
 def _head_finder(
@@ -438,37 +448,47 @@ def _head_finder(
     nodes or any nested group; a function head counts only where "("
     follows it.  It returns [] without a walk when the text holds no
     first-token text of the unit's runs: then no token can start a run.
-    Otherwise it walks the nodes once: only a token whose text starts
-    some run of the unit starts a full comparison with those runs.
+    Otherwise it walks each node sequence once, and from each token
+    follows the unit's trie as far as the sequence matches it, so a
+    token costs at most the length of the longest run, however many
+    runs share its text.
     """
-    # unit -> text of the first token -> distinct runs
-    index: dict[str, dict[str, list[tuple[Node, ...]]]] = {}
-    positions: dict[tuple[str, tuple[Node, ...], bool], list[int]] = {}
+    # unit -> text of a run's first token -> the state after it; a run
+    # starts with a letter or a control word, whose kind its text decides
+    roots: dict[str, dict[str, _State]] = {}
     for k, (unit, run, is_function) in enumerate(heads):
-        bucket = index.setdefault(unit, {}).setdefault(run[0].text, [])
-        if run not in bucket:
-            bucket.append(run)
-        positions.setdefault((unit, run, is_function), []).append(k)
+        state = roots.setdefault(unit, {}).setdefault(run[0].text, _State())
+        for nd in run[1:]:
+            state = state.next.setdefault(nd, _State())
+        (state.call if is_function else state.plain).append(k)
 
     def find(nodes: Sequence[Node], unit: str, text: str) -> list[int]:
-        runs = index.get(unit)
-        if runs is None or not any(t in text for t in runs):
+        goto = roots.get(unit)
+        if goto is None or not any(t in text for t in goto):
             return []
-        hits: set[tuple[tuple[Node, ...], bool]] = set()
-        for seq in _sequences(nodes):
+        hits: set[int] = set()
+        todo = [nodes]
+        while todo:
+            seq = todo.pop()
             n = len(seq)
             for i, nd in enumerate(seq):
-                if not isinstance(nd, Token) or nd.text not in runs:
+                if nd.__class__ is not Token:
+                    todo.append(nd.children)
                     continue
-                for run in runs[nd.text]:
-                    end = i + len(run)
-                    if end > n or any(seq[i + k] != r for k, r in enumerate(run)):
-                        continue
-                    hits.add((run, False))
-                    nxt = seq[end] if end < n else None
-                    if isinstance(nxt, Token) and nxt.is_char("("):
-                        hits.add((run, True))
-        return sorted(k for run, call in hits for k in positions.get((unit, run, call), ()))
+                state = goto.get(nd.text)
+                j = i + 1
+                while state is not None:
+                    nxt = seq[j] if j < n else None
+                    if state.plain:
+                        hits.update(state.plain)
+                    if state.call and nxt.__class__ is Token and nxt.text == "(":
+                        if nxt.kind is _CHAR:
+                            hits.update(state.call)
+                    if nxt is None or not state.next:
+                        break
+                    state = state.next.get(nxt)
+                    j += 1
+        return sorted(hits)
 
     return find
 
@@ -554,7 +574,8 @@ def detect_substitutions(
     The core must be a single equation H = RHS with H a simple symbol or
     an application of simple symbols; glossary macro heads never
     qualify.  A function head counts as used only where a call "("
-    follows it.
+    follows it.  Each formula is searched once, for every candidate
+    head of its unit, and the rows found become the defs' users.
     """
     candidates: list[tuple[Formula, int, tuple[Node, ...], bool]] = []
     for f in fs:
@@ -593,6 +614,7 @@ def detect_substitutions(
                 equation=f.source_semantic,
                 unit=f.unit,
                 ordinal=f.ordinal,
+                users=frozenset(rows),
             )
         )
     return defs
@@ -658,6 +680,10 @@ def inline_substitutions(
     when no formula uses them; its ids run from the first def of the
     ring the search reaches, round the ring and back to it.
     |fs| == |result| + |defs|.
+
+    defs come from detect_substitutions over the same rows: a formula
+    uses the defs whose users hold its ordinal, and only the defs'
+    right sides are searched, for the defs they use.
     """
     find = _head_finder([(d.unit, d.lhs_head, d.is_function) for d in defs])
     # a def's equation holds every token text of its right side
@@ -665,12 +691,17 @@ def inline_substitutions(
         [k for k in find(d.rhs, d.unit, d.equation) if k != j] for j, d in enumerate(defs)
     ]
     closures = _closures(defs, edges)
+    # row ordinal -> positions in defs of the defs the row uses, in order
+    used: dict[int, list[int]] = {}
+    for k, d in enumerate(defs):
+        for ordinal in d.users:
+            used.setdefault(ordinal, []).append(k)
     def_rows = {d.ordinal for d in defs}
     out = []
     for f in fs:
         if f.ordinal in def_rows:
             continue
-        merged = _merge(closures[k] for k in find(f.semantic_nodes, f.unit, f.source_semantic))
+        merged = _merge(closures[k] for k in used.get(f.ordinal, ()))
         for d in merged.values():
             f.annotations.append(
                 Annotation(
@@ -763,6 +794,11 @@ def extract_document(
     Document-level errors propagate.  A formula whose id repeats that of
     an earlier one left after inlining is such a failure, located by
     line:col, and the earlier one keeps the id.
+
+    Each distinct prose sentence's constraints and each distinct
+    clause's replacement are computed once per document and kept in a
+    table; a conversion that raises is not kept, so every row that
+    holds it fails on its own.
     """
     settings = glossary.settings
     patterns = _keyword_patterns(keywords)
@@ -772,6 +808,10 @@ def extract_document(
     sections = _scan_sections(texts, starts, marks)
     rows = _display_rows(texts, starts, marks)
     leaves: dict[str, Token] = {}
+    # sentence text -> its canonical constraints; canonical clause ->
+    # its rendered replacement and per-rule counts
+    prose: dict[str, list[tuple[Node, ...]]] = {}
+    converted: dict[tuple[Node, ...], tuple[str, dict[str, int]]] = {}
     ok: list[Formula] = []
     failures: list[tuple[str, str]] = []
     # upcoming holds the sentences of the prose before the next
@@ -801,8 +841,13 @@ def extract_document(
         if not isinstance(f, Formula):
             failures.append(f)
             continue
+        core, clauses = _split_trailing(f.source_canonical.nodes)
         try:
-            core, clauses = detect_constraints(f, following, introducers, settings)
+            for sentence in following[: _introduced(following, introducers)]:
+                got = prose.get(sentence)
+                if got is None:
+                    got = prose[sentence] = _prose_constraints(sentence, settings)
+                clauses += got
         except SemtexError as exc:
             # offsets in a prose snippet are not source offsets
             what = str(exc).split(" at offset ")[0]
@@ -814,20 +859,23 @@ def extract_document(
                 )
             )
             continue
+        tree = CanonicalTree(core)
         try:
-            sem, stats = replace_all(core, glossary)
+            sem, stats = replace_all(tree, glossary)
             counts = Counter(stats.per_rule)
             for clause in clauses:
-                rep, st = replace_all(CanonicalTree(clause), glossary)
-                counts.update(st.per_rule)
-                f.annotations.append(
-                    Annotation(AnnotationKind.CONSTRAINT, render(rep.nodes), f.id)
-                )
+                got = converted.get(clause)
+                if got is None:
+                    rep, st = replace_all(CanonicalTree(clause), glossary)
+                    got = converted[clause] = (render(rep.nodes), st.per_rule)
+                body, per_rule = got
+                counts.update(per_rule)
+                f.annotations.append(Annotation(AnnotationKind.CONSTRAINT, body, f.id))
         except UnknownSemanticMacroError as exc:
             where = _line_col(source, f.span[0])
             failures.append((f.id, f"{type(exc).__name__}: {exc} for the row at line {where}"))
             continue
-        f.source_canonical = core
+        f.source_canonical = tree
         f.semantic_nodes = sem.nodes
         f.source_semantic = render(sem.nodes)
         f.stats = ReplacementStats.from_counts(counts, formulae=1)

@@ -28,6 +28,10 @@ def response_for(latex: str) -> str:
 
 
 class _Handler(BaseHTTPRequestHandler):
+    # every response has a Content-Length, so a client may keep its
+    # connection for the next request
+    protocol_version = "HTTP/1.1"
+
     def do_POST(self) -> None:
         length = int(self.headers.get("Content-Length", "0"))
         data = self.rfile.read(length).decode("utf-8")

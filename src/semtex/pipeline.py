@@ -208,6 +208,8 @@ def validate_config(cfg: PipelineConfig) -> None:
     for p in cfg.inputs:
         if not p.exists():
             raise ConfigInvalidError(f"input path does not exist: {p}")
+        if p.is_dir() and next(p.glob("*.tex"), None) is None:
+            raise ConfigInvalidError(f"input directory holds no *.tex file: {p}")
     for name, p in (
         ("glossary", cfg.glossary_path),
         ("bibliography", cfg.bibliography_path),
@@ -427,10 +429,17 @@ def request_mathml(semantic_latex: str, endpoint: str) -> RenderedMath:
     failures raise ServiceUnreachableError.
     """
     import requests
+
+    return _post_mathml(requests.post, semantic_latex, endpoint)
+
+
+def _post_mathml(post, semantic_latex: str, endpoint: str) -> RenderedMath:
+    """request_mathml through post, requests.post or a Session's post."""
+    import requests
     from xml.etree import ElementTree
 
     try:
-        resp = requests.post(
+        resp = post(
             endpoint,
             data=semantic_latex.encode("utf-8"),
             headers={"Content-Type": "text/plain; charset=utf-8"},
@@ -468,20 +477,25 @@ def verify_render(
     entries instead of exceptions, so a down service never fails a run.
     Once the service is unreachable the remaining formulae are skipped,
     so a dead service costs one timeout rather than one per formula.
+    Every request goes through one session, so one connection serves
+    them all while the service keeps it open.
     """
+    import requests
+
     out = []
     unreachable = False
-    for f in formulae:
-        if unreachable:
-            out.append((f.id, "warning: service unreachable (skipped)"))
-            continue
-        try:
-            rendered = request_mathml(f.source_semantic, endpoint)
-            ok = rendered.presentation and rendered.content
-            out.append((f.id, "ok" if ok else "warning: empty rendering"))
-        except ServiceUnreachableError as exc:
-            out.append((f.id, f"warning: service unreachable: {exc}"))
-            unreachable = True
-        except ServiceRejectedError as exc:
-            out.append((f.id, f"warning: service rejected: {exc}"))
+    with requests.Session() as session:
+        for f in formulae:
+            if unreachable:
+                out.append((f.id, "warning: service unreachable (skipped)"))
+                continue
+            try:
+                rendered = _post_mathml(session.post, f.source_semantic, endpoint)
+                ok = rendered.presentation and rendered.content
+                out.append((f.id, "ok" if ok else "warning: empty rendering"))
+            except ServiceUnreachableError as exc:
+                out.append((f.id, f"warning: service unreachable: {exc}"))
+                unreachable = True
+            except ServiceRejectedError as exc:
+                out.append((f.id, f"warning: service rejected: {exc}"))
     return out

@@ -8,7 +8,9 @@ it, then recurse into captured sequences and unmatched groups.
 detect_substitutions() and inline_substitutions() test every formula
 against every other formula and every def, and walk the def graph afresh
 for each formula and each def.  They share only the def parsing helpers
-with semtex.metadata.
+with semtex.metadata.  head_finder() is the search semtex.metadata's
+head trie replaced: runs bucketed by their first token's text, and each
+token compared with every run in its bucket.
 
 tokenize() is the character-by-character lexer that semtex.lexer's
 one-regex tokenizer replaced; it gives the same kinds, texts and spans.
@@ -38,6 +40,7 @@ from semtex.canonicalize import (
     _ARG_SPACING,
     _DELIMITER_TEXTS,
     _ROW_MARKUP,
+    _TEXT_ARGS,
     DEFAULT_SETTINGS,
     CanonicalTree,
     _match,
@@ -237,8 +240,12 @@ def detect_substitutions(fs, glossary):
         head = run[0]
         if head.inert or (head.kind is TokenKind.CONTROL and head.name in glossary.heads):
             continue
-        others = [g for g in fs if g.unit == f.unit and g.ordinal != f.ordinal]
-        if any(_run_occurs(g.semantic_nodes, run, is_function) for g in others):
+        users = frozenset(
+            g.ordinal
+            for g in fs
+            if g.unit == f.unit and _run_occurs(g.semantic_nodes, run, is_function)
+        )
+        if users - {f.ordinal}:
             defs.append(
                 SubstitutionDef(
                     run,
@@ -248,9 +255,48 @@ def detect_substitutions(fs, glossary):
                     f.source_semantic,
                     f.unit,
                     f.ordinal,
+                    users,
                 )
             )
     return defs
+
+
+def head_finder(heads):
+    """The search of semtex.metadata._head_finder, bucketed: a unit's runs
+    are grouped by their first token's text, and a token that starts a
+    bucket is compared with every run in it."""
+    index = {}
+    positions = {}
+    for k, (unit, run, is_function) in enumerate(heads):
+        bucket = index.setdefault(unit, {}).setdefault(run[0].text, [])
+        if run not in bucket:
+            bucket.append(run)
+        positions.setdefault((unit, run, is_function), []).append(k)
+
+    def find(nodes, unit, text):
+        runs = index.get(unit)
+        if runs is None or not any(t in text for t in runs):
+            return []
+        hits = set()
+        seqs = [nodes]
+        while seqs:
+            seq = seqs.pop()
+            seqs.extend(nd.children for nd in seq if isinstance(nd, Group))
+            n = len(seq)
+            for i, nd in enumerate(seq):
+                if not isinstance(nd, Token) or nd.text not in runs:
+                    continue
+                for run in runs[nd.text]:
+                    end = i + len(run)
+                    if end > n or any(seq[i + k] != r for k, r in enumerate(run)):
+                        continue
+                    hits.add((run, False))
+                    nxt = seq[end] if end < n else None
+                    if isinstance(nxt, Token) and nxt.is_char("("):
+                        hits.add((run, True))
+        return sorted(k for run, call in hits for k in positions.get((unit, run, call), ()))
+
+    return find
 
 
 def _expand_def(d, defs, seen, path):
@@ -350,22 +396,37 @@ def _canonical_delimiter(t, settings):
     return t
 
 
-def _canon(nodes, settings):
+def _canon(nodes, settings, text=False):
+    """The canonical nodes of one sequence; with text set, the sequence
+    lies in a text argument, where each whitespace run is one space."""
     n = len(nodes)
     # pass 1: spacing, so a size prefix sees the delimiter behind it
     seq = []
+    texts = set()  # positions in seq of groups that are text arguments
     i = 0
     while i < n:
         node = nodes[i]
         i += 1
         if isinstance(node, Token):
-            if node.kind is TokenKind.WHITESPACE or node.text in settings.spacing_tokens:
+            if node.kind is TokenKind.WHITESPACE:
+                if text:
+                    seq.append(Token(TokenKind.WHITESPACE, " "))
+                continue
+            if node.text in settings.spacing_tokens:
                 continue
             if node.kind is TokenKind.CONTROL and node.name in _ARG_SPACING:
                 j = _skip_whitespace(nodes, i)
                 if j < n and isinstance(nodes[j], Token) and nodes[j].is_char("*"):
                     j = _skip_whitespace(nodes, j + 1)
                 if j < n and isinstance(nodes[j], Group):
+                    i = j + 1
+                    continue
+            if node.kind is TokenKind.CONTROL and node.name in _TEXT_ARGS:
+                j = _skip_whitespace(nodes, i)
+                if j < n and isinstance(nodes[j], Group):
+                    seq.append(node)
+                    texts.add(len(seq))
+                    seq.append(nodes[j])
                     i = j + 1
                     continue
         seq.append(node)
@@ -379,7 +440,7 @@ def _canon(nodes, settings):
         node = seq[i]
         i += 1
         if isinstance(node, Group):
-            kids = _canon(node.children, settings)
+            kids = _canon(node.children, settings, text or i - 1 in texts)
             if (
                 len(kids) == 1
                 and isinstance(kids[0], Token)
@@ -421,12 +482,16 @@ def canonicalize(nodes, settings=DEFAULT_SETTINGS):
 
 
 def strip_markup(nodes):
-    """Drop top-level \\label{...} (TeX skips spaces before the brace),
-    \\nonumber and \\notag."""
+    """Drop \\label{...} (TeX skips spaces before the brace), \\nonumber
+    and \\notag at every depth."""
     out = []
     i = 0
     while i < len(nodes):
         nd = nodes[i]
+        if isinstance(nd, Group):
+            out.append(Group(tuple(strip_markup(nd.children))))
+            i += 1
+            continue
         if isinstance(nd, Token) and nd.kind is TokenKind.CONTROL:
             if nd.name == "label":
                 j = _skip_whitespace(nodes, i + 1)
@@ -656,6 +721,8 @@ def build(texts, pos, a, b, settings, row=False):
     out = []
     depth, first = 0, -1
     prefix = -1
+    text_at = -1
+    quoted = -1
     k = a
     while k < b:
         t = texts[k]
@@ -663,22 +730,30 @@ def build(texts, pos, a, b, settings, row=False):
         c = t[0]
         if c == "\\":
             name = t[1:]
-            if row and not stack and (t in _ROW_MARKUP or name == "label"):
-                j = _skip_blank(texts, k - 1, b, True)
-                if j >= k:
-                    k = j
+            if row and t in _ROW_MARKUP:
+                continue
+            if row and name == "label":
+                j = _skip_blank(texts, k, b, False)
+                if j < b and texts[j] == "{":
+                    k = _match(texts, j) + 1
                     continue
             if t in spacing:
                 continue
             if name in _ARG_SPACING:
-                markup = row and not stack
-                j = _skip_blank(texts, k, b, markup)
+                j = _skip_blank(texts, k, b, row)
                 if j < b and texts[j] == "*":
-                    j = _skip_blank(texts, j + 1, b, markup)
+                    j = _skip_blank(texts, j + 1, b, row)
                 if j < b and texts[j] == "{":
                     k = _match(texts, j) + 1
                     continue
-        elif c.isspace() or (t in spacing and c not in "{}"):
+            if name in _TEXT_ARGS:
+                j = _skip_blank(texts, k, b, row)
+                if j < b and texts[j] == "{":
+                    k = text_at = j
+        elif c.isspace():
+            if quoted < 0:
+                continue
+        elif t in spacing and c not in "{}":
             continue
         if prefix >= 0 and t in _DELIMITER_TEXTS:
             size = texts[prefix][1:]
@@ -700,10 +775,14 @@ def build(texts, pos, a, b, settings, row=False):
             if c == "{":
                 stack.append((out, depth, first))
                 out, depth, first = [], 0, -1
+                if k - 1 == text_at and quoted < 0:
+                    quoted = len(stack)
                 continue
             if c == "}":
                 if depth:
                     raise MismatchedLeftRightError(pos[first])
+                if len(stack) == quoted:
+                    quoted = -1
                 kids = out
                 out, depth, first = stack.pop()
                 if (
@@ -718,6 +797,9 @@ def build(texts, pos, a, b, settings, row=False):
             if c == "\\" and name in settings.size_prefixes:
                 prefix = k - 1
                 continue
+        if c.isspace():
+            out.append(Token(TokenKind.WHITESPACE, " "))
+            continue
         if c == "\\" and name in settings.bar_synonyms:
             out.append(Token(TokenKind.CHAR, "|"))
             continue

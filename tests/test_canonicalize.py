@@ -128,7 +128,7 @@ _SOUP = (
     "\\{", "\\}", "|", "\\|", "\\mid", "\\vert", "\\lvert", "\\lparen", "\\rbrack",
     "\\lbrace", "\\rbrace", "\\langle", "\\label", "{eq:a}", "\\nonumber", "\\notag", "&",
     "% c\n", " ", " ", "\\,", "\\quad", "~", ",", ";", "x", "1", "\\alpha", "^", "_", "=",
-    "\\\\",
+    "\\\\", "\\text", "\\mbox", "\\textrm", "\\textit", "\\textbf", "{a b}", "\\ ",
 )
 
 
@@ -144,6 +144,12 @@ _EDGES = (
     r"\left( x \right \label{a} .",
     r"\left. y \right \, .",
     r"x \bigr.",
+    r"\text{for all } n",
+    r"\mbox { for \label{a} } n",
+    r"\text{a \textbf {b  c} \nonumber d}, x \label{b}",
+    r"\textit{\big ( \bigl( \hspace{1mm} }",
+    r"{\text{ }} \textrm x \mbox",
+    r"f(x)={x \label{b}} \label{a}",
 )
 
 
@@ -240,5 +246,6 @@ def test_builder_leaf_table_matches_the_table_free_reference(glossary, custom):
     for table in tables.values():
         assert table and all(t == leaf.text for t, leaf in table.items())
         assert not table.keys() & {"\\label", "\\nonumber", "\\notag", "\\hspace", "\\mspace"}
+        assert not table.keys() & {"\\text", "\\mbox", "\\textrm", "\\textit", "\\textbf"}
         assert not table.keys() & (settings.spacing_tokens | settings.delimiter_map.keys())
         assert not {t[1:] for t in table} & (settings.size_prefixes | settings.bar_synonyms)

@@ -289,6 +289,19 @@ def test_missing_input_is_a_config_error(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("verb", ["convert", "replace"])
+def test_an_input_directory_without_tex_files_is_a_config_error(tmp_path, capsys, verb):
+    empty = tmp_path / "in"
+    empty.mkdir()
+    (empty / "notes.txt").write_text("\\[ x \\]")
+    out = tmp_path / ("x.xml" if verb == "convert" else "out")
+    rc = main([verb, "--input", str(empty), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: input directory holds no *.tex file: {empty}\n"
+    assert not out.exists()
+
+
 def test_config_file_with_flag_override(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"input": MINI, "bibliography": BIB, "corpus_prefix": "WRONG"}))
@@ -410,19 +423,20 @@ def test_verify_render_down_service_warns_but_passes(capsys):
 
 
 def test_verify_render_stops_posting_to_a_dead_service(capsys, monkeypatch):
-    import semtex.pipeline
-
     with socket.socket() as s:
         s.bind(("127.0.0.1", 0))
         port = s.getsockname()[1]
+    import requests
+
     attempts = []
-    real = semtex.pipeline.request_mathml
+    real = requests.Session.post
 
-    def counting(latex, endpoint):
-        attempts.append(latex)
-        return real(latex, endpoint)
+    def counting(session, url, **kwargs):
+        attempts.append(kwargs["data"])
+        return real(session, url, **kwargs)
 
-    monkeypatch.setattr(semtex.pipeline, "request_mathml", counting)
+    # verify-render posts every formula through one session
+    monkeypatch.setattr(requests.Session, "post", counting)
     rc = main(
         ["verify-render", "--input", MINI, "--endpoint", f"http://127.0.0.1:{port}/", "--limit", "3"]
     )

@@ -14,6 +14,7 @@ from semtex.errors import SubstitutionCycleError, UnbalancedGroupError
 from semtex.lexer import Group, Token, TokenKind, flatten, render
 from semtex.metadata import (
     AnnotationKind,
+    _head_finder,
     _split_trailing,
     _top_level_equation,
     contains_relational,
@@ -731,3 +732,146 @@ def test_top_level_scans_match_the_generator_reference(glossary):
         clauses += bool(got[1])
         equations += eq is not None
     assert clauses > 300 and equations > 300
+
+
+# ------------------------------------------------- per-document tables
+
+
+_REPEATED_ROWS = (
+    # (row body, where-sentence after it); the clause and the sentence
+    # repeat, and a clause and a sentence that fail repeat too
+    ("y_{k} = x, (a;q)_n>0", r"where $n=0,1,\ldots,N$ and $\Gamma(z)\ne 0$."),
+    ("y_{k} = x, (a;q)_n>0", r"where $n=0,1,\ldots,N$ and $\Gamma(z)\ne 0$."),
+    (r"y_{k} = x, \nosuch@{q}<1", r"where $n=0,1,\ldots,N$ and $\Gamma(z)\ne 0$."),
+    ("y_{k} = x, (a;q)_n>0", r"where $\left( n<1$."),
+    ("y_{k} = x, (a;q)_n>0", r"where $n=0,1,\ldots,N$ and $\Gamma(z)\ne 0$."),
+    (r"y_{k} = x, \nosuch@{q}<1", r"where $n=0,1,\ldots,N$ and $\Gamma(z)\ne 0$."),
+    ("y_{k} = x, (a;q)_n>0", r"where $\left( n<1$."),
+    ("y_{k} = x, (a;q)_n>0", r"where $n=0,1,\ldots,N$ and $\Gamma(z)\ne 0$."),
+)
+
+
+def _row_lines(k, body, sentence):
+    return [f"\\[ {body.replace('{k}', str(k))} \\label{{r{k}}} \\]", sentence]
+
+
+def test_repeated_constraints_convert_as_each_row_alone(glossary, monkeypatch):
+    import semtex.metadata
+
+    blocks = [_row_lines(k, *row) for k, row in enumerate(_REPEATED_ROWS)]
+    head = ["\\section{S}"]
+    whole = extract_document("\n".join(head + sum(blocks, [])), glossary)
+    got = {f.id: (f.annotations, f.stats) for f in whole.formulae}
+    failed = dict(whole.failures)
+    assert len(got) == 4 and len(failed) == 4
+    for k, block in enumerate(blocks):
+        # the row alone, at the same line and column
+        lines = sum((b if j == k else ["", ""] for j, b in enumerate(blocks)), [])
+        alone = extract_document("\n".join(head + lines), glossary)
+        fid = f"r{k}"
+        if alone.failures:
+            assert alone.failures == [(fid, failed[fid])], k
+        else:
+            (f,) = alone.formulae
+            assert got[fid] == (f.annotations, f.stats), k
+            assert f.stats.total == 2
+    # each distinct clause is replaced once, except one that fails,
+    # which every row holding it replaces again
+    calls = []
+    real = semtex.metadata.replace_all
+    monkeypatch.setattr(
+        semtex.metadata, "replace_all", lambda tree, g: calls.append(tree) or real(tree, g)
+    )
+    extract_document("\n".join(head + sum(blocks, [])), glossary)
+    cores = len(_REPEATED_ROWS) - 2  # the two rows failing in their prose reach no core
+    assert len(calls) == cores + 3 + 2
+
+
+# ------------------------------------------------------------ head trie
+
+
+def _nodes(text):
+    return canonicalize_string(text).nodes
+
+
+def _heads_on_one_base(count):
+    """count symbol heads \\Omega_{k} on one base, and plain \\Omega."""
+    return [("u", _nodes(f"\\Omega_{{{k}}}"), False) for k in range(1, count + 1)] + [
+        ("u", _nodes("\\Omega"), False)
+    ]
+
+
+# token texts the rows below are drawn from; brace groups nest
+_ROW_SOUP = (
+    "\\Omega", "\\Omega", "_", "_", "1", "2", "12", "{12}", "{1}", "(", ")", "F", "G", "x",
+    "+", "^", "m", "\\Gamma(", "(a;q)_n",
+)
+
+
+def _row_text(rng, depth=2):
+    parts = []
+    for _ in range(rng.randint(1, 8)):
+        if depth and rng.random() < 0.2:
+            parts.append("{" + _row_text(rng, depth - 1) + "}")
+        else:
+            parts.append(rng.choice(_ROW_SOUP))
+    text = " ".join(parts)
+    # balance the parentheses a \Gamma( opened
+    return text + ")" * text.count("\\Gamma(")
+
+
+def test_head_trie_matches_the_bucketed_reference(glossary):
+    omega, sub, one = _nodes("\\Omega_1")
+    heads = [
+        # prefix runs, runs that end in a group, and one base in two units
+        ("u", _nodes("\\Omega"), False),
+        ("u", _nodes("\\Omega_1"), False),
+        ("u", _nodes("\\Omega_{12}"), False),
+        ("u", _nodes("\\Omega_2"), False),
+        ("v", _nodes("\\Omega_1"), False),
+        # function heads, also on a base a symbol head shares
+        ("u", _nodes("F"), True),
+        ("u", _nodes("\\Omega"), True),
+        ("v", _nodes("G_m"), True),
+        ("v", _nodes("G_m"), False),
+        # a run repeated, and one whose _ has another kind than the lexer's
+        ("u", _nodes("\\Omega_2"), False),
+        ("u", (omega, Token(TokenKind.CHAR, "_"), one), False),
+    ] + _heads_on_one_base(400)
+    find = _head_finder(heads)
+    want = oracle.head_finder(heads)
+    rng = random.Random(19)
+    found = 0
+    for _ in range(1500):
+        text = _row_text(rng)
+        tree = canonicalize_string(text)
+        # replacement makes inert groups, such as \EulerGamma@{...}
+        nodes = replace_all(tree, glossary)[0].nodes if rng.random() < 0.5 else tree.nodes
+        if rng.random() < 0.1:
+            nodes = (*nodes, omega, Token(TokenKind.CHAR, "_"), one)
+        for unit in ("u", "v", "w"):
+            hits = find(nodes, unit, render(nodes))
+            assert hits == want(nodes, unit, render(nodes)), (text, unit)
+            found += len(hits)
+    assert found > 1500, found
+
+
+def test_head_search_compares_no_more_tokens_as_defs_share_a_base(monkeypatch):
+    uses = ("\\Omega_{{{k}}}+x", "\\frac{{\\Omega_{{{k}}}}}{{2}}", "F(\\Omega)+\\Omega_{k}")
+    rows = [_nodes(use.format(k=k)) for k in range(1, 41) for use in uses]
+
+    def comparisons(count):
+        heads = _heads_on_one_base(count) + [("u", _nodes("F"), True)]
+        find = _head_finder(heads)
+        calls = []
+        real_eq, real_hash = Token.__eq__, Token.__hash__
+        with monkeypatch.context() as m:
+            m.setattr(Token, "__eq__", lambda a, b: calls.append(1) or real_eq(a, b))
+            m.setattr(Token, "__hash__", lambda a: calls.append(1) or real_hash(a))
+            hits = [find(nodes, "u", render(nodes)) for nodes in rows]
+        return len(calls), [[heads[k][1:] for k in row] for row in hits]
+
+    few, hits_few = comparisons(40)
+    many, hits_many = comparisons(400)
+    assert hits_few == hits_many and all(hits_few)
+    assert many <= few, (few, many)

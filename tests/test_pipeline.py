@@ -547,3 +547,75 @@ def test_verify_render_degrades_to_warnings(mini_extraction):
     got = verify_render(mini_extraction.formulae[:2], f"http://127.0.0.1:{port}/")
     assert len(got) == 2
     assert all(status.startswith("warning: service unreachable") for _, status in got)
+
+
+def test_verify_render_reuses_one_connection(mini_extraction, monkeypatch):
+    import semtex.mockserver
+
+    connections = []
+    real = semtex.mockserver._Handler.setup
+
+    def counting(handler):
+        connections.append(handler.client_address)
+        real(handler)
+
+    monkeypatch.setattr(semtex.mockserver._Handler, "setup", counting)
+    server = start_server()
+    try:
+        sample = mini_extraction.formulae[:5]
+        got = verify_render(sample, f"http://127.0.0.1:{server.server_address[1]}/")
+    finally:
+        server.shutdown()
+        server.server_close()
+    assert got == [(f.id, "ok") for f in sample]
+    assert len(connections) == 1
+
+
+def test_verify_render_posts_once_to_a_down_service(mini_extraction, monkeypatch):
+    import requests
+
+    with socket.socket() as s:
+        s.bind(("127.0.0.1", 0))
+        port = s.getsockname()[1]
+    posts = []
+    real = requests.Session.post
+
+    def counting(session, url, **kwargs):
+        posts.append(url)
+        return real(session, url, **kwargs)
+
+    monkeypatch.setattr(requests.Session, "post", counting)
+    got = verify_render(mini_extraction.formulae[:5], f"http://127.0.0.1:{port}/")
+    assert len(posts) == 1
+    assert got[0][1].startswith("warning: service unreachable: ")
+    assert [status for _, status in got[1:]] == ["warning: service unreachable (skipped)"] * 4
+
+
+# ------------------------------------------------------------ text and labels
+
+
+@pytest.mark.parametrize(
+    "body, semantic",
+    [(r"\text{for all } n", r"\text{for all }n"), (r"\mbox{ for } n", r"\mbox{ for }n")],
+)
+def test_text_arguments_keep_their_spaces_in_pages_and_replace(tmp_path, body, semantic):
+    doc = tmp_path / "t.tex"
+    doc.write_text(f"\\section{{S}}\n\\[ y = x \\quad {body} \\label{{eq:t}} \\]\n")
+    res = run_pipeline(PipelineConfig(inputs=[doc]), write=False)
+    assert [f.source_semantic for f in res.formulae] == [f"y=x{semantic}"]
+    assert f"&lt;math&gt;y=x{semantic}&lt;/math&gt;" in res.dump
+    once, _ = replace_text(doc.read_text(), builtin_glossary())
+    assert f"y=x{semantic}\\label{{eq:t}}" in once
+    assert replace_text(once, builtin_glossary())[0] == once
+
+
+def test_a_label_in_a_group_of_a_display_row_leaks_into_no_page(tmp_path):
+    doc = tmp_path / "t.tex"
+    doc.write_text("\\section{S}\n\\[ f(x)={x \\label{b}} \\label{a} \\]\n")
+    res = run_pipeline(PipelineConfig(inputs=[doc]), write=False)
+    # the row's first \label names it
+    assert [(f.id, f.source_semantic) for f in res.formulae] == [("b", "f(x)=x")]
+    assert "&lt;math&gt;f(x)=x&lt;/math&gt;" in res.dump
+    # replace keeps every label
+    once, _ = replace_text(doc.read_text(), builtin_glossary())
+    assert "f(x)={x\\label b}\\label a" in once
