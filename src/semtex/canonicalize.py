@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from .errors import MismatchedLeftRightError
-from .lexer import _FIRST, Group, Node, Token, TokenKind, _check_balance, _lex, flatten
+from .lexer import Group, Node, Token, TokenKind, _check_balance, _lex, flatten
 
 DEFAULT_SPACING_TOKENS = (
     "\\,", "\\!", "\\;", "\\:", "~", "\\ ",
@@ -111,16 +111,14 @@ class CanonicalTree:
     nodes: tuple[Node, ...]
 
 
-_CONTROL = TokenKind.CONTROL
-_CHAR = TokenKind.CHAR
 # Token kinds a one-leaf brace group unwraps to.
-_LEAF_KINDS = (_CHAR, _CONTROL)
+_LEAF_KINDS = (TokenKind.CHAR, TokenKind.CONTROL)
 # Markup a display row drops at every depth, besides \label{...}.
 _ROW_MARKUP = frozenset({"\\nonumber", "\\notag"})
 # Control words that reach a leaf only where their context lets them
 _NOT_PLAIN = _ROW_MARKUP | {"\\label"} | {"\\" + name for name in _TEXT_ARGS}
 # The leaf of a whitespace run in a text argument
-_SPACE = Token(TokenKind.WHITESPACE, " ")
+_SPACE = Token(" ")
 # Leaves a display row drops off the end of its canonical top level
 _ROW_PUNCTUATION = frozenset({",", ".", ";"})
 
@@ -171,6 +169,8 @@ def _build(
     names.  A row also drops \\label{...}, \\nonumber and \\notag at every
     depth, and then the , . ; leaves that end its canonical top level,
     so the . of a closing \\right. is a delimiter, not punctuation.
+    Outside a row the group after \\label stays a group even when it
+    holds one leaf, so a rewritten label keeps its braces.
 
     Leaves are spanless, non-inert and never mutated, so one leaf serves
     every occurrence of its text.  leaves maps each plain text met so
@@ -187,15 +187,17 @@ def _build(
         leaves = {}
     plain = leaves.get
     spacing = settings.spacing_tokens
-    # one (nodes, depth, first) frame per enclosing group: the sequence
-    # built so far, its \left count less its \right count, and the index
-    # of its first \left (-1 before it)
-    stack: list[tuple[list[Node], int, int]] = []
+    # one (nodes, depth, first, opened) frame per enclosing group: the
+    # sequence built so far, its \left count less its \right count, the
+    # index of its first \left (-1 before it), and the index of the {
+    # that opened the group inside it
+    stack: list[tuple[list[Node], int, int, int]] = []
     out: list[Node] = []
     depth, first = 0, -1
     prefix = -1  # index of a size prefix waiting for the next token
     text_at = -1  # index of the { that opens the last text argument seen
     quoted = -1  # len(stack) inside the text argument being read, else -1
+    label_at = -1  # index of the { that opens the last label argument seen
     k = a
     while k < b:
         t = texts[k]
@@ -210,11 +212,13 @@ def _build(
             name = t[1:]
             if row and t in _ROW_MARKUP:
                 continue
-            if row and name == "label":
+            if name == "label":
                 j = _skip_blank(texts, k, b, False)
                 if j < b and texts[j] == "{":
-                    k = _match(texts, j) + 1
-                    continue
+                    if row:
+                        k = _match(texts, j) + 1
+                        continue
+                    k = label_at = j
             if t in spacing:
                 continue
             if name in _ARG_SPACING:
@@ -249,10 +253,10 @@ def _build(
                 continue
         else:
             if prefix >= 0:
-                out.append(Token(_CONTROL, texts[prefix]))
+                out.append(Token(texts[prefix]))
                 prefix = -1
             if c == "{":
-                stack.append((out, depth, first))
+                stack.append((out, depth, first, k - 1))
                 out, depth, first = [], 0, -1
                 if k - 1 == text_at and quoted < 0:
                     quoted = len(stack)
@@ -263,9 +267,10 @@ def _build(
                 if len(stack) == quoted:
                     quoted = -1
                 kids = out
-                out, depth, first = stack.pop()
-                if len(kids) == 1 and kids[0].__class__ is Token and kids[0].kind in _LEAF_KINDS:
-                    out.append(kids[0])
+                out, depth, first, opened = stack.pop()
+                kid = kids[0] if len(kids) == 1 else None
+                if kid.__class__ is Token and kid.kind in _LEAF_KINDS and opened != label_at:
+                    out.append(kid)
                 else:
                     out.append(Group(tuple(kids)))
                 continue
@@ -278,20 +283,20 @@ def _build(
             out.append(_SPACE)
             continue
         if c == "\\" and name in settings.bar_synonyms:
-            out.append(Token(_CHAR, "|"))
+            out.append(Token("|"))
             continue
         mapped = settings.delimiter_map.get(t)
         if mapped is not None:
-            out.append(Token(_CONTROL if mapped.startswith("\\") else _CHAR, mapped))
+            out.append(Token(mapped))
         elif c != "&" and c != "%":
             leaf = plain(t)
             if leaf is None:
-                leaf = Token(_FIRST.get(c, _CHAR), t)
+                leaf = Token(t)
                 if c != "\\" or (name not in _ARG_SPACING and t not in _NOT_PLAIN):
                     leaves[t] = leaf
             out.append(leaf)
     if prefix >= 0:
-        out.append(Token(_CONTROL, texts[prefix]))
+        out.append(Token(texts[prefix]))
     if depth:
         raise MismatchedLeftRightError(pos[first])
     if row:
@@ -313,7 +318,8 @@ def canonicalize(
        when \\left/\\right do not pair up within the sequence;
     3. drop alignment tabs and comments;
     4. canonicalize each group once and unwrap it when it holds a single
-       CHAR or CONTROL leaf, so {{n}} becomes n.
+       CHAR or CONTROL leaf, so {{n}} becomes n, except the argument of
+       \\label, so \\label{a} keeps its braces.
     """
     flat = flatten(nodes)
     texts = [t.text for t in flat]

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .canonicalize import CanonicalTree
+from .canonicalize import _LEAF_KINDS, CanonicalTree
 from .errors import UnknownSemanticMacroError
 from .glossary import (
     EMPTY_GROUP,
@@ -40,11 +40,10 @@ from .glossary import (
     Glossary,
     MacroRule,
 )
-from .lexer import Group, Node, Token, TokenKind, tokenize
+from .lexer import Group, Node, Token, TokenKind
 
 # Leaves a single-token/single-group capture refuses: delimiters,
 # separators, operators, relationals, and structural kinds.
-_SINGLE_STOP_CHARS = frozenset("()[],;|=<>+-*/@.")
 _SINGLE_STOP_KINDS = frozenset(
     {
         TokenKind.MATH_SHIFT,
@@ -55,24 +54,17 @@ _SINGLE_STOP_KINDS = frozenset(
         TokenKind.WHITESPACE,
     }
 )
-_SINGLE_STOP_CONTROL = frozenset({"le", "leq", "ge", "geq", "ne", "neq", "in", "\\"})
+_SINGLE_STOP_TEXTS = frozenset("()[],;|=<>+-*/@.") | {
+    "\\" + name for name in ("le", "leq", "ge", "geq", "ne", "neq", "in", "\\")
+}
 
 _SEPARATOR_TEXTS = frozenset(SEPARATOR_CHARS)
 
-# Token kinds a bare semantic-macro field may have
-_FIELD_KINDS = (TokenKind.CHAR, TokenKind.CONTROL)
-
 
 def _single_ok(node: Node | None) -> bool:
-    if not isinstance(node, Token) or node.inert:
+    if node.__class__ is not Token or node.inert:
         return False
-    if node.kind in _SINGLE_STOP_KINDS:
-        return False
-    if node.kind is TokenKind.CHAR and node.text in _SINGLE_STOP_CHARS:
-        return False
-    if node.kind is TokenKind.CONTROL and node.name in _SINGLE_STOP_CONTROL:
-        return False
-    return True
+    return node.kind not in _SINGLE_STOP_KINDS and node.text not in _SINGLE_STOP_TEXTS
 
 
 @dataclass
@@ -151,11 +143,11 @@ def match_at(nodes: Sequence[Node], pos: int, rule: MacroRule) -> MatchResult | 
 def instantiate(rule: MacroRule, captures: Mapping[str, Sequence[Node]]) -> list[Node]:
     """Build the semantic form of one rule from its fields, fully inert:
     the replacement of one firing, or a marked occurrence."""
-    out: list[Node] = [Token(TokenKind.CONTROL, "\\" + rule.head, inert=True)]
+    out: list[Node] = [Token("\\" + rule.head, inert=True)]
     for name in rule.param_names:
         out.append(Group(tuple(captures[name]), inert=True))
     for _ in rule.at_variant:
-        out.append(Token(TokenKind.CHAR, "@", inert=True))
+        out.append(Token("@", inert=True))
     for name in rule.arg_names:
         out.append(Group(tuple(captures[name]), inert=True))
     return out
@@ -232,7 +224,7 @@ def _rewrite(nodes: Sequence[Node], glossary: Glossary, counts: Counter) -> Sequ
             if node.__class__ is Group:
                 kids = _rewrite(node.children, glossary, counts)
                 if kids is not node.children:
-                    node = Group(tuple(kids), node.open_tok, node.close_tok, node.inert)
+                    node = Group(tuple(kids), node.inert)
                     fired = True
             out.append(node)
             i += 1
@@ -260,11 +252,6 @@ def replace_all(
     return CanonicalTree(tuple(out)), stats
 
 
-def _token_for(text: str) -> Token:
-    tok = tokenize(text)[0]
-    return Token(tok.kind, tok.text)
-
-
 def _fields(nodes: Sequence[Node], j: int, names: Sequence[str], caps: dict) -> int | None:
     """Read one field per name from nodes[j:] into caps and return the
     index past them, or None.  A field is a brace group or, since
@@ -273,7 +260,7 @@ def _fields(nodes: Sequence[Node], j: int, names: Sequence[str], caps: dict) -> 
         nd = nodes[j] if j < len(nodes) else None
         if isinstance(nd, Group):
             caps[name] = nd.children
-        elif isinstance(nd, Token) and nd.text != "@" and nd.kind in _FIELD_KINDS:
+        elif isinstance(nd, Token) and nd.text != "@" and nd.kind in _LEAF_KINDS:
             caps[name] = (nd,)
         else:
             return None
@@ -303,7 +290,7 @@ def _emit_pattern(rule: MacroRule, caps: Mapping[str, Sequence[Node]]) -> list[N
     buffers: list[list[Node]] = [[]]
     for op, arg in rule.steps:
         if op == LIT:
-            buffers[-1].append(_token_for(arg))
+            buffers[-1].append(Token(arg))
         elif op == GROUP:
             buffers.append([])
         elif op == END:
@@ -344,7 +331,7 @@ def _walk(
             if kids is not nd.children:
                 if seq is nodes:
                     seq = list(nodes)
-                seq[k] = Group(tuple(kids), nd.open_tok, nd.close_tok, nd.inert)
+                seq[k] = Group(tuple(kids), nd.inert)
         elif nd.text == "@":
             at = True
     if not at:

@@ -10,7 +10,10 @@ A glossary file is UTF-8 JSON with two top-level keys:
 Pattern atoms are one-key objects: {"lit": "\\Gamma"}, {"capture": "z",
 "mode": "balanced-expression"}, {"sep": ";"}, {"open": "("}, {"close": true}.
 Templates use {#name} placeholders and contain the rule's @ or @@ marker
-exactly once, separating parameter groups from argument groups.
+exactly once, separating parameter groups from argument groups.  A
+literal must lex as one token, and a delimiter class's canonical
+spelling as one character or control sequence, so every token the
+glossary puts into a tree is one the lexer would give for its text.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from enum import Enum
 from importlib import resources
 from pathlib import Path
 
-from .canonicalize import CanonicalSettings
+from .canonicalize import _LEAF_KINDS, CanonicalSettings
 from .errors import (
     DuplicateMacroError,
     GlossaryParseError,
@@ -117,10 +120,21 @@ def _compile(rule_name: str, pattern: tuple[PatternAtom, ...]) -> tuple[tuple[in
     return tuple(steps)
 
 
+def _one_token(text) -> Token | None:
+    """The token text lexes to, or None unless it is one string that
+    lexes to exactly one token."""
+    tokens = tokenize(text) if isinstance(text, str) else ()
+    return tokens[0] if len(tokens) == 1 else None
+
+
 def _parse_atom(obj, rule_name: str) -> PatternAtom:
     if not isinstance(obj, dict) or len(obj) - ("mode" in obj) != 1:
         raise GlossaryParseError(None, f"rule {rule_name!r}: bad pattern atom {obj!r}")
     if "lit" in obj:
+        if _one_token(obj["lit"]) is None:
+            raise GlossaryParseError(
+                None, f"rule {rule_name!r}: pattern literal {obj['lit']!r} is not one token"
+            )
         return PatternAtom(AtomKind.LITERAL, value=obj["lit"])
     if "capture" in obj:
         mode = obj.get("mode", "balanced-expression")
@@ -165,7 +179,7 @@ def _parse_template(rule_name: str, template: str, at_variant: str):
     ats = 0
     seen_at = False
     for node in nodes[1:]:
-        if isinstance(node, Token) and node.is_char("@"):
+        if isinstance(node, Token) and node.text == "@":
             if args:
                 raise GlossaryParseError(
                     None, f"rule {rule_name!r}: @ must appear once in template"
@@ -177,7 +191,7 @@ def _parse_template(rule_name: str, template: str, at_variant: str):
             if (
                 len(node.children) < 2
                 or not isinstance(node.children[0], Token)
-                or not node.children[0].is_char("#")
+                or node.children[0].text != "#"
             ):
                 raise GlossaryParseError(
                     None,
@@ -350,6 +364,14 @@ def loads_glossary(text: str) -> Glossary:
         raise GlossaryParseError(None, "'rules' must be an array")
     rules = [_rule_from_json(obj, i + 1) for i, obj in enumerate(data["rules"])]
     settings = CanonicalSettings.from_config(data.get("canonicalization", {}))
+    for canonical in settings.delimiter_map.values():
+        tok = _one_token(canonical)
+        if tok is None or tok.kind not in _LEAF_KINDS:
+            raise GlossaryParseError(
+                None,
+                f"delimiter class canonical {canonical!r} is not one character "
+                f"or control sequence",
+            )
     return Glossary(tuple(rules), settings)
 
 

@@ -18,6 +18,12 @@ token text that starts with a backslash is always a control sequence,
 and {, } and $ always have their own kinds: math and headings are found
 by comparing token text.
 
+A token is its text: Token derives its kind from the text by _kind, the
+one place that rule lives, so no token can have a kind its text does
+not give, and two tokens of one text are equal whatever their spans.
+A Group is its children; its braces are implied, and flatten and
+render write them back.
+
 A document is lexed to token texts and start offsets only; math rows
 and headings are found on those as index ranges, reading only the
 structural tokens _marks lists, and rows are canonicalized straight
@@ -53,54 +59,6 @@ class TokenKind(Enum):
     WHITESPACE = "whitespace"
 
 
-class Token:
-    """One lexical token.
-
-    Equality and hashing use (kind, text) only, so canonical trees compare
-    by content.  span is the token's source offset range; inert marks
-    rewriter output and semantic macros read back from source, which
-    must never be rematched.  Tokens are never mutated after
-    construction, so one token may stand at many places: the canonical
-    builder gives every occurrence of a text in a document the same
-    leaf.
-    """
-
-    __slots__ = ("kind", "text", "span", "inert")
-
-    def __init__(
-        self,
-        kind: TokenKind,
-        text: str,
-        span: tuple[int, int] | None = None,
-        inert: bool = False,
-    ):
-        self.kind = kind
-        self.text = text
-        self.span = span
-        self.inert = inert
-
-    def __eq__(self, other):
-        if other.__class__ is not Token:
-            return NotImplemented
-        return self.kind is other.kind and self.text == other.text
-
-    def __hash__(self):
-        return hash((self.kind, self.text))
-
-    @property
-    def name(self) -> str:
-        """Control sequence name (text without the backslash)."""
-        if self.kind is TokenKind.CONTROL:
-            return self.text[1:]
-        return self.text
-
-    def is_char(self, ch: str) -> bool:
-        return self.kind is TokenKind.CHAR and self.text == ch
-
-    def __repr__(self):
-        return f"Token({self.kind.name}, {self.text!r})"
-
-
 # the kind of a token whose first character decides it; any other token
 # is WHITESPACE or CHAR
 _FIRST = {
@@ -116,6 +74,56 @@ _FIRST = {
 _TOKEN_RE = re.compile(r"\\(?:[A-Za-z]+|.)?|%[^\n]*|\s+|.", re.S)
 
 
+def _kind(text: str) -> TokenKind:
+    """The kind of a token of text, which its first character decides;
+    the empty text is a CHAR."""
+    c = text[:1]
+    kind = _FIRST.get(c)
+    if kind is None:
+        kind = TokenKind.WHITESPACE if c.isspace() else TokenKind.CHAR
+    return kind
+
+
+class Token:
+    """One lexical token, which is its text.
+
+    kind is derived from the text by the lexer's rule (_kind), and
+    equality and hashing use the text alone, so canonical trees compare
+    by content.  Aside from the text, span is the token's source offset
+    range, and inert marks rewriter output and semantic macros read
+    back from source, which must never be rematched.  Tokens are never
+    mutated after construction, so one token may stand at many places:
+    the canonical builder gives every occurrence of a text in a
+    document the same leaf.
+    """
+
+    __slots__ = ("kind", "text", "span", "inert")
+
+    def __init__(self, text: str, span: tuple[int, int] | None = None, inert: bool = False):
+        self.kind = _kind(text)
+        self.text = text
+        self.span = span
+        self.inert = inert
+
+    def __eq__(self, other):
+        if other.__class__ is not Token:
+            return NotImplemented
+        return self.text == other.text
+
+    def __hash__(self):
+        return hash(self.text)
+
+    @property
+    def name(self) -> str:
+        """Control sequence name (text without the backslash)."""
+        if self.kind is TokenKind.CONTROL:
+            return self.text[1:]
+        return self.text
+
+    def __repr__(self):
+        return f"Token({self.kind.name}, {self.text!r})"
+
+
 def _lex(source: str) -> tuple[list[str], list[int]]:
     """Token texts of source and their start offsets; starts has one
     more entry, len(source), so token k spans starts[k]:starts[k + 1]."""
@@ -125,15 +133,8 @@ def _lex(source: str) -> tuple[list[str], list[int]]:
 
 def _tokens(texts: list[str], starts: list[int], a: int, b: int) -> list[Token]:
     """The Tokens of lexed tokens a..b-1, with their source spans."""
-    out: list[Token] = []
-    append = out.append
-    for text, i, j in zip(texts[a:b], starts[a:b], starts[a + 1 : b + 1]):
-        c = text[0]
-        kind = _FIRST.get(c)
-        if kind is None:
-            kind = TokenKind.WHITESPACE if c.isspace() else TokenKind.CHAR
-        append(Token(kind, text, (i, j)))
-    return out
+    spans = zip(starts[a:b], starts[a + 1 : b + 1])
+    return [Token(text, span) for text, span in zip(texts[a:b], spans)]
 
 
 def tokenize(source: str) -> list[Token]:
@@ -152,23 +153,17 @@ def detokenize(tokens: Iterable[Token]) -> str:
 
 
 class Group:
-    """A balanced {...} group.  Equality looks at children only.
+    """A balanced {...} group: it is its children.  Equality looks at
+    children only; the braces are implied, and inert marks rewriter
+    output as for tokens.
 
     Like tokens, groups are never mutated after construction.
     """
 
-    __slots__ = ("children", "open_tok", "close_tok", "inert")
+    __slots__ = ("children", "inert")
 
-    def __init__(
-        self,
-        children: tuple["Node", ...],
-        open_tok: Token | None = None,
-        close_tok: Token | None = None,
-        inert: bool = False,
-    ):
+    def __init__(self, children: tuple["Node", ...], inert: bool = False):
         self.children = children
-        self.open_tok = open_tok
-        self.close_tok = close_tok
         self.inert = inert
 
     def __eq__(self, other):
@@ -200,8 +195,8 @@ def build_groups(tokens: Iterable[Token]) -> list[Node]:
         elif t.kind is TokenKind.GROUP_CLOSE:
             if not stack:
                 raise UnbalancedGroupError(t.span[0] if t.span else -1)
-            open_tok, outer = stack.pop()
-            outer.append(Group(tuple(current), open_tok=open_tok, close_tok=t))
+            _, outer = stack.pop()
+            outer.append(Group(tuple(current)))
             current = outer
         else:
             current.append(t)
@@ -211,14 +206,19 @@ def build_groups(tokens: Iterable[Token]) -> list[Node]:
     return current
 
 
+_OPEN = Token("{")
+_CLOSE = Token("}")
+
+
 def flatten(nodes: Iterable[Node]) -> list[Token]:
-    """Depth-first leaves; inverse of build_groups."""
+    """Depth-first leaves, each group between a { and a } token; inverse
+    of build_groups."""
     out: list[Token] = []
     for node in nodes:
         if isinstance(node, Group):
-            out.append(node.open_tok or Token(TokenKind.GROUP_OPEN, "{"))
+            out.append(_OPEN)
             out.extend(flatten(node.children))
-            out.append(node.close_tok or Token(TokenKind.GROUP_CLOSE, "}"))
+            out.append(_CLOSE)
         else:
             out.append(node)
     return out
@@ -244,18 +244,10 @@ def _render(nodes: Iterable[Node], append, word: bool) -> bool:
     Returns that flag for the last text appended here."""
     for node in nodes:
         if isinstance(node, Group):
-            # brace tokens that a group carries pass through this loop
-            if node.open_tok is None:
-                append("{")
-                word = False
-            else:
-                word = _render((node.open_tok,), append, word)
-            word = _render(node.children, append, word)
-            if node.close_tok is None:
-                append("}")
-                word = False
-            else:
-                word = _render((node.close_tok,), append, word)
+            append("{")
+            _render(node.children, append, False)
+            append("}")
+            word = False
             continue
         text = node.text
         if word and text[:1] in _LETTERS:

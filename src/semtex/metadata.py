@@ -22,7 +22,6 @@ from enum import Enum
 from typing import Callable, Iterable, Sequence
 
 from .canonicalize import (
-    DEFAULT_SETTINGS,
     CanonicalSettings,
     CanonicalTree,
     _build,
@@ -69,18 +68,15 @@ DEFAULT_INTRODUCERS = ("where", "for", "provided")
 # words a name keyword extends through when they follow it in prose
 _NAME_TAILS = frozenset({"relation", "formula", "function", "equation"})
 
-_RELATIONAL_CHARS = frozenset("<>=")
-_RELATIONAL_NAMES = frozenset({"le", "leq", "ge", "geq", "ne", "neq", "in"})
+_RELATIONAL_TEXTS = frozenset(
+    {"<", ">", "=", "\\le", "\\leq", "\\ge", "\\geq", "\\ne", "\\neq", "\\in"}
+)
 
-_CHAR = TokenKind.CHAR
 # The texts the top-level scans of a canonical body act on: brackets,
-# which step the depth, and the comma and relational texts they test
-# further, since a token's kind need not follow from its text
+# which step the depth, and the comma and relational texts
 _BRACKET_STEP = {"(": 1, "[": 1, ")": -1, "]": -1}
 _EQUATION_TEXTS = frozenset({*_BRACKET_STEP, "="})
-_TOP_TEXTS = frozenset(
-    {*_BRACKET_STEP, ",", *_RELATIONAL_CHARS, *("\\" + name for name in _RELATIONAL_NAMES)}
-)
+_TOP_TEXTS = frozenset({*_BRACKET_STEP, ",", *_RELATIONAL_TEXTS})
 
 _PROOF_RE = re.compile(r"%\s*proof:\s*(.+)$", re.IGNORECASE)
 _SPACES_RE = re.compile(r"\s+")
@@ -171,16 +167,8 @@ class ExtractionResult:
     failures: list[tuple[str, str]] = field(default_factory=list)
 
 
-def _is_relational(tok: Node) -> bool:
-    if not isinstance(tok, Token):
-        return False
-    if tok.kind is TokenKind.CHAR and tok.text in _RELATIONAL_CHARS:
-        return True
-    return tok.kind is TokenKind.CONTROL and tok.name in _RELATIONAL_NAMES
-
-
 def contains_relational(nodes: Iterable[Node]) -> bool:
-    return any(_is_relational(t) for t in flatten(nodes))
+    return any(t.text in _RELATIONAL_TEXTS for t in flatten(nodes))
 
 
 @dataclass(frozen=True)
@@ -334,9 +322,8 @@ def _split_trailing(nodes: Sequence[Node]) -> tuple[tuple[Node, ...], list[tuple
             elif depth:
                 continue
             elif t == ",":
-                if nd.kind is _CHAR:
-                    cuts.append(i)
-            elif _is_relational(nd):
+                cuts.append(i)
+            else:
                 relational.add(len(cuts) - 1)
     heads = sorted(relational - {0})
     if not heads:
@@ -397,31 +384,6 @@ def _introduced(sentences: Sequence[str], introducers: frozenset[str]) -> int:
     return k
 
 
-def detect_constraints(
-    f: Formula,
-    following_prose: str | Sequence[str] = "",
-    introducers: Sequence[str] = DEFAULT_INTRODUCERS,
-    settings: CanonicalSettings = DEFAULT_SETTINGS,
-) -> tuple[CanonicalTree, list[tuple[Node, ...]]]:
-    """Split constraints off a formula; the formula is not modified.
-
-    Returns the retained core and the constraint clauses, as canonical
-    nodes, from two sources: trailing top-level clauses of the body, and
-    leading sentences of the following prose that begin with an
-    introducer word, in any case, and contain inline math with a
-    relational token.  The prose is given as text or as the sentences
-    _sentences splits it into.  Replacement is the caller's step.
-    """
-    introducers = frozenset(w.lower() for w in introducers)
-    sentences = (
-        _sentences(following_prose) if isinstance(following_prose, str) else following_prose
-    )
-    core, clauses = _split_trailing(f.source_canonical.nodes)
-    for sentence in sentences[: _introduced(sentences, introducers)]:
-        clauses.extend(_prose_constraints(sentence, settings))
-    return CanonicalTree(core), clauses
-
-
 class _State:
     """One state of a head trie, the goto function of Aho and Corasick
     (1975) over a unit's head runs.  next holds the states that follow
@@ -453,8 +415,7 @@ def _head_finder(
     token costs at most the length of the longest run, however many
     runs share its text.
     """
-    # unit -> text of a run's first token -> the state after it; a run
-    # starts with a letter or a control word, whose kind its text decides
+    # unit -> text of a run's first token -> the state after it
     roots: dict[str, dict[str, _State]] = {}
     for k, (unit, run, is_function) in enumerate(heads):
         state = roots.setdefault(unit, {}).setdefault(run[0].text, _State())
@@ -482,8 +443,7 @@ def _head_finder(
                     if state.plain:
                         hits.update(state.plain)
                     if state.call and nxt.__class__ is Token and nxt.text == "(":
-                        if nxt.kind is _CHAR:
-                            hits.update(state.call)
+                        hits.update(state.call)
                     if nxt is None or not state.next:
                         break
                     state = state.next.get(nxt)
@@ -526,7 +486,7 @@ def _parse_def_lhs(nodes: Sequence[Node]) -> tuple[tuple[Node, ...], bool] | Non
         return None
     if n == len(nodes):
         return tuple(nodes), False
-    if not (isinstance(nodes[n], Token) and nodes[n].is_char("(")):
+    if not (isinstance(nodes[n], Token) and nodes[n].text == "("):
         return None
     i = n + 1
     while True:
@@ -536,10 +496,10 @@ def _parse_def_lhs(nodes: Sequence[Node]) -> tuple[tuple[Node, ...], bool] | Non
         i += m
         if i >= len(nodes) or not isinstance(nodes[i], Token):
             return None
-        if nodes[i].is_char(","):
+        if nodes[i].text == ",":
             i += 1
             continue
-        if nodes[i].is_char(")"):
+        if nodes[i].text == ")":
             return (tuple(nodes[:n]), True) if i == len(nodes) - 1 else None
         return None
 
@@ -558,7 +518,7 @@ def _top_level_equation(nodes: Sequence[Node]) -> int | None:
             if step is not None:
                 if depth or step > 0:
                     depth += step
-            elif not depth and nd.kind is _CHAR:
+            elif not depth:
                 if found is not None:
                     return None
                 found = i

@@ -13,7 +13,9 @@ head trie replaced: runs bucketed by their first token's text, and each
 token compared with every run in its bucket.
 
 tokenize() is the character-by-character lexer that semtex.lexer's
-one-regex tokenizer replaced; it gives the same kinds, texts and spans.
+one-regex tokenizer replaced; it gives the same texts and spans, and
+decides each token's kind on its own, returned next to the token, so
+the kind Token derives from its text can be checked against it.
 
 canonicalize() and canonicalize_row() are the tree walks that
 semtex.canonicalize's one-pass builder replaced: the source is lexed,
@@ -220,7 +222,7 @@ def _run_occurs(nodes, run, as_call):
                 if not as_call:
                     return True
                 nxt = seq[i + len(run)] if i + len(run) < len(seq) else None
-                if isinstance(nxt, Token) and nxt.is_char("("):
+                if isinstance(nxt, Token) and nxt.text == "(":
                     return True
     return False
 
@@ -292,7 +294,7 @@ def head_finder(heads):
                         continue
                     hits.add((run, False))
                     nxt = seq[end] if end < n else None
-                    if isinstance(nxt, Token) and nxt.is_char("("):
+                    if isinstance(nxt, Token) and nxt.text == "(":
                         hits.add((run, True))
         return sorted(k for run, call in hits for k in positions.get((unit, run, call), ()))
 
@@ -340,9 +342,10 @@ def inline_substitutions(fs, defs):
 
 
 def tokenize(source):
-    """Lex source one character at a time: a backslash and a run of ASCII
-    letters or one other character (or nothing, at the end) is a control
-    sequence, % runs to the newline, whitespace runs are one token."""
+    """Lex source one character at a time into (token, kind) pairs: a
+    backslash and a run of ASCII letters or one other character (or
+    nothing, at the end) is a control sequence, % runs to the newline,
+    whitespace runs are one token."""
     out = []
     n = len(source)
     i = 0
@@ -357,25 +360,25 @@ def tokenize(source):
                 j = i + 2
             else:
                 j = i + 1
-            out.append(Token(TokenKind.CONTROL, source[i:j], span=(i, j)))
+            out.append((Token(source[i:j], span=(i, j)), TokenKind.CONTROL))
             i = j
         elif c == "%":
             j = i
             while j < n and source[j] != "\n":
                 j += 1
-            out.append(Token(TokenKind.COMMENT, source[i:j], span=(i, j)))
+            out.append((Token(source[i:j], span=(i, j)), TokenKind.COMMENT))
             i = j
         elif c in _SINGLE:
-            out.append(Token(_SINGLE[c], c, span=(i, i + 1)))
+            out.append((Token(c, span=(i, i + 1)), _SINGLE[c]))
             i += 1
         elif c.isspace():
             j = i
             while j < n and source[j].isspace():
                 j += 1
-            out.append(Token(TokenKind.WHITESPACE, source[i:j], span=(i, j)))
+            out.append((Token(source[i:j], span=(i, j)), TokenKind.WHITESPACE))
             i = j
         else:
-            out.append(Token(TokenKind.CHAR, c, span=(i, i + 1)))
+            out.append((Token(c, span=(i, i + 1)), TokenKind.CHAR))
             i += 1
     return out
 
@@ -388,21 +391,24 @@ def _skip_whitespace(nodes, i):
 
 def _canonical_delimiter(t, settings):
     if t.kind is TokenKind.CONTROL and t.name in settings.bar_synonyms:
-        return Token(TokenKind.CHAR, "|")
+        return Token("|")
     mapped = settings.delimiter_map.get(t.text)
     if mapped is not None:
-        kind = TokenKind.CONTROL if mapped.startswith("\\") else TokenKind.CHAR
-        return Token(kind, mapped)
+        return Token(mapped)
     return t
 
 
-def _canon(nodes, settings, text=False):
+def _canon(nodes, settings, text=False, row=False):
     """The canonical nodes of one sequence; with text set, the sequence
-    lies in a text argument, where each whitespace run is one space."""
+    lies in a text argument, where each whitespace run is one space.
+    Outside a row the group after \\label stays a group even when it
+    holds one leaf; in a row, whose labels strip_markup dropped, a
+    \\label left is stray and its group unwraps as any other."""
     n = len(nodes)
     # pass 1: spacing, so a size prefix sees the delimiter behind it
     seq = []
     texts = set()  # positions in seq of groups that are text arguments
+    labels = set()  # positions in seq of groups that are label arguments
     i = 0
     while i < n:
         node = nodes[i]
@@ -410,13 +416,13 @@ def _canon(nodes, settings, text=False):
         if isinstance(node, Token):
             if node.kind is TokenKind.WHITESPACE:
                 if text:
-                    seq.append(Token(TokenKind.WHITESPACE, " "))
+                    seq.append(Token(" "))
                 continue
             if node.text in settings.spacing_tokens:
                 continue
             if node.kind is TokenKind.CONTROL and node.name in _ARG_SPACING:
                 j = _skip_whitespace(nodes, i)
-                if j < n and isinstance(nodes[j], Token) and nodes[j].is_char("*"):
+                if j < n and isinstance(nodes[j], Token) and nodes[j].text == "*":
                     j = _skip_whitespace(nodes, j + 1)
                 if j < n and isinstance(nodes[j], Group):
                     i = j + 1
@@ -426,6 +432,14 @@ def _canon(nodes, settings, text=False):
                 if j < n and isinstance(nodes[j], Group):
                     seq.append(node)
                     texts.add(len(seq))
+                    seq.append(nodes[j])
+                    i = j + 1
+                    continue
+            if node.text == "\\label" and not row:
+                j = _skip_whitespace(nodes, i)
+                if j < n and isinstance(nodes[j], Group):
+                    seq.append(node)
+                    labels.add(len(seq))
                     seq.append(nodes[j])
                     i = j + 1
                     continue
@@ -440,9 +454,10 @@ def _canon(nodes, settings, text=False):
         node = seq[i]
         i += 1
         if isinstance(node, Group):
-            kids = _canon(node.children, settings, text or i - 1 in texts)
+            kids = _canon(node.children, settings, text or i - 1 in texts, row)
             if (
-                len(kids) == 1
+                i - 1 not in labels
+                and len(kids) == 1
                 and isinstance(kids[0], Token)
                 and kids[0].kind in (TokenKind.CHAR, TokenKind.CONTROL)
             ):
@@ -476,9 +491,9 @@ def _canon(nodes, settings, text=False):
     return out
 
 
-def canonicalize(nodes, settings=DEFAULT_SETTINGS):
-    """The canonical tree of built nodes."""
-    return CanonicalTree(tuple(_canon(list(nodes), settings)))
+def canonicalize(nodes, settings=DEFAULT_SETTINGS, row=False):
+    """The canonical tree of built nodes; row as for _canon."""
+    return CanonicalTree(tuple(_canon(list(nodes), settings, row=row)))
 
 
 def strip_markup(nodes):
@@ -517,7 +532,8 @@ def _drop_punctuation(nodes):
 def canonicalize_row(source, settings=DEFAULT_SETTINGS):
     """The canonical tree of a display row body: lex, group, strip the
     markup, canonicalize, then drop the trailing , . ; leaves."""
-    tree = canonicalize(strip_markup(build_groups(tokenize(source))), settings)
+    nodes = strip_markup(build_groups(t for t, _ in tokenize(source)))
+    tree = canonicalize(nodes, settings, row=True)
     return CanonicalTree(_drop_punctuation(tree.nodes))
 
 
@@ -582,7 +598,7 @@ def split_trailing(nodes):
     cuts = [-1]
     relational = set()
     for i, nd in top_level(nodes):
-        if nd.is_char(","):
+        if nd.text == ",":
             cuts.append(i)
         elif _is_relational(nd):
             relational.add(len(cuts) - 1)
@@ -599,7 +615,7 @@ def top_level_equation(nodes):
     """Index of the single top-level '=', if any."""
     found = None
     for i, nd in top_level(nodes):
-        if nd.is_char("="):
+        if nd.text == "=":
             if found is not None:
                 return None
             found = i
@@ -723,6 +739,8 @@ def build(texts, pos, a, b, settings, row=False):
     prefix = -1
     text_at = -1
     quoted = -1
+    label_at = -1
+    kept = []  # len(stack) inside each label argument being read
     k = a
     while k < b:
         t = texts[k]
@@ -732,11 +750,13 @@ def build(texts, pos, a, b, settings, row=False):
             name = t[1:]
             if row and t in _ROW_MARKUP:
                 continue
-            if row and name == "label":
+            if name == "label":
                 j = _skip_blank(texts, k, b, False)
                 if j < b and texts[j] == "{":
-                    k = _match(texts, j) + 1
-                    continue
+                    if row:
+                        k = _match(texts, j) + 1
+                        continue
+                    k = label_at = j
             if t in spacing:
                 continue
             if name in _ARG_SPACING:
@@ -770,23 +790,29 @@ def build(texts, pos, a, b, settings, row=False):
                 continue
         else:
             if prefix >= 0:
-                out.append(Token(TokenKind.CONTROL, texts[prefix]))
+                out.append(Token(texts[prefix]))
                 prefix = -1
             if c == "{":
                 stack.append((out, depth, first))
                 out, depth, first = [], 0, -1
                 if k - 1 == text_at and quoted < 0:
                     quoted = len(stack)
+                if k - 1 == label_at:
+                    kept.append(len(stack))
                 continue
             if c == "}":
                 if depth:
                     raise MismatchedLeftRightError(pos[first])
                 if len(stack) == quoted:
                     quoted = -1
+                label = bool(kept) and kept[-1] == len(stack)
+                if label:
+                    kept.pop()
                 kids = out
                 out, depth, first = stack.pop()
                 if (
-                    len(kids) == 1
+                    not label
+                    and len(kids) == 1
                     and isinstance(kids[0], Token)
                     and kids[0].kind in (TokenKind.CHAR, TokenKind.CONTROL)
                 ):
@@ -798,20 +824,18 @@ def build(texts, pos, a, b, settings, row=False):
                 prefix = k - 1
                 continue
         if c.isspace():
-            out.append(Token(TokenKind.WHITESPACE, " "))
+            out.append(Token(" "))
             continue
         if c == "\\" and name in settings.bar_synonyms:
-            out.append(Token(TokenKind.CHAR, "|"))
+            out.append(Token("|"))
             continue
         mapped = settings.delimiter_map.get(t)
         if mapped is not None:
-            kind = TokenKind.CONTROL if mapped.startswith("\\") else TokenKind.CHAR
-            out.append(Token(kind, mapped))
+            out.append(Token(mapped))
         elif c != "&" and c != "%":
-            kind = TokenKind.CONTROL if c == "\\" else _SINGLE.get(c, TokenKind.CHAR)
-            out.append(Token(kind, t))
+            out.append(Token(t))
     if prefix >= 0:
-        out.append(Token(TokenKind.CONTROL, texts[prefix]))
+        out.append(Token(texts[prefix]))
     if depth:
         raise MismatchedLeftRightError(pos[first])
     return CanonicalTree(_drop_punctuation(out) if row else tuple(out))

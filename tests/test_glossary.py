@@ -131,3 +131,20 @@ def test_duplicate_detection_applies_to_programmatic_construction():
     g = builtin_glossary()
     with pytest.raises(DuplicateMacroError):
         Glossary(rules=g.rules + (g.rules[0],))
+
+
+@pytest.mark.parametrize("lit", ["", "ab", "\\alpha x", " F", "F ", 7])
+def test_a_pattern_literal_that_is_not_one_token_raises_parse_error(lit):
+    pattern = [{"lit": lit}, {"capture": "x", "mode": "single-group"}]
+    with pytest.raises(GlossaryParseError) as err:
+        loads([make_rule(pattern=pattern)])
+    assert f"pattern literal {lit!r} is not one token" in str(err.value)
+
+
+@pytest.mark.parametrize("canonical", [" ", "^", "_", "{", "&", "%", "", "ab", "\\left("])
+def test_a_delimiter_canonical_that_is_not_one_character_or_control_sequence_raises(canonical):
+    classes = [{"canonical": canonical, "variants": ["\\lparen"]}]
+    with pytest.raises(GlossaryParseError) as err:
+        loads([make_rule()], canonicalization={"delimiter_classes": classes})
+    assert repr(canonical) in str(err.value)
+

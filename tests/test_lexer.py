@@ -6,8 +6,22 @@ import pytest
 
 import gen
 import oracle
-from semtex import canonicalize_string, detokenize, extract_math, render, replace_all, tokenize
-from semtex.errors import UnbalancedGroupError, UnterminatedEnvironmentError
+from semtex import (
+    canonicalize_string,
+    detokenize,
+    extract_math,
+    render,
+    replace_all,
+    strip_semantics,
+    tokenize,
+)
+from semtex.canonicalize import _build
+from semtex.errors import (
+    SemtexError,
+    UnbalancedGroupError,
+    UnknownSemanticMacroError,
+    UnterminatedEnvironmentError,
+)
 from semtex.lexer import (
     Group,
     Token,
@@ -159,37 +173,21 @@ def test_fixture_span_census(mini_source):
 
 
 def test_render_inserts_space_after_control_word_before_letter():
-    toks = [
-        Token(TokenKind.CONTROL, "\\sin"),
-        Token(TokenKind.CHAR, "z"),
-    ]
+    toks = [Token("\\sin"), Token("z")]
     assert render(toks) == "\\sin z"
     # no space needed before a non-letter
-    toks[1] = Token(TokenKind.CHAR, "(")
+    toks[1] = Token("(")
     assert render(toks) == "\\sin("
 
 
 def _random_tree(rng, depth):
     """Nodes mixing control words, control symbols, letters, other
-    characters and empty texts, with groups that do and do not carry
-    brace tokens; a carried token may be of any kind."""
-    pool = (
-        Token(TokenKind.CONTROL, "\\sin"),
-        Token(TokenKind.CONTROL, "\\a"),
-        Token(TokenKind.CONTROL, "\\,"),
-        Token(TokenKind.CONTROL, "\\"),
-        Token(TokenKind.CHAR, "z"),
-        Token(TokenKind.CHAR, "("),
-        Token(TokenKind.CHAR, "é"),
-        Token(TokenKind.CHAR, ""),
-        Token(TokenKind.SUBSCRIPT, "_"),
-    )
-    braces = (None, None, Token(TokenKind.GROUP_OPEN, "{"), Token(TokenKind.GROUP_CLOSE, "}"))
+    characters and empty texts, with groups."""
+    pool = tuple(map(Token, ("\\sin", "\\a", "\\,", "\\", "z", "(", "é", "", "_")))
     out = []
     for _ in range(rng.randint(0, 5)):
         if depth and rng.random() < 0.3:
-            kids = tuple(_random_tree(rng, depth - 1))
-            out.append(Group(kids, rng.choice(braces + pool), rng.choice(braces + pool)))
+            out.append(Group(tuple(_random_tree(rng, depth - 1))))
         else:
             out.append(rng.choice(pool))
     return out
@@ -200,12 +198,12 @@ def test_render_matches_the_flatten_reference(glossary):
     for s in gen.corpus(4, 300):
         canonical = canonicalize_string(s, glossary.settings)
         trees += [canonical.nodes, replace_all(canonical, glossary)[0].nodes]
-        # groups that carry the source's brace tokens
+        # the source's tokens, whitespace included
         trees.append(build_groups(tokenize(s)))
     rng = random.Random(4)
     trees += [_random_tree(rng, 3) for _ in range(2000)]
     # control words right before letters, in and out of groups
-    sin, z = Token(TokenKind.CONTROL, "\\sin"), Token(TokenKind.CHAR, "z")
+    sin, z = Token("\\sin"), Token("z")
     trees += [[sin, Group((z,))], [Group((sin,)), z], [sin, Group(()), z], [sin, z, sin]]
     for nodes in trees:
         assert render(nodes) == oracle.render(nodes), nodes
@@ -213,34 +211,86 @@ def test_render_matches_the_flatten_reference(glossary):
 
 
 def test_token_and_group_value_semantics():
-    x = Token(TokenKind.CHAR, "x")
+    x = Token("x")
     assert x.span is None and x.inert is False
-    placed = Token(TokenKind.CHAR, "x", span=(3, 4), inert=True)
+    placed = Token("x", span=(3, 4), inert=True)
     assert placed == x and hash(placed) == hash(x)
-    assert Token(TokenKind.CHAR, "x") != Token(TokenKind.CONTROL, "x")
-    assert Token(TokenKind.CHAR, "x") != Token(TokenKind.CHAR, "y")
+    assert Token("x") != Token("y")
+    # the kind follows from the text, the empty text included
+    assert [Token(t).kind for t in ("x", "\\sin", "\\", "_", " ", "")] == [
+        TokenKind.CHAR,
+        TokenKind.CONTROL,
+        TokenKind.CONTROL,
+        TokenKind.SUBSCRIPT,
+        TokenKind.WHITESPACE,
+        TokenKind.CHAR,
+    ]
 
     g = Group((x,))
-    assert g.open_tok is None and g.close_tok is None and g.inert is False
-    braced = Group(
-        (placed,),
-        open_tok=Token(TokenKind.GROUP_OPEN, "{", span=(2, 3)),
-        close_tok=Token(TokenKind.GROUP_CLOSE, "}", span=(4, 5)),
-        inert=True,
-    )
-    assert braced == g and hash(braced) == hash(g)
+    assert g.inert is False
+    marked = Group((placed,), inert=True)
+    assert marked == g and hash(marked) == hash(g)
     assert Group((x,)) != Group((x, x))
 
     # a token never equals a group, even one that holds just that token
     assert x != g and g != x
-    assert Group(()) != Token(TokenKind.CHAR, "")
+    assert Group(()) != Token("")
 
     table = {x: "token", g: "group"}
-    assert table[placed] == "token" and table[braced] == "group"
-    assert {x, placed, g, braced} == {x, g}
+    assert table[placed] == "token" and table[marked] == "group"
+    assert {x, placed, g, marked} == {x, g}
     assert repr(x) == "Token(CHAR, 'x')" and repr(g) == "Group([Token(CHAR, 'x')])"
-    assert x.name == "x" and Token(TokenKind.CONTROL, "\\sin").name == "sin"
-    assert x.is_char("x")
+    assert x.name == "x" and Token("\\sin").name == "sin"
+
+
+def _leaves(nodes):
+    for node in nodes:
+        if isinstance(node, Group):
+            yield from _leaves(node.children)
+        else:
+            yield node
+
+
+def _math_trees(source, settings):
+    """The canonical trees of a document's math spans, display rows read
+    as rows, up to a span the scan rejects; a span that fails to
+    canonicalize is skipped."""
+    texts, starts = _lex(source)
+    trees = []
+    try:
+        for env, a, b, _ in _row_ranges(texts, starts, _marks(source, texts, starts)):
+            try:
+                trees.append(_build(texts, starts, a, b, settings, env != "inline-dollar"))
+            except SemtexError:
+                pass
+    except SemtexError:
+        pass
+    return trees
+
+
+def test_every_leaf_lexes_back_to_itself(glossary):
+    """A leaf of a canonical, replaced or stripped tree is one token of
+    its text, of the kind the lexer and the reference lexer give it."""
+    trees = []
+    for path in sorted(DATA.glob("*.tex")):
+        trees += _math_trees(path.read_text(encoding="utf-8"), glossary.settings)
+    trees += [canonicalize_string(s, glossary.settings) for s in gen.corpus(seed=20, count=1000)]
+    seen = Counter()
+    for tree in trees:
+        forms = [tree]
+        try:
+            replaced = replace_all(tree, glossary)[0]
+            forms += [replaced, strip_semantics(replaced, glossary)]
+        except UnknownSemanticMacroError:
+            pass
+        for form in forms:
+            for leaf in _leaves(form.nodes):
+                (tok,) = tokenize(leaf.text)
+                assert (tok.text, tok.kind) == (leaf.text, leaf.kind), leaf
+                ((_, kind),) = oracle.tokenize(leaf.text)
+                assert kind is leaf.kind, leaf
+                seen[leaf.inert] += 1
+    assert seen[True] > 1000 and seen[False] > 10000, seen
 
 
 # ------------------------------------------------- tokenizer vs the reference
@@ -250,6 +300,11 @@ _ALPHABET = "\\%${}^_&\n\x0b\x1c\x85\u2003\u00a0 \tabzXéßλ09*(),."
 
 def _lexed(tokens):
     return [(t.kind, t.text, t.span) for t in tokens]
+
+
+def _reference(source):
+    """_lexed of the reference lexer's tokens, with the kinds it decides."""
+    return [(kind, t.text, t.span) for t, kind in oracle.tokenize(source)]
 
 
 def _random_strings(seed, count):
@@ -263,13 +318,13 @@ def _random_strings(seed, count):
     ["", "\\", "x\\", "\\\n", "\\\nx", "a\\\\\n%c\\\n\\%\\", "a\x0b\x1c\x85\u2003\u00a0b"],
 )
 def test_tokenize_edge_cases_match_the_reference(source):
-    assert _lexed(tokenize(source)) == _lexed(oracle.tokenize(source))
+    assert _lexed(tokenize(source)) == _reference(source)
     assert detokenize(tokenize(source)) == source
 
 
 def test_tokenize_matches_the_reference_on_random_strings():
     for source in _random_strings(9, 3000):
-        assert _lexed(tokenize(source)) == _lexed(oracle.tokenize(source)), repr(source)
+        assert _lexed(tokenize(source)) == _reference(source), repr(source)
         assert detokenize(tokenize(source)) == source
 
 
@@ -279,7 +334,7 @@ def test_tokenize_matches_the_reference_on_generated_corpora():
             f"\\begin{{equation}}{body} % proof: {k}\n\\end{{equation}} where ${body}$."
             for k, body in enumerate(gen.corpus(seed, 100))
         )
-        assert _lexed(tokenize(source)) == _lexed(oracle.tokenize(source))
+        assert _lexed(tokenize(source)) == _reference(source)
         assert detokenize(tokenize(source)) == source
 
 
@@ -327,7 +382,6 @@ def test_row_breaks_inside_groups_and_inner_environments_do_not_split():
     ]
     group = extract_math(source)[0].body[1]
     assert isinstance(group, Group)
-    assert (group.open_tok.span, group.close_tok.span) == ((14, 15), (19, 20))
 
 
 def test_double_dollars_and_unterminated_displays():
@@ -389,7 +443,9 @@ def test_math_rows_hold_the_tokens_tokenize_gives_inside_their_spans():
         for m in spans:
             a = bisect.bisect_left(starts, m.span[0])
             b = bisect.bisect_left(starts, m.span[1])
-            assert _lexed(flatten(m.body)) == tokens[a:b]
+            # a group's braces are implied, so flatten gives them no span
+            want = [(k, t, None if t in ("{", "}") else span) for k, t, span in tokens[a:b]]
+            assert _lexed(flatten(m.body)) == want
 
 
 # pieces of documents that open, close, hide or nest environments and

@@ -11,14 +11,14 @@ import oracle
 from conftest import DATA
 from semtex.engine import replace_all
 from semtex.errors import SubstitutionCycleError, UnbalancedGroupError
-from semtex.lexer import Group, Token, TokenKind, flatten, render
+from semtex.glossary import loads_glossary
+from semtex.lexer import Group, Token, flatten, render
 from semtex.metadata import (
     AnnotationKind,
     _head_finder,
     _split_trailing,
     _top_level_equation,
     contains_relational,
-    detect_constraints,
     detect_substitutions,
     extract_document,
     inline_substitutions,
@@ -146,71 +146,77 @@ def test_relational_detector(glossary):
 # ---------------------------------------------------------- constraint splits
 
 
-def split(glossary, body, prose=""):
-    fs = segment_formulae(f"\\[ {body} \\]", glossary)
-    core, clauses = detect_constraints(fs[0], prose)
-    return render(core.nodes), [render(cl) for cl in clauses]
+# a glossary with no rules: the constraints extract_document attaches
+# are the canonical clauses, rendered
+_RULELESS = loads_glossary('{"rules": []}')
 
 
-def test_single_trailing_clause(glossary):
-    core, anns = split(glossary, r"\Gamma(z)=\int_0^\infty e^{-t}t^{z-1}\,dt, \quad \Re z>0")
+def split(body, prose=""):
+    """The rendered core of a row and its constraints, from its trailing
+    clauses and the prose after it."""
+    (f,) = extract_document(f"\\[ {body} \\] {prose}", _RULELESS).formulae
+    return render(f.source_canonical.nodes), bodies(AnnotationKind.CONSTRAINT, f)
+
+
+def test_single_trailing_clause():
+    core, anns = split(r"\Gamma(z)=\int_0^\infty e^{-t}t^{z-1}\,dt, \quad \Re z>0")
     assert core == r"\Gamma(z)=\int_0^\infty e^{-t}t^{z-1}dt"
     assert anns == [r"\Re z>0"]
 
 
-def test_two_trailing_clauses(glossary):
-    core, anns = split(glossary, r"e_q(z)=s, \quad |z|<1, \quad 0<q<1")
+def test_two_trailing_clauses():
+    core, anns = split(r"e_q(z)=s, \quad |z|<1, \quad 0<q<1")
     assert core == r"e_q(z)=s"
     assert anns == [r"|z|<1", "0<q<1"]
 
 
-def test_enumeration_stays_one_clause(glossary):
-    core, anns = split(glossary, r"R_n(x)=y, \quad n=0,1,\ldots,N")
+def test_enumeration_stays_one_clause():
+    core, anns = split(r"R_n(x)=y, \quad n=0,1,\ldots,N")
     assert core == r"R_n(x)=y"
     assert anns == [r"n=0,1,\ldots,N"]
 
 
-def test_commas_without_relations_are_kept(glossary):
-    core, anns = split(glossary, r"f(x,y)=x, y, z")
+def test_commas_without_relations_are_kept():
+    core, anns = split(r"f(x,y)=x, y, z")
     assert core == "f(x,y)=x,y,z"
     assert anns == []
 
 
-def test_first_segment_never_splits(glossary):
-    core, anns = split(glossary, r"n \ge 0")
+def test_first_segment_never_splits():
+    core, anns = split(r"n \ge 0")
     assert core == r"n\ge0"
     assert anns == []
 
 
-def test_commas_inside_groups_are_not_boundaries(glossary):
-    core, anns = split(glossary, r"g=\max(a, b), a<b")
+def test_commas_inside_groups_are_not_boundaries():
+    core, anns = split(r"g=\max(a, b), a<b")
     assert core == r"g=\max(a,b)"
     assert anns == ["a<b"]
 
 
 @pytest.mark.parametrize("introducer", ["where", "for", "provided"])
-def test_prose_constraint_introducers(glossary, introducer):
-    _, anns = split(glossary, "y=s", f"{introducer} $0<q<1$. More text.")
+def test_prose_constraint_introducers(introducer):
+    _, anns = split("y=s", f"{introducer} $0<q<1$. More text.")
     assert anns == ["0<q<1"]
 
 
-def test_prose_without_introducer_is_ignored(glossary):
-    _, anns = split(glossary, "y=s", "Assume $0<q<1$ throughout.")
+def test_prose_without_introducer_is_ignored():
+    _, anns = split("y=s", "Assume $0<q<1$ throughout.")
     assert anns == []
 
 
-def test_prose_math_without_relation_is_ignored(glossary):
-    _, anns = split(glossary, "y=s", "where $q$ is fixed.")
+def test_prose_math_without_relation_is_ignored():
+    _, anns = split("y=s", "where $q$ is fixed.")
     assert anns == []
 
 
-def test_an_escaped_dollar_pairs_with_no_prose_math(glossary):
-    _, anns = split(glossary, "y=x", r"where $0<q<1$ costs \$5 and $n \ge 0$.")
+def test_an_escaped_dollar_pairs_with_no_prose_math():
+    _, anns = split("y=x", r"where $0<q<1$ costs \$5 and $n \ge 0$.")
     assert anns == ["0<q<1", r"n\ge0"]
 
 
-def test_prose_constraints_stop_at_first_plain_sentence(glossary):
-    _, anns = split(glossary, "y=s", "where $n\\ge0$. Next topic. for $|t|<1$.")
+def test_prose_constraints_stop_at_first_plain_sentence():
+    _, anns = split("y=s", "where $n\\ge0$. Next topic. for $|t|<1$.")
     assert anns == [r"n\ge0"]
 
 
@@ -519,9 +525,8 @@ def test_keywords_and_introducers_with_capitals_match(glossary):
     # the introducer sentence constrains the row before it, not the next
     assert bodies(AnnotationKind.CONSTRAINT, f["a"]) == ["0<q<1"]
     assert bodies(AnnotationKind.NOTE, f["b"]) == []
-    fs = segment_formulae("\\[ y=s \\]", glossary)
-    _, clauses = detect_constraints(fs[0], "PROVIDED $|t|<1$.", ["Provided"])
-    assert [render(c) for c in clauses] == ["|t|<1"]
+    res = extract_document("\\[ y=s \\] PROVIDED $|t|<1$.", _RULELESS, introducers=["Provided"])
+    assert bodies(AnnotationKind.CONSTRAINT, res.formulae[0]) == ["|t|<1"]
 
 
 def test_formula_without_section_gets_no_name(glossary):
@@ -698,20 +703,14 @@ def test_name_goes_to_the_first_row_that_converts(glossary):
 
 def _odd_tree(rng, depth=2):
     """Random nodes: brackets that need not pair, commas and relationals,
-    some with a kind their text does not give, and nested groups."""
-    kinds = (TokenKind.CHAR, TokenKind.CONTROL, TokenKind.ALIGN_TAB)
+    and nested groups."""
     texts = ("(", ")", "[", "]", ",", "=", "<", ">", "\\le", "\\in", "\\neq", "x", "\\alpha")
     out = []
     for _ in range(rng.randint(0, 12)):
-        r = rng.random()
-        if r < 0.1 and depth:
+        if rng.random() < 0.1 and depth:
             out.append(Group(tuple(_odd_tree(rng, depth - 1))))
         else:
-            text = rng.choice(texts)
-            kind = rng.choice(kinds) if r < 0.25 else (
-                TokenKind.CONTROL if text[0] == "\\" else TokenKind.CHAR
-            )
-            out.append(Token(kind, text, inert=rng.random() < 0.05))
+            out.append(Token(rng.choice(texts), inert=rng.random() < 0.05))
     return out
 
 
@@ -834,9 +833,8 @@ def test_head_trie_matches_the_bucketed_reference(glossary):
         ("u", _nodes("\\Omega"), True),
         ("v", _nodes("G_m"), True),
         ("v", _nodes("G_m"), False),
-        # a run repeated, and one whose _ has another kind than the lexer's
+        # a run repeated
         ("u", _nodes("\\Omega_2"), False),
-        ("u", (omega, Token(TokenKind.CHAR, "_"), one), False),
     ] + _heads_on_one_base(400)
     find = _head_finder(heads)
     want = oracle.head_finder(heads)
@@ -848,7 +846,7 @@ def test_head_trie_matches_the_bucketed_reference(glossary):
         # replacement makes inert groups, such as \EulerGamma@{...}
         nodes = replace_all(tree, glossary)[0].nodes if rng.random() < 0.5 else tree.nodes
         if rng.random() < 0.1:
-            nodes = (*nodes, omega, Token(TokenKind.CHAR, "_"), one)
+            nodes = (*nodes, omega, sub, one)
         for unit in ("u", "v", "w"):
             hits = find(nodes, unit, render(nodes))
             assert hits == want(nodes, unit, render(nodes)), (text, unit)

@@ -618,4 +618,21 @@ def test_a_label_in_a_group_of_a_display_row_leaks_into_no_page(tmp_path):
     assert "&lt;math&gt;f(x)=x&lt;/math&gt;" in res.dump
     # replace keeps every label
     once, _ = replace_text(doc.read_text(), builtin_glossary())
-    assert "f(x)={x\\label b}\\label a" in once
+    assert "f(x)={x\\label{b}}\\label{a}" in once
+
+
+@pytest.mark.parametrize(
+    "source, written",
+    [
+        (r"\[ f(x)={x \label{b}} \label{a} \]", r"\[ f(x)={x\label{b}}\label{a} \]"),
+        (
+            r"\begin{equation}\label{b} \Gamma(z)\end{equation}",
+            r"\begin{equation}\label{b}\EulerGamma@{z}\end{equation}",
+        ),
+        (r"where $x \label {c}$ and $\label{{d}}$", r"where $x\label{c}$ and $\label{d}$"),
+    ],
+)
+def test_replace_keeps_the_braces_of_a_one_character_label(source, written):
+    once, _ = replace_text(source, builtin_glossary())
+    assert once == written
+    assert replace_text(once, builtin_glossary())[0] == once
