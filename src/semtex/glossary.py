@@ -366,7 +366,9 @@ def loads_glossary(text: str) -> Glossary:
     settings = CanonicalSettings.from_config(data.get("canonicalization", {}))
     for canonical in settings.delimiter_map.values():
         tok = _one_token(canonical)
-        if tok is None or tok.kind not in _LEAF_KINDS:
+        # a lone backslash lexes as one token only at the end of a text:
+        # written before a letter it would start a control word
+        if tok is None or tok.kind not in _LEAF_KINDS or tok.text == "\\":
             raise GlossaryParseError(
                 None,
                 f"delimiter class canonical {canonical!r} is not one character "

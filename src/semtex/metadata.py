@@ -16,9 +16,11 @@ source never becomes part of another formula's notes.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import attrgetter
 from typing import Callable, Iterable, Sequence
 
 from .canonicalize import (
@@ -120,7 +122,9 @@ class Formula:
     semantic_nodes is the replaced core and source_semantic is
     render(semantic_nodes).  detect_substitutions, inline_substitutions
     and the pages read source_semantic as that render: a token text
-    missing from it is missing from the tree.
+    missing from it is missing from the tree.  unit is the number of
+    headings before the row's environment, so rows share a unit exactly
+    when the same heading is the last one before them.
     """
 
     id: str
@@ -129,8 +133,7 @@ class Formula:
     citation: Citation
     annotations: list[Annotation] = field(default_factory=list)
     semantic_nodes: tuple[Node, ...] = ()
-    section_path: tuple[str, ...] = ()
-    unit: str = "doc"
+    unit: int = 0
     ordinal: int = 0
     span: tuple[int, int] = (0, 0)
     stats: ReplacementStats = field(default_factory=ReplacementStats)
@@ -154,7 +157,7 @@ class SubstitutionDef:
     rhs: tuple[Node, ...]
     def_formula_id: str
     equation: str
-    unit: str
+    unit: int
     ordinal: int
     users: frozenset[int]
 
@@ -175,9 +178,11 @@ def contains_relational(nodes: Iterable[Node]) -> bool:
 class _Heading:
     pos: int
     end: int
-    level: str
     title: str
 
+
+# the key that bisects a heading list by offset
+_pos = attrgetter("pos")
 
 _HEADINGS = frozenset({"\\section", "\\subsection"})
 
@@ -201,24 +206,8 @@ def _scan_sections(texts: list[str], starts: list[int], marks: list[int]) -> lis
         got = _group_text(texts, j, n)
         if got is not None:
             title, after = got
-            out.append(_Heading(starts[i], starts[after], t[1:], title.strip()))
+            out.append(_Heading(starts[i], starts[after], title.strip()))
     return out
-
-
-def _locate(sections: Sequence[_Heading], pos: int) -> tuple[tuple[str, ...], str]:
-    sec = sub = None
-    si = ui = -1
-    for k, s in enumerate(sections):
-        if s.pos >= pos:
-            break
-        if s.level == "section":
-            sec, si = s, k
-            sub, ui = None, -1
-        else:
-            sub, ui = s, k
-    path = tuple(h.title for h in (sec, sub) if h is not None)
-    unit = f"u{si}.{ui}" if path else "doc"
-    return path, unit
 
 
 def _row(
@@ -234,7 +223,8 @@ def _row(
 ) -> Formula | tuple[str, str]:
     """The Formula of a display row of _row_ranges, or its (id, message)
     failure, naming the line:col of the fault, when the body cannot be
-    canonicalized.  leaves is the document's leaf table (see _build)."""
+    canonicalized.  sections are the document's headings and leaves is
+    its leaf table (see _build)."""
     _, a, b, outer = row
     fid = _find_label(texts, a, b) or f"f{ordinal}"
     span = (starts[a], starts[b])
@@ -248,7 +238,6 @@ def _row(
             for m in [_PROOF_RE.match(t)]
             if m is not None
         ]
-    path, unit = _locate(sections, outer[0])
     try:
         core = _build(texts, starts, a, b, settings, True, leaves)
     except MismatchedLeftRightError as exc:
@@ -260,8 +249,7 @@ def _row(
         source_semantic="",
         citation=Citation(citation_key, fid),
         annotations=proofs,
-        section_path=path,
-        unit=unit,
+        unit=bisect_left(sections, outer[0], key=_pos),
         ordinal=ordinal,
         span=span,
     )
@@ -400,8 +388,8 @@ class _State:
 
 
 def _head_finder(
-    heads: Sequence[tuple[str, tuple[Node, ...], bool]]
-) -> Callable[[Sequence[Node], str, str], list[int]]:
+    heads: Sequence[tuple[int, tuple[Node, ...], bool]]
+) -> Callable[[Sequence[Node], int, str], list[int]]:
     """A search for many (unit, head run, is_function) entries at once.
 
     The search takes nodes, their unit and a text holding every token
@@ -416,14 +404,14 @@ def _head_finder(
     runs share its text.
     """
     # unit -> text of a run's first token -> the state after it
-    roots: dict[str, dict[str, _State]] = {}
+    roots: dict[int, dict[str, _State]] = {}
     for k, (unit, run, is_function) in enumerate(heads):
         state = roots.setdefault(unit, {}).setdefault(run[0].text, _State())
         for nd in run[1:]:
             state = state.next.setdefault(nd, _State())
         (state.call if is_function else state.plain).append(k)
 
-    def find(nodes: Sequence[Node], unit: str, text: str) -> list[int]:
+    def find(nodes: Sequence[Node], unit: int, text: str) -> list[int]:
         goto = roots.get(unit)
         if goto is None or not any(t in text for t in goto):
             return []
@@ -697,38 +685,38 @@ def _noteworthy(sentence: str) -> bool:
     return len(sentence.split()) >= 3 and sentence[0].isalpha()
 
 
-def _gap_chunks(
-    source: str, sections: Sequence[_Heading], a: int, b: int
-) -> list[str]:
+def _gap_chunks(source: str, sections: Sequence[_Heading], a: int, b: int) -> list[str]:
+    """The prose of source[a:b] cut at the headings that start in it."""
     chunks = []
     cur = a
-    for h in sections:
-        if a <= h.pos < b:
-            chunks.append(source[cur : h.pos])
-            cur = h.end
+    cut = sections[bisect_left(sections, a, key=_pos) : bisect_left(sections, b, key=_pos)]
+    for h in cut:
+        chunks.append(source[cur : h.pos])
+        cur = h.end
     chunks.append(source[cur:b])
     return chunks
 
 
 def _names_and_notes(
-    f: Formula, sentences: Sequence[str], patterns: Sequence[tuple[str, re.Pattern]]
+    f: Formula,
+    heading: _Heading | None,
+    sentences: Sequence[str],
+    patterns: Sequence[tuple[str, re.Pattern]],
 ) -> list[Annotation]:
     """Name and Note annotations for f from the prose before its
-    environment.
+    environment; heading is the last one before that environment.
 
-    The first keyword sentence names the formula as "<innermost section>
+    The first keyword sentence names the formula as "<heading title>
     <keyword phrase>"; other sentences of three or more words become
-    Notes.  Formulae without an enclosing section get no Name.
+    Notes.  Formulae with no heading before them get no Name.
     """
     out = []
     named = False
     for s in sentences:
         phrase = _match_keyword(s, patterns)
         if phrase is not None:
-            if not named and f.section_path:
-                out.append(
-                    Annotation(AnnotationKind.NAME, f"{f.section_path[-1]} {phrase}", f.id)
-                )
+            if not named and heading is not None:
+                out.append(Annotation(AnnotationKind.NAME, f"{heading.title} {phrase}", f.id))
             named = True
         elif _noteworthy(s):
             out.append(Annotation(AnnotationKind.NOTE, s, f.id))
@@ -777,7 +765,9 @@ def extract_document(
     # upcoming holds the sentences of the prose before the next
     # environment, following those of the prose after the current row's
     # environment when the row is its last
-    upcoming = _sentences(_gap_chunks(source, sections, 0, rows[0][3][0])[-1]) if rows else []
+    upcoming = (
+        _sentences(_gap_chunks(source, sections, 0, rows[0][3][0])[-1]) if rows else []
+    )
     following: list[str] = []
     before: list[str] = []
     for k, row in enumerate(rows):
@@ -839,7 +829,8 @@ def extract_document(
         f.semantic_nodes = sem.nodes
         f.source_semantic = render(sem.nodes)
         f.stats = ReplacementStats.from_counts(counts, formulae=1)
-        f.annotations.extend(_names_and_notes(f, before, patterns))
+        heading = sections[f.unit - 1] if f.unit else None
+        f.annotations.extend(_names_and_notes(f, heading, before, patterns))
         before = []
         ok.append(f)
 

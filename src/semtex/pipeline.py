@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import os
 import re
+import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
@@ -415,6 +416,12 @@ def replace_files(
         yield name, stats
 
 
+# The longest one request to the rendering service may take.  The
+# timeout given to requests bounds each socket read, not the request, so
+# without it a service that sends a byte at a time could hold a run.
+_RENDER_DEADLINE_S = 60.0
+
+
 @dataclass(frozen=True)
 class RenderedMath:
     presentation: str
@@ -426,7 +433,8 @@ def request_mathml(semantic_latex: str, endpoint: str) -> RenderedMath:
 
     The service answers with XML holding a presentation and a content
     MathML island; anything else raises ServiceRejectedError, transport
-    failures raise ServiceUnreachableError.
+    failures and a body not complete within _RENDER_DEADLINE_S (checked
+    each time body text arrives) raise ServiceUnreachableError.
     """
     import requests
 
@@ -436,21 +444,38 @@ def request_mathml(semantic_latex: str, endpoint: str) -> RenderedMath:
 def _post_mathml(post, semantic_latex: str, endpoint: str) -> RenderedMath:
     """request_mathml through post, requests.post or a Session's post."""
     import requests
+    import urllib3
     from xml.etree import ElementTree
 
+    deadline = time.monotonic() + _RENDER_DEADLINE_S
+    body = bytearray()
     try:
-        resp = post(
+        with post(
             endpoint,
             data=semantic_latex.encode("utf-8"),
             headers={"Content-Type": "text/plain; charset=utf-8"},
             timeout=30,
-        )
-    except requests.RequestException as exc:
+            stream=True,
+        ) as resp:
+            # read1 returns as soon as a socket read yields body text, so
+            # the deadline is checked as the body comes; decode_content
+            # undoes a Content-Encoding such as gzip, as resp.text would
+            while chunk := resp.raw.read1(8192, decode_content=True):
+                body += chunk
+                if time.monotonic() > deadline:
+                    raise ServiceUnreachableError(
+                        f"{endpoint}: no complete answer within {_RENDER_DEADLINE_S:g} s"
+                    )
+    except (requests.RequestException, urllib3.exceptions.HTTPError) as exc:
         raise ServiceUnreachableError(f"{endpoint}: {exc}") from exc
-    if resp.status_code != 200:
-        raise ServiceRejectedError(resp.status_code, resp.text[:200])
     try:
-        root = ElementTree.fromstring(resp.text)
+        text = body.decode(resp.encoding or "utf-8", errors="replace")
+    except LookupError:
+        text = body.decode("utf-8", errors="replace")
+    if resp.status_code != 200:
+        raise ServiceRejectedError(resp.status_code, text[:200])
+    try:
+        root = ElementTree.fromstring(text)
     except ElementTree.ParseError as exc:
         raise ServiceRejectedError(resp.status_code, f"unparseable response: {exc}")
     pres_wrap = root.find("presentation")

@@ -29,7 +29,10 @@ glossary head, which semtex.pages now finds for all heads in one scan.
 split_trailing() and top_level_equation() read a canonical body through
 the top_level() generator, as semtex.metadata's one-loop scans did
 before.  row_ranges() and scan_sections() walk every token of a lexed
-document, where semtex's scans read only its structural marks.  build()
+document, where semtex's scans read only its structural marks.  locate()
+is the section/subsection walk semtex.metadata's heading bisection
+replaced: it gives a row's heading path and unit from every heading
+before it.  build()
 is semtex.canonicalize._build without a leaf table: every leaf is built
 afresh and every token takes the full path.
 
@@ -727,6 +730,26 @@ def scan_sections(texts, starts):
                 continue
         i += 1
     return out
+
+
+def locate(sections, pos):
+    """The (section title, subsection title) path and the unit of a row
+    whose environment starts at pos, from the scan_sections() headings:
+    the unit is "u<section index>.<subsection index>", or "doc" before
+    any heading."""
+    sec = sub = None
+    si = ui = -1
+    for k, (start, _, level, title) in enumerate(sections):
+        if start >= pos:
+            break
+        if level == "section":
+            sec, si = title, k
+            sub, ui = None, -1
+        else:
+            sub, ui = title, k
+    path = tuple(t for t in (sec, sub) if t is not None)
+    unit = f"u{si}.{ui}" if path else "doc"
+    return path, unit
 
 
 def build(texts, pos, a, b, settings, row=False):

@@ -32,7 +32,8 @@ from semtex.lexer import (
     build_groups,
     flatten,
 )
-from semtex.metadata import _scan_sections
+from semtex.canonicalize import DEFAULT_SETTINGS
+from semtex.metadata import Formula, _row, _scan_sections
 
 from conftest import DATA
 
@@ -351,7 +352,7 @@ def rows(source):
 def headings(source):
     texts, starts = _lex(source)
     marks = _marks(source, texts, starts)
-    return [(h.pos, h.end, h.level, h.title) for h in _scan_sections(texts, starts, marks)]
+    return [(h.pos, h.end, h.title) for h in _scan_sections(texts, starts, marks)]
 
 
 def test_escaped_dollars_and_commented_dollars_open_no_math():
@@ -400,12 +401,12 @@ def test_double_dollars_and_unterminated_displays():
 
 def test_starred_sections_are_headings_and_longer_names_are_not():
     assert headings("\\section*{T} \\sectionx{U} \\subsection {V}") == [
-        (0, 12, "section", "T"),
-        (26, 41, "subsection", "V"),
+        (0, 12, "T"),
+        (26, 41, "V"),
     ]
     # TeX skips the spaces after a control word, before the star too
-    assert headings("\\section *{T}") == [(0, 13, "section", "T")]
-    assert headings("\\subsection * {V}") == [(0, 17, "subsection", "V")]
+    assert headings("\\section *{T}") == [(0, 13, "T")]
+    assert headings("\\subsection * {V}") == [(0, 17, "V")]
 
 
 # ------------------------------------- math rows against the whole token list
@@ -482,8 +483,41 @@ def test_structural_scans_match_the_token_walk_reference():
         want = _scan_outcome(lambda: list(oracle.row_ranges(texts, starts)))
         got = _scan_outcome(lambda: list(_row_ranges(texts, starts, marks)))
         assert got == want, source
-        heads = [(h.pos, h.end, h.level, h.title) for h in _scan_sections(texts, starts, marks)]
-        assert heads == oracle.scan_sections(texts, starts), source
+        sections = _scan_sections(texts, starts, marks)
+        heads = [(h.pos, h.end, h.title) for h in sections]
+        reference = oracle.scan_sections(texts, starts)
+        assert heads == [(pos, end, title) for pos, end, _, title in reference], source
         seen[want[0] if isinstance(want, tuple) else "rows" if want else "none"] += 1
         seen["headings"] += bool(heads)
+        if not isinstance(want, tuple):
+            seen["units"] += _placed_units(source, texts, starts, got, sections) > 1
+    assert seen.pop("units") > 10, seen
     assert min(seen.values()) > 200, seen
+    # many headings and rows, so that most rows are placed after the first
+    for source in [(DATA / "kls_mini.tex").read_text(encoding="utf-8")] + [
+        _document(seed, 200) for seed in range(4)
+    ]:
+        texts, starts = _lex(source)
+        marks = _marks(source, texts, starts)
+        rows = list(_row_ranges(texts, starts, marks))
+        sections = _scan_sections(texts, starts, marks)
+        assert _placed_units(source, texts, starts, rows, sections) > 3, source
+
+
+def _placed_units(source, texts, starts, rows, sections):
+    """Check the unit and heading of each row that builds against the
+    walk of oracle.locate: two rows share a unit exactly when the walk
+    gives them one unit, and the heading's title ends the walk's path.
+    Returns the number of units."""
+    reference = oracle.scan_sections(texts, starts)
+    placed = []
+    for k, row in enumerate(rows, 1):
+        f = _row(source, texts, starts, row, k, sections, "", DEFAULT_SETTINGS, {})
+        if isinstance(f, Formula):
+            path, unit = oracle.locate(reference, row[3][0])
+            title = sections[f.unit - 1].title if f.unit else None
+            assert title == (path[-1] if path else None), source
+            placed.append((f.unit, unit))
+    units = {u for u, _ in placed}
+    assert len(units) == len({u for _, u in placed}) == len(set(placed)), source
+    return len(units)

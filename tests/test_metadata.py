@@ -128,12 +128,61 @@ def test_segment_skips_inline_math(glossary):
     assert [f.id for f in fs] == ["f1"]
 
 
-def test_sections_set_unit_and_path(glossary, mini_source):
+def test_sections_set_unit_and_path(glossary, mini_source, mini):
     fs = segment_formulae(mini_source, glossary)
     f = {x.id: x for x in fs}
-    assert f["9.2.2"].section_path[-1] == "Racah"
+    # the Name takes the title of the last heading before the row
+    named = next(x for x in mini.formulae if x.id == "9.2.2")
+    assert bodies(AnnotationKind.NAME, named) == ["Racah definition"]
     assert f["9.2.2"].unit == f["9.2.5"].unit
     assert f["9.2.2"].unit != f["9.8.1"].unit
+
+
+class _CountingList(list):
+    """A list that counts the entries read from it."""
+
+    read = 0
+
+    def __iter__(self):
+        for x in super().__iter__():
+            self.read += 1
+            yield x
+
+    def __getitem__(self, k):
+        got = super().__getitem__(k)
+        self.read += len(got) if isinstance(k, slice) else 1
+        return got
+
+
+def test_heading_entries_read_per_row_stay_flat_as_a_document_grows(glossary, monkeypatch):
+    import semtex.metadata
+
+    real = semtex.metadata._scan_sections
+    made = []
+
+    def counting(*args):
+        made.append(_CountingList(real(*args)))
+        return made[-1]
+
+    monkeypatch.setattr(semtex.metadata, "_scan_sections", counting)
+
+    def per_row(rows):
+        # subsections of 16 rows, a section for every 8 of them
+        parts = []
+        for k in range(rows):
+            if k % 128 == 0:
+                parts.append(f"\\section{{S{k}}}\n")
+            if k % 16 == 0:
+                parts.append(f"\\subsection{{T{k}}}\nThe definition of x.\n")
+            parts.append(f"\\[ x_{{{k}}} = k \\]\nwhere $k>0$. A note on the row.\n")
+        result = extract_document("".join(parts), glossary)
+        assert len(result.formulae) == rows
+        last = (rows - 1) // 16 * 16
+        assert bodies(AnnotationKind.NAME, result.formulae[last]) == [f"T{last} definition"]
+        return made.pop().read / rows
+
+    small, large = per_row(250), per_row(4000)
+    assert large <= 2 * small, (small, large)
 
 
 def test_relational_detector(glossary):

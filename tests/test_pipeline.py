@@ -1,10 +1,13 @@
 """Config handling, full runs, and the rendering-service client."""
 
 import json
+import gzip
 import random
 import re
 import socket
 import threading
+import time
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
@@ -25,7 +28,7 @@ from semtex.errors import (
 from semtex.glossary import builtin_glossary
 from semtex.lexer import extract_math, render
 from semtex.metadata import _line_col
-from semtex.mockserver import start_server
+from semtex.mockserver import response_for, start_server
 from semtex.pages import SiteInfo
 from semtex.pipeline import (
     PipelineConfig,
@@ -589,6 +592,84 @@ def test_verify_render_posts_once_to_a_down_service(mini_extraction, monkeypatch
     assert len(posts) == 1
     assert got[0][1].startswith("warning: service unreachable: ")
     assert [status for _, status in got[1:]] == ["warning: service unreachable (skipped)"] * 4
+
+
+class _Trickle(BaseHTTPRequestHandler):
+    """Answers a POST with one byte of its promised body every 50 ms,
+    well inside any read timeout."""
+
+    protocol_version = "HTTP/1.1"
+
+    def do_POST(self):
+        self.rfile.read(int(self.headers["Content-Length"]))
+        self.send_response(200)
+        self.send_header("Content-Type", "application/xml; charset=utf-8")
+        self.send_header("Content-Length", "100")
+        self.end_headers()
+        try:
+            for _ in range(100):
+                self.wfile.write(b" ")
+                self.wfile.flush()
+                time.sleep(0.05)
+        except OSError:
+            pass
+
+    def log_message(self, fmt, *args):
+        pass
+
+
+def test_a_trickling_service_is_cut_off_at_the_request_deadline(mini_extraction, monkeypatch):
+    import semtex.pipeline
+
+    monkeypatch.setattr(semtex.pipeline, "_RENDER_DEADLINE_S", 0.3)
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _Trickle)
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    endpoint = f"http://127.0.0.1:{server.server_address[1]}/"
+    try:
+        began = time.monotonic()
+        with pytest.raises(ServiceUnreachableError, match="no complete answer within 0.3 s"):
+            request_mathml("x", endpoint)
+        got = verify_render(mini_extraction.formulae[:3], endpoint)
+        elapsed = time.monotonic() - began
+    finally:
+        server.shutdown()
+        server.server_close()
+    # the whole body would take 5 s to arrive
+    assert elapsed < 2.5, elapsed
+    assert got[0][1].startswith("warning: service unreachable: ")
+    assert [status for _, status in got[1:]] == ["warning: service unreachable (skipped)"] * 2
+
+
+class _Gzipped(BaseHTTPRequestHandler):
+    """Answers a POST as the mock does, with the body gzip-compressed."""
+
+    protocol_version = "HTTP/1.1"
+
+    def do_POST(self):
+        data = self.rfile.read(int(self.headers["Content-Length"])).decode("utf-8")
+        payload = gzip.compress(response_for(data).encode("utf-8"))
+        self.send_response(200)
+        self.send_header("Content-Type", "application/xml; charset=utf-8")
+        self.send_header("Content-Encoding", "gzip")
+        self.send_header("Content-Length", str(len(payload)))
+        self.end_headers()
+        self.wfile.write(payload)
+
+    def log_message(self, fmt, *args):
+        pass
+
+
+def test_request_mathml_decodes_a_gzipped_answer():
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _Gzipped)
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    endpoint = f"http://127.0.0.1:{server.server_address[1]}/"
+    try:
+        rendered = request_mathml(r"\EulerGamma@{z}", endpoint)
+    finally:
+        server.shutdown()
+        server.server_close()
+    assert r"\EulerGamma@{z}" in rendered.presentation
+    assert "<csymbol>" in rendered.content
 
 
 # ------------------------------------------------------------ text and labels
