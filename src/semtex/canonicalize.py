@@ -169,11 +169,13 @@ def _build(
     names.  A row also drops \\label{...}, \\nonumber and \\notag at every
     depth, and then the , . ; leaves that end its canonical top level,
     so the . of a closing \\right. is a delimiter, not punctuation.
-    Outside a row the group after \\label stays a group even when it
-    holds one leaf, so a rewritten label keeps its braces.
+    Outside a row the argument of \\label is a name, not math: it
+    stays a group holding its source text as one inert leaf, so a
+    rewritten label keeps its braces and its spelling.
 
-    Leaves are spanless, non-inert and never mutated, so one leaf serves
-    every occurrence of its text.  leaves maps each plain text met so
+    Leaves are spanless and never mutated, and all but a label
+    argument's are non-inert, so one leaf serves every occurrence of its
+    text.  leaves maps each plain text met so
     far to its leaf, and a caller that builds many rows of a document
     passes one table, with one settings, to all of them.  A plain text
     is one whose treatment does not depend on its context: wherever no
@@ -187,11 +189,10 @@ def _build(
         leaves = {}
     plain = leaves.get
     spacing = settings.spacing_tokens
-    # one (nodes, depth, first, opened) frame per enclosing group: the
-    # sequence built so far, its \left count less its \right count, the
-    # index of its first \left (-1 before it), and the index of the {
-    # that opened the group inside it
-    stack: list[tuple[list[Node], int, int, int]] = []
+    # one (nodes, depth, first) frame per enclosing group: the sequence
+    # built so far, its \left count less its \right count, and the index
+    # of its first \left (-1 before it)
+    stack: list[tuple[list[Node], int, int]] = []
     out: list[Node] = []
     depth, first = 0, -1
     prefix = -1  # index of a size prefix waiting for the next token
@@ -256,7 +257,13 @@ def _build(
                 out.append(Token(texts[prefix]))
                 prefix = -1
             if c == "{":
-                stack.append((out, depth, first, k - 1))
+                if k - 1 == label_at:
+                    m = _match(texts, label_at)
+                    arg = "".join(texts[k:m])
+                    out.append(Group((Token(arg, inert=True),) if arg else ()))
+                    k = m + 1
+                    continue
+                stack.append((out, depth, first))
                 out, depth, first = [], 0, -1
                 if k - 1 == text_at and quoted < 0:
                     quoted = len(stack)
@@ -267,9 +274,9 @@ def _build(
                 if len(stack) == quoted:
                     quoted = -1
                 kids = out
-                out, depth, first, opened = stack.pop()
+                out, depth, first = stack.pop()
                 kid = kids[0] if len(kids) == 1 else None
-                if kid.__class__ is Token and kid.kind in _LEAF_KINDS and opened != label_at:
+                if kid.__class__ is Token and kid.kind in _LEAF_KINDS:
                     out.append(kid)
                 else:
                     out.append(Group(tuple(kids)))
@@ -318,8 +325,8 @@ def canonicalize(
        when \\left/\\right do not pair up within the sequence;
     3. drop alignment tabs and comments;
     4. canonicalize each group once and unwrap it when it holds a single
-       CHAR or CONTROL leaf, so {{n}} becomes n, except the argument of
-       \\label, so \\label{a} keeps its braces.
+       CHAR or CONTROL leaf, so {{n}} becomes n; the argument of \\label
+       is not read as math but kept as its source text, in its braces.
     """
     flat = flatten(nodes)
     texts = [t.text for t in flat]

@@ -299,10 +299,6 @@ class Glossary:
     def macro_names(self) -> tuple[str, ...]:
         return tuple(sorted(self.by_name))
 
-    @property
-    def heads(self) -> frozenset:
-        return frozenset(self.by_head)
-
 
 def _rule_from_json(obj, index: int) -> MacroRule:
     if not isinstance(obj, dict):

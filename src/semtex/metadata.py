@@ -5,12 +5,15 @@ trailing constraint clauses split off the body, prose constraints and
 names and notes harvested from surrounding text, and substitution
 definitions detected and inlined into the formulae that use them.
 
-Prose is cut at display environments and section headings.  The prose
-after an environment gives constraints to its last row; the prose
-before one gives names and notes to its first row that converts, less
-its leading introducer sentences, which belong to the previous
-environment's last row.  A failed row still bounds prose, so its
-source never becomes part of another formula's notes.
+Prose is cut at display environments into gaps.  The leading
+introducer sentences of a gap give constraints to the last row of the
+environment before it; the rest of the gap gives names and notes to the
+first row that converts of the environment after it.  A heading that
+cuts a gap ends its first part: the introducers are read up to the
+first heading, and only the prose after the last heading goes to the
+next environment.  The document's opening gap loses no introducers,
+having no environment before it.  A failed row still bounds prose, so
+its source never becomes part of another formula's notes.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import pairwise
 from operator import attrgetter
 from typing import Callable, Iterable, Sequence
 
@@ -345,13 +349,6 @@ def _sentences(text: str) -> list[str]:
     return [_SPACES_RE.sub(" ", s).strip() for s in out if s.strip()]
 
 
-def _begins_with_introducer(sentence: str, introducers: frozenset[str]) -> bool:
-    """Whether the first word of sentence, lowercased, is one of the
-    lowercase introducers."""
-    m = _WORD_RE.match(sentence)
-    return m is not None and m.group(0).lower() in introducers
-
-
 def _prose_constraints(sentence: str, settings: CanonicalSettings) -> list[tuple[Node, ...]]:
     """Relational $...$ snippets, canonical; $ tokens pair as in _sentences."""
     texts = _TOKEN_RE.findall(sentence)
@@ -362,14 +359,6 @@ def _prose_constraints(sentence: str, settings: CanonicalSettings) -> list[tuple
         if contains_relational(tree.nodes):
             out.append(tree.nodes)
     return out
-
-
-def _introduced(sentences: Sequence[str], introducers: frozenset[str]) -> int:
-    """How many of the leading sentences begin with an introducer."""
-    k = 0
-    while k < len(sentences) and _begins_with_introducer(sentences[k], introducers):
-        k += 1
-    return k
 
 
 class _State:
@@ -521,7 +510,9 @@ def detect_substitutions(
 
     The core must be a single equation H = RHS with H a simple symbol or
     an application of simple symbols; glossary macro heads never
-    qualify.  A function head counts as used only where a call "("
+    qualify.  A head that two candidate rows of one unit define, as a
+    symbol or as a function, defines nothing there: those rows stay
+    formulae.  A function head counts as used only where a call "("
     follows it.  Each formula is searched once, for every candidate
     head of its unit, and the rows found become the defs' users.
     """
@@ -537,10 +528,12 @@ def detect_substitutions(
         run, is_function = parsed
         head = run[0]
         if head.inert or (
-            head.kind is TokenKind.CONTROL and head.name in glossary.heads
+            head.kind is TokenKind.CONTROL and head.name in glossary.by_head
         ):
             continue
         candidates.append((f, eq, run, is_function))
+    defined = Counter((f.unit, run) for f, _, run, _ in candidates)
+    candidates = [(f, eq, run, fn) for f, eq, run, fn in candidates if defined[f.unit, run] == 1]
 
     find = _head_finder([(f.unit, run, is_function) for f, _, run, is_function in candidates])
     # ordinals of the rows that use each candidate's head; ids may repeat
@@ -685,18 +678,6 @@ def _noteworthy(sentence: str) -> bool:
     return len(sentence.split()) >= 3 and sentence[0].isalpha()
 
 
-def _gap_chunks(source: str, sections: Sequence[_Heading], a: int, b: int) -> list[str]:
-    """The prose of source[a:b] cut at the headings that start in it."""
-    chunks = []
-    cur = a
-    cut = sections[bisect_left(sections, a, key=_pos) : bisect_left(sections, b, key=_pos)]
-    for h in cut:
-        chunks.append(source[cur : h.pos])
-        cur = h.end
-    chunks.append(source[cur:b])
-    return chunks
-
-
 def _names_and_notes(
     f: Formula,
     heading: _Heading | None,
@@ -732,13 +713,15 @@ def extract_document(
 ) -> ExtractionResult:
     """Full extraction for one document.
 
-    One walk over the display rows, in source order, segments each row,
-    splits its constraints, replaces (cores and constraint bodies,
-    counts merged per formula) and attaches names and notes, with prose
-    bounded as the module docstring says; then substitutions are
-    detected and inlined.  Keywords and introducers match prose in any
-    case.  Failures on individual formulae are recorded
-    and skipped; one in the prose after a row names the row's line:col.
+    One pass over the gaps between display environments splits each
+    into sentences once and hands them out as the module docstring says.
+    Then one walk over the display rows, in source order, segments each
+    row, splits its constraints, replaces (cores and constraint bodies,
+    counts merged per formula) and attaches names and notes; then
+    substitutions are detected and inlined.  Keywords and introducers
+    match prose in any case.  Failures on individual formulae are
+    recorded and skipped; one in the prose after a row names the row's
+    line:col.
     Document-level errors propagate.  A formula whose id repeats that of
     an earlier one left after inlining is such a failure, located by
     line:col, and the earlier one keeps the id.
@@ -762,38 +745,38 @@ def extract_document(
     converted: dict[tuple[Node, ...], tuple[str, dict[str, int]]] = {}
     ok: list[Formula] = []
     failures: list[tuple[str, str]] = []
-    # upcoming holds the sentences of the prose before the next
-    # environment, following those of the prose after the current row's
-    # environment when the row is its last
-    upcoming = (
-        _sentences(_gap_chunks(source, sections, 0, rows[0][3][0])[-1]) if rows else []
-    )
-    following: list[str] = []
-    before: list[str] = []
+    # each environment's extent -> the index of its last row, in order
+    ends = {row[3]: k for k, row in enumerate(rows)}
+    # the sentences of the prose before and after each environment, from
+    # one pass over the gaps between them
+    before: dict[tuple[int, int], list[str]] = {}
+    after: dict[tuple[int, int], list[str]] = {}
+    for prev, nxt in pairwise([None, *ends, None]) if ends else ():
+        a = 0 if prev is None else prev[1]
+        b = len(source) if nxt is None else nxt[0]
+        i = bisect_left(sections, a, key=_pos)
+        j = bisect_left(sections, b, key=_pos)
+        # the prose up to the first heading that cuts the gap, if one does
+        first = _sentences(source[a : sections[i].pos if i < j else b])
+        lead = 0  # the leading introducer sentences
+        if prev is not None:
+            for sentence in first:
+                m = _WORD_RE.match(sentence)
+                if m is None or m.group(0).lower() not in introducers:
+                    break
+                lead += 1
+            after[prev] = first[:lead]
+        if nxt is not None:
+            before[nxt] = _sentences(source[sections[j - 1].end : b]) if i < j else first[lead:]
     for k, row in enumerate(rows):
         outer = row[3]
-        if k == 0 or outer != rows[k - 1][3]:
-            before = upcoming
-        nxt = rows[k + 1][3] if k + 1 < len(rows) else None
-        if nxt != outer:
-            # each gap is split into sentences once: its introducer
-            # sentences constrain this row, the rest are the next
-            # environment's before, unless a heading cuts the gap
-            chunks = _gap_chunks(source, sections, outer[1], nxt[0] if nxt else len(source))
-            following = _sentences(chunks[0])
-            if len(chunks) > 1:
-                upcoming = _sentences(chunks[-1]) if nxt else []
-            else:
-                upcoming = following[_introduced(following, introducers) :]
-        else:
-            following = []
         f = _row(source, texts, starts, row, k + 1, sections, citation_key, settings, leaves)
         if not isinstance(f, Formula):
             failures.append(f)
             continue
         core, clauses = _split_trailing(f.source_canonical.nodes)
         try:
-            for sentence in following[: _introduced(following, introducers)]:
+            for sentence in after[outer] if ends[outer] == k else ():
                 got = prose.get(sentence)
                 if got is None:
                     got = prose[sentence] = _prose_constraints(sentence, settings)
@@ -830,8 +813,7 @@ def extract_document(
         f.source_semantic = render(sem.nodes)
         f.stats = ReplacementStats.from_counts(counts, formulae=1)
         heading = sections[f.unit - 1] if f.unit else None
-        f.annotations.extend(_names_and_notes(f, heading, before, patterns))
-        before = []
+        f.annotations.extend(_names_and_notes(f, heading, before.pop(outer, []), patterns))
         ok.append(f)
 
     defs = detect_substitutions(ok, glossary)

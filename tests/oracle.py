@@ -1,7 +1,7 @@
 """Brute-force references used to cross-check semtex.
 
 scan() re-implements the documented matching semantics of replace_all
-from scratch, without importing anything from semtex.engine: at every
+from scratch, without calling into semtex.engine: at every
 position try each rule in glossary order, count the first match, consume
 it, then recurse into captured sequences and unmatched groups.
 
@@ -36,9 +36,16 @@ before it.  build()
 is semtex.canonicalize._build without a leaf table: every leaf is built
 afresh and every token takes the full path.
 
+prose_walk() is the row loop that semtex.metadata.extract_document's
+pass over the gaps replaced: it splits the gap after an environment
+when it meets the environment's last row, looking one row ahead, and
+carries the sentences before an environment to its first row that
+converts.  It cuts a gap at every heading inside it.
+
 Slow and simple on purpose.
 """
 
+import re
 from collections import Counter
 
 from semtex.canonicalize import (
@@ -51,9 +58,12 @@ from semtex.canonicalize import (
     _match,
     _skip_blank,
 )
+from semtex.engine import replace_all
 from semtex.errors import (
     MismatchedLeftRightError,
+    SemtexError,
     SubstitutionCycleError,
+    UnknownSemanticMacroError,
     UnterminatedEnvironmentError,
 )
 from semtex.glossary import AtomKind
@@ -65,15 +75,29 @@ from semtex.lexer import (
     TokenKind,
     _check_balance,
     _group_text,
+    _lex,
+    _marks,
     _split_rows,
     build_groups,
     flatten,
 )
 from semtex.metadata import (
+    DEFAULT_INTRODUCERS,
+    DEFAULT_KEYWORDS,
     Annotation,
     AnnotationKind,
+    Formula,
     SubstitutionDef,
+    _display_rows,
+    _keyword_patterns,
+    _line_col,
+    _names_and_notes,
     _parse_def_lhs,
+    _prose_constraints,
+    _row,
+    _scan_sections,
+    _sentences,
+    _split_trailing,
 )
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
@@ -231,8 +255,9 @@ def _run_occurs(nodes, run, as_call):
 
 
 def detect_substitutions(fs, glossary):
-    """Each formula H = RHS whose head some other formula of its unit uses."""
-    defs = []
+    """Each formula H = RHS whose head some other formula of its unit
+    uses, and no other formula of its unit defines."""
+    candidates = []
     for f in fs:
         nodes = f.semantic_nodes
         eq = top_level_equation(nodes)
@@ -243,8 +268,14 @@ def detect_substitutions(fs, glossary):
             continue
         run, is_function = parsed
         head = run[0]
-        if head.inert or (head.kind is TokenKind.CONTROL and head.name in glossary.heads):
+        if head.inert or (head.kind is TokenKind.CONTROL and head.name in glossary.by_head):
             continue
+        candidates.append((f, eq, run, is_function))
+    defs = []
+    for f, eq, run, is_function in candidates:
+        if any(g is not f and g.unit == f.unit and r == run for g, _, r, _ in candidates):
+            continue
+        nodes = f.semantic_nodes
         users = frozenset(
             g.ordinal
             for g in fs
@@ -404,9 +435,9 @@ def _canonical_delimiter(t, settings):
 def _canon(nodes, settings, text=False, row=False):
     """The canonical nodes of one sequence; with text set, the sequence
     lies in a text argument, where each whitespace run is one space.
-    Outside a row the group after \\label stays a group even when it
-    holds one leaf; in a row, whose labels strip_markup dropped, a
-    \\label left is stray and its group unwraps as any other."""
+    Outside a row the group after \\label is its source text as one
+    inert leaf in a group; in a row, whose labels strip_markup dropped,
+    a \\label left is stray and its group unwraps as any other."""
     n = len(nodes)
     # pass 1: spacing, so a size prefix sees the delimiter behind it
     seq = []
@@ -456,11 +487,14 @@ def _canon(nodes, settings, text=False, row=False):
     while i < n:
         node = seq[i]
         i += 1
+        if isinstance(node, Group) and i - 1 in labels:
+            arg = "".join(t.text for t in flatten(node.children))
+            out.append(Group((Token(arg, inert=True),) if arg else ()))
+            continue
         if isinstance(node, Group):
             kids = _canon(node.children, settings, text or i - 1 in texts, row)
             if (
-                i - 1 not in labels
-                and len(kids) == 1
+                len(kids) == 1
                 and isinstance(kids[0], Token)
                 and kids[0].kind in (TokenKind.CHAR, TokenKind.CONTROL)
             ):
@@ -763,7 +797,6 @@ def build(texts, pos, a, b, settings, row=False):
     text_at = -1
     quoted = -1
     label_at = -1
-    kept = []  # len(stack) inside each label argument being read
     k = a
     while k < b:
         t = texts[k]
@@ -816,26 +849,26 @@ def build(texts, pos, a, b, settings, row=False):
                 out.append(Token(texts[prefix]))
                 prefix = -1
             if c == "{":
+                if k - 1 == label_at:
+                    m = _match(texts, label_at)
+                    arg = "".join(texts[k:m])
+                    out.append(Group((Token(arg, inert=True),) if arg else ()))
+                    k = m + 1
+                    continue
                 stack.append((out, depth, first))
                 out, depth, first = [], 0, -1
                 if k - 1 == text_at and quoted < 0:
                     quoted = len(stack)
-                if k - 1 == label_at:
-                    kept.append(len(stack))
                 continue
             if c == "}":
                 if depth:
                     raise MismatchedLeftRightError(pos[first])
                 if len(stack) == quoted:
                     quoted = -1
-                label = bool(kept) and kept[-1] == len(stack)
-                if label:
-                    kept.pop()
                 kids = out
                 out, depth, first = stack.pop()
                 if (
-                    not label
-                    and len(kids) == 1
+                    len(kids) == 1
                     and isinstance(kids[0], Token)
                     and kids[0].kind in (TokenKind.CHAR, TokenKind.CONTROL)
                 ):
@@ -862,3 +895,81 @@ def build(texts, pos, a, b, settings, row=False):
     if depth:
         raise MismatchedLeftRightError(pos[first])
     return CanonicalTree(_drop_punctuation(out) if row else tuple(out))
+
+
+def prose_walk(source, glossary, keywords=DEFAULT_KEYWORDS, introducers=DEFAULT_INTRODUCERS):
+    """The Constraint, Name and Note annotations of each row of source
+    that converts, keyed by its ordinal, and the failures of the rows
+    that do not, from the per-row walk: the gap after an environment is
+    split when its last row is met, and its leading sentences that
+    begin with an introducer constrain that row."""
+    settings = glossary.settings
+    patterns = _keyword_patterns(keywords)
+    introducers = {w.lower() for w in introducers}
+    texts, starts = _lex(source)
+    marks = _marks(source, texts, starts)
+    sections = _scan_sections(texts, starts, marks)
+    rows = _display_rows(texts, starts, marks)
+
+    def chunks(a, b):
+        """The prose of source[a:b] cut at every heading that starts in it."""
+        out, cur = [], a
+        for h in sections:
+            if a <= h.pos < b:
+                out.append(source[cur : h.pos])
+                cur = h.end
+        return out + [source[cur:b]]
+
+    def introduced(sentences):
+        k = 0
+        while k < len(sentences):
+            m = re.match(r"[A-Za-z]+", sentences[k])
+            if m is None or m.group(0).lower() not in introducers:
+                break
+            k += 1
+        return k
+
+    out, failures = {}, []
+    upcoming = _sentences(chunks(0, rows[0][3][0])[-1]) if rows else []
+    following = before = []
+    for k, row in enumerate(rows):
+        outer = row[3]
+        if k == 0 or outer != rows[k - 1][3]:
+            before = upcoming
+        nxt = rows[k + 1][3] if k + 1 < len(rows) else None
+        if nxt != outer:
+            gap = chunks(outer[1], nxt[0] if nxt else len(source))
+            following = _sentences(gap[0])
+            if len(gap) > 1:
+                upcoming = _sentences(gap[-1]) if nxt else []
+            else:
+                upcoming = following[introduced(following) :]
+        else:
+            following = []
+        f = _row(source, texts, starts, row, k + 1, sections, "", settings, {})
+        if not isinstance(f, Formula):
+            failures.append(f)
+            continue
+        where = _line_col(source, f.span[0])
+        core, clauses = _split_trailing(f.source_canonical.nodes)
+        try:
+            for sentence in following[: introduced(following)]:
+                clauses += _prose_constraints(sentence, settings)
+        except SemtexError as exc:
+            what = str(exc).split(" at offset ")[0]
+            failures.append(
+                (f.id, f"{type(exc).__name__}: {what} in the prose after the row at line {where}")
+            )
+            continue
+        try:
+            replace_all(CanonicalTree(core), glossary)
+            bodies = [render(replace_all(CanonicalTree(c), glossary)[0].nodes) for c in clauses]
+        except UnknownSemanticMacroError as exc:
+            failures.append((f.id, f"{type(exc).__name__}: {exc} for the row at line {where}"))
+            continue
+        heading = sections[f.unit - 1] if f.unit else None
+        out[f.ordinal] = [
+            Annotation(AnnotationKind.CONSTRAINT, body, f.id) for body in bodies
+        ] + _names_and_notes(f, heading, before, patterns)
+        before = []
+    return out, failures

@@ -3,6 +3,7 @@
 import dataclasses
 import gc
 import random
+from collections import Counter
 
 import pytest
 
@@ -14,6 +15,7 @@ from semtex.errors import SubstitutionCycleError, UnbalancedGroupError
 from semtex.glossary import loads_glossary
 from semtex.lexer import Group, Token, flatten, render
 from semtex.metadata import (
+    Annotation,
     AnnotationKind,
     _head_finder,
     _split_trailing,
@@ -322,6 +324,39 @@ def test_glossary_heads_never_define(glossary):
     assert res.defs == []
 
 
+def test_a_head_two_rows_define_defines_nothing(glossary):
+    res = extract(
+        glossary,
+        wrap(
+            "p_n(x)=\\sum_{k=0}^n x^k \\label{a}",
+            "p_n(x)=\\frac{1-x^{n+1}}{1-x} \\label{b}",
+            "p_n(1)=n+1 \\label{c}",
+            "\\int_0^1 p_n(x)dx=H_{n+1} \\label{d}",
+        ),
+    )
+    assert res.defs == [] and res.failures == []
+    assert [f.id for f in res.formulae] == ["a", "b", "c", "d"]
+    assert all(f.annotations_of(AnnotationKind.SUBSTITUTION) == [] for f in res.formulae)
+
+
+def test_a_symbol_head_and_a_function_head_on_one_run_are_one_head(glossary):
+    res = extract(glossary, wrap("u=2", "u(x)=x^2", "y=u(t)+u"))
+    assert res.defs == []
+    assert len(res.formulae) == 3
+    # in another unit the head still defines
+    res = extract(glossary, wrap("u=2", "u(x)=x^2") + wrap("u=3", "y=u+1", section="\\section{T}\n"))
+    assert [d.def_formula_id for d in res.defs] == ["f3"]
+
+
+def test_many_rows_defining_one_head_stay_pages(glossary):
+    rows = [f"f(x)=\\Gamma(x)+\\sum_{{k=0}}^{{{k}}} x^k" for k in range(2000)]
+    res = extract(glossary, wrap(*rows))
+    assert res.defs == [] and res.failures == []
+    assert len(res.formulae) == 2000
+    with pytest.raises(SubstitutionCycleError):
+        extract(glossary, wrap(*rows[:3], "a=b+1", "b=a+1"))
+
+
 # The head search skips a row whose source_semantic holds no first-token
 # text of its unit's heads, so these uses must still be found through it.
 def test_a_head_used_only_inside_a_nested_group_is_found(glossary):
@@ -427,10 +462,11 @@ def _use(rng, head):
     return rng.choice(wraps).format(head)
 
 
-def _planted_rows(rng, cycle):
+def _planted_rows(rng, cycle, redefine=False):
     """One unit's rows: gen.py noise, defs whose right sides use earlier
-    heads (chains and diamonds), rows that use the heads, and with cycle
-    set a ring of two or three defs that use each other."""
+    heads (chains and diamonds), rows that use the heads, with cycle set
+    a ring of two or three defs that use each other, and with redefine
+    set a second definition of one head, as a symbol or a function."""
     heads = rng.sample(_SYMBOL_HEADS, 5) + rng.sample(_FUNCTION_HEADS, 2)
     rng.shuffle(heads)
     defs = []
@@ -450,6 +486,9 @@ def _planted_rows(rng, cycle):
             defs[-1] += "+" + ring[-1]
         elif pick == 1:
             rows.append("y+" + ring[0])
+    if redefine:
+        head = rng.choice(heads)
+        rows.append(head + rng.choice(("", "(z)")) + "=2")
     rows += defs
     rng.shuffle(rows)
     return rows
@@ -480,12 +519,14 @@ def test_substitutions_match_the_brute_force_reference(glossary):
         rng = random.Random(seed)
         source = "\\section{S}\n"
         for unit in ("A", "B"):
-            rows = _planted_rows(rng, cycle=seed % 4 == 0)
+            rows = _planted_rows(rng, cycle=seed % 4 == 0, redefine=seed % 4 == 1)
             source += f"\\subsection{{{unit}}}\n" + "\n".join(f"\\[ {r} \\]" for r in rows) + "\n"
         fs = _replaced_rows(glossary, source)
         want = _substitute(oracle.detect_substitutions, oracle.inline_substitutions, fs, glossary)
         got = _substitute(detect_substitutions, inline_substitutions, fs, glossary)
         assert got == want, seed
+        # one head, one definition
+        assert len({(d.unit, d.lhs_head) for d in got[0]}) == len(got[0]), seed
         if isinstance(got[1], tuple):
             cycles += 1
         else:
@@ -603,6 +644,68 @@ def test_an_escaped_dollar_opens_no_math_in_prose(glossary):
         "Costs \\$5 here.",
         "Next one is here.",
     ]
+
+
+
+def test_the_opening_introducer_sentence_is_a_note_of_the_first_row(glossary):
+    # no environment comes before the opening prose, so none takes its
+    # introducer sentence as a constraint
+    res = extract(glossary, "For all $n>0$ the sum is finite.\n\\[ y=x \\]\nwhere $0<q<1$.\n")
+    f = res.formulae[0]
+    assert bodies(AnnotationKind.NOTE, f) == ["For all $n>0$ the sum is finite."]
+    assert bodies(AnnotationKind.CONSTRAINT, f) == ["0<q<1"]
+
+
+def test_a_gap_cut_by_two_headings_names_the_next_row_from_its_last_part(glossary):
+    res = extract(
+        glossary,
+        "\\section{A}\n\\[ y=x \\label{a} \\]\n"
+        "where $0<q<1$. The orthogonality relation is not this row's.\n"
+        "\\section{B} The recurrence relation reads here.\n"
+        "\\subsection{C} The generating function reads here.\n"
+        "\\[ z=x \\label{b} \\]\n",
+    )
+    f = by_id(res)
+    assert bodies(AnnotationKind.CONSTRAINT, f["a"]) == ["0<q<1"]
+    assert [a.kind for a in f["a"].annotations] == [AnnotationKind.CONSTRAINT]
+    assert f["b"].annotations == [
+        Annotation(AnnotationKind.NAME, "C generating function", "b")
+    ]
+
+
+# headings, display rows (some failing in their body, their prose or
+# their replacement) and introducer, keyword and plain sentences
+_PROSE_PIECES = (
+    "\\section{A}\n", "\\subsection{B}\n", "\\section*{C}\n", "\\subsection{D $x$}",
+    "\\[ x=1 \\]\n", "\\[ y_{k}=2, q<1 \\]\n", "$$ z=3 $$",
+    "\\begin{align} a=1 \\\\ b=2, n>0 \\\\ c=3 \\end{align}\n",
+    "\\begin{equation} z=3 \\label{e} \\end{equation}\n",
+    "\\[ \\left( x \\]\n", "\\begin{align} \\left( x \\\\ y=2 \\end{align}\n",
+    "\\[ \\mystery@@{z} \\]\n", "\\begin{align} y=1 \\\\ \\mystery@@{z} \\end{align}\n",
+    "where $0<q<1$. ", "For all $n>0$ the sum is finite. ", "PROVIDED $|z|<1$. ",
+    "where $\\left( q<1$ holds. ", "The orthogonality relation reads. ",
+    "Generating function. ", "This follows from the binomial theorem. ",
+    "Two words. ", "$x=1$ is used. ", "\n\n", "% where $a<b$.\n", "x",
+)
+
+
+def test_gap_prose_matches_the_per_row_walk_reference(glossary):
+    rng = random.Random(20261019)
+    seen = Counter()
+    kinds = (AnnotationKind.CONSTRAINT, AnnotationKind.NAME, AnnotationKind.NOTE)
+    for _ in range(1200):
+        source = "".join(rng.choice(_PROSE_PIECES) for _ in range(rng.randint(0, 24)))
+        res = extract(glossary, source)
+        want, failures = oracle.prose_walk(source, glossary)
+        got = {f.ordinal: [a for a in f.annotations if a.kind in kinds] for f in res.formulae}
+        assert got == {k: want[k] for k in got}, source
+        # the rest repeat a label
+        assert res.failures[: len(failures)] == failures, source
+        assert all(m.startswith("DuplicateTitleError") for _, m in res.failures[len(failures) :])
+        seen.update(a.kind for anns in got.values() for a in anns)
+        seen["failures"] += len(failures)
+        seen["rows"] += len(got)
+    assert min(seen.values()) > 150, seen
 
 
 # --------------------------------------------------------------------- proofs

@@ -710,10 +710,26 @@ def test_a_label_in_a_group_of_a_display_row_leaks_into_no_page(tmp_path):
             r"\begin{equation}\label{b} \Gamma(z)\end{equation}",
             r"\begin{equation}\label{b}\EulerGamma@{z}\end{equation}",
         ),
-        (r"where $x \label {c}$ and $\label{{d}}$", r"where $x\label{c}$ and $\label{d}$"),
+        # a label argument is kept as its source text, braces and all
+        (r"where $x \label {c}$ and $\label{{d}}$", r"where $x\label{c}$ and $\label{{d}}$"),
     ],
 )
 def test_replace_keeps_the_braces_of_a_one_character_label(source, written):
     once, _ = replace_text(source, builtin_glossary())
     assert once == written
     assert replace_text(once, builtin_glossary())[0] == once
+
+
+@pytest.mark.parametrize("label", ["eq one", "a~b", " a ", "\\Gamma(z)"])
+def test_replace_keeps_a_label_argument_verbatim(tmp_path, label):
+    source = f"\\section{{S}}\n\\[ \\Gamma(z) \\label{{{label}}} \\]\n"
+    once, _ = replace_text(source, builtin_glossary())
+    assert once == f"\\section{{S}}\n\\[ \\EulerGamma@{{z}}\\label{{{label}}} \\]\n"
+    assert replace_text(once, builtin_glossary())[0] == once
+    # so convert names the page as it does from the source
+    ids = []
+    for k, text in enumerate((source, once)):
+        doc = tmp_path / f"t{k}.tex"
+        doc.write_text(text)
+        ids.append([f.id for f in run_pipeline(PipelineConfig(inputs=[doc]), write=False).formulae])
+    assert ids == [[label], [label]]
