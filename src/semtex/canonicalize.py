@@ -13,8 +13,8 @@ of a built tree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import MismatchedLeftRightError
 from .lexer import Group, Node, Token, TokenKind, _check_balance, _lex, flatten
@@ -62,16 +62,22 @@ _DELIMITER_TEXTS = frozenset(
 )
 
 
-@dataclass(frozen=True)
-class CanonicalSettings:
+def _class_map(classes) -> dict[str, str]:
+    out: dict[str, str] = {}
+    for entry in classes:
+        for variant in entry["variants"]:
+            out[variant] = entry["canonical"]
+    return out
+
+
+class CanonicalSettings(NamedTuple):
     """Which spellings collapse to what.  Loaded from the glossary file."""
 
     spacing_tokens: frozenset = frozenset(DEFAULT_SPACING_TOKENS)
     size_prefixes: frozenset = frozenset(DEFAULT_SIZE_PREFIXES)
     bar_synonyms: frozenset = frozenset(DEFAULT_BAR_SYNONYMS)
-    delimiter_map: Mapping[str, str] = field(
-        default_factory=lambda: _class_map(DEFAULT_DELIMITER_CLASSES)
-    )
+    # read-only, as every default settings object shares it
+    delimiter_map: Mapping[str, str] = MappingProxyType(_class_map(DEFAULT_DELIMITER_CLASSES))
 
     @classmethod
     def from_config(cls, cfg: Mapping) -> "CanonicalSettings":
@@ -93,22 +99,24 @@ class CanonicalSettings:
         )
 
 
-def _class_map(classes) -> dict[str, str]:
-    out: dict[str, str] = {}
-    for entry in classes:
-        for variant in entry["variants"]:
-            out[variant] = entry["canonical"]
-    return out
-
-
 DEFAULT_SETTINGS = CanonicalSettings()
 
 
-@dataclass(frozen=True)
 class CanonicalTree:
     """Canonical node sequence; trees compare by content."""
 
-    nodes: tuple[Node, ...]
+    __slots__ = ("nodes",)
+
+    def __init__(self, nodes: tuple[Node, ...]):
+        self.nodes = nodes
+
+    def __eq__(self, other):
+        if other.__class__ is not CanonicalTree:
+            return NotImplemented
+        return self.nodes == other.nodes
+
+    def __repr__(self):
+        return f"CanonicalTree(nodes={self.nodes!r})"
 
 
 # Token kinds a one-leaf brace group unwraps to.

@@ -22,9 +22,7 @@ and is the inverse.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .canonicalize import _LEAF_KINDS, CanonicalTree
 from .errors import UnknownSemanticMacroError
@@ -41,6 +39,9 @@ from .glossary import (
     MacroRule,
 )
 from .lexer import Group, Node, Token, TokenKind
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 # Leaves a single-token/single-group capture refuses: delimiters,
 # separators, operators, relationals, and structural kinds.
@@ -60,6 +61,9 @@ _SINGLE_STOP_TEXTS = frozenset("()[],;|=<>+-*/@.") | {
 
 _SEPARATOR_TEXTS = frozenset(SEPARATOR_CHARS)
 
+# The @ of every instantiated occurrence; tokens are never mutated
+_INERT_AT = Token("@", inert=True)
+
 
 def _single_ok(node: Node | None) -> bool:
     if node.__class__ is not Token or node.inert:
@@ -67,8 +71,7 @@ def _single_ok(node: Node | None) -> bool:
     return node.kind not in _SINGLE_STOP_KINDS and node.text not in _SINGLE_STOP_TEXTS
 
 
-@dataclass
-class MatchResult:
+class MatchResult(NamedTuple):
     """Captures of a successful match and the node index just past it."""
 
     captures: dict[str, tuple[Node, ...]]
@@ -143,26 +146,43 @@ def match_at(nodes: Sequence[Node], pos: int, rule: MacroRule) -> MatchResult | 
 def instantiate(rule: MacroRule, captures: Mapping[str, Sequence[Node]]) -> list[Node]:
     """Build the semantic form of one rule from its fields, fully inert:
     the replacement of one firing, or a marked occurrence."""
-    out: list[Node] = [Token("\\" + rule.head, inert=True)]
+    out: list[Node] = [rule.head_token]
     for name in rule.param_names:
         out.append(Group(tuple(captures[name]), inert=True))
     for _ in rule.at_variant:
-        out.append(Token("@", inert=True))
+        out.append(_INERT_AT)
     for name in rule.arg_names:
         out.append(Group(tuple(captures[name]), inert=True))
     return out
 
 
-@dataclass
 class ReplacementStats:
     """Firing counts; total is always the sum of per_rule."""
 
-    per_rule: dict[str, int] = field(default_factory=dict)
-    total: int = 0
-    formulae: int = 0
+    __slots__ = ("per_rule", "total", "formulae")
+
+    def __init__(self, per_rule: dict[str, int] | None = None, total: int = 0, formulae: int = 0):
+        self.per_rule = {} if per_rule is None else per_rule
+        self.total = total
+        self.formulae = formulae
+
+    def __eq__(self, other):
+        if other.__class__ is not ReplacementStats:
+            return NotImplemented
+        return (self.per_rule, self.total, self.formulae) == (
+            other.per_rule, other.total, other.formulae
+        )
+
+    def __repr__(self):
+        return (
+            f"ReplacementStats(per_rule={self.per_rule!r}, total={self.total!r}, "
+            f"formulae={self.formulae!r})"
+        )
 
     @property
     def avg_per_formula(self) -> Fraction:
+        from fractions import Fraction
+
         if self.formulae == 0:
             return Fraction(0)
         return Fraction(self.total, self.formulae)

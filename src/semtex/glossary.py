@@ -20,12 +20,12 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
 from pathlib import Path
+from typing import NamedTuple
 
-from .canonicalize import _LEAF_KINDS, CanonicalSettings
+from .canonicalize import _LEAF_KINDS, DEFAULT_SETTINGS, CanonicalSettings
 from .errors import (
     DuplicateMacroError,
     GlossaryParseError,
@@ -62,34 +62,64 @@ _CAPTURE_OPS = {"single-token": TOKEN, "single-group": FIELD, "balanced-expressi
 EMPTY_GROUP = (Group, 0)
 
 
-@dataclass(frozen=True)
-class PatternAtom:
+class PatternAtom(NamedTuple):
     kind: AtomKind
     value: str = ""
     name: str = ""
     mode: str = "balanced-expression"
 
 
-@dataclass(frozen=True)
 class MacroRule:
-    """One presentation -> semantic rewrite rule."""
+    """One presentation -> semantic rewrite rule.
 
-    macro_name: str
-    pattern: tuple[PatternAtom, ...]
-    template: str
-    at_variant: str
-    priority: int
-    definition_link: str = ""
-    description: str = ""
-    # Derived from template at load time.
-    head: str = field(default="", compare=False)
-    param_names: tuple[str, ...] = field(default=(), compare=False)
-    arg_names: tuple[str, ...] = field(default=(), compare=False)
-    # Derived from pattern on construction: the steps match_at runs.
-    steps: tuple[tuple[int, str], ...] = field(init=False, repr=False, compare=False)
+    head, param_names and arg_names are derived from template at load
+    time; steps (the steps match_at runs) and head_token (the inert
+    \\head every firing starts with) are derived from pattern and head
+    on construction.  Rules compare by their other fields.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "steps", _compile(self.macro_name, self.pattern))
+    __slots__ = (
+        "macro_name", "pattern", "template", "at_variant", "priority",
+        "definition_link", "description", "head", "param_names", "arg_names",
+        "steps", "head_token",
+    )
+
+    def __init__(
+        self,
+        macro_name: str,
+        pattern: tuple[PatternAtom, ...],
+        template: str,
+        at_variant: str,
+        priority: int,
+        definition_link: str = "",
+        description: str = "",
+        head: str = "",
+        param_names: tuple[str, ...] = (),
+        arg_names: tuple[str, ...] = (),
+    ):
+        self.macro_name = macro_name
+        self.pattern = pattern
+        self.template = template
+        self.at_variant = at_variant
+        self.priority = priority
+        self.definition_link = definition_link
+        self.description = description
+        self.head = head
+        self.param_names = param_names
+        self.arg_names = arg_names
+        self.steps = _compile(macro_name, pattern)
+        self.head_token = Token("\\" + head, inert=True)
+
+    def _key(self) -> tuple:
+        return (
+            self.macro_name, self.pattern, self.template, self.at_variant,
+            self.priority, self.definition_link, self.description,
+        )
+
+    def __eq__(self, other):
+        if other.__class__ is not MacroRule:
+            return NotImplemented
+        return self._key() == other._key()
 
     @property
     def capture_names(self) -> tuple[str, ...]:
@@ -247,7 +277,6 @@ def _first_key(rule: MacroRule) -> object:
     return None
 
 
-@dataclass
 class Glossary:
     """Rules in total order (priority desc, pattern length desc, name asc).
 
@@ -261,13 +290,15 @@ class Glossary:
     found at one backslash the shorter is followed by a letter.
     """
 
-    rules: tuple[MacroRule, ...]
-    settings: CanonicalSettings = field(default_factory=CanonicalSettings)
+    __slots__ = ("rules", "settings", "by_name", "by_head", "_by_first", "_unkeyed", "_head_re")
 
-    def __post_init__(self):
+    def __init__(
+        self, rules: tuple[MacroRule, ...], settings: CanonicalSettings = DEFAULT_SETTINGS
+    ):
+        self.settings = settings
         self.rules = tuple(
             sorted(
-                self.rules,
+                rules,
                 key=lambda r: (-r.priority, -len(r.pattern), r.macro_name),
             )
         )

@@ -36,10 +36,9 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left
-from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator, NamedTuple, Union
 
 from .errors import UnbalancedGroupError, UnterminatedEnvironmentError
 
@@ -263,8 +262,7 @@ MATH_ENVIRONMENTS = frozenset(
 ROW_SPLIT_ENVIRONMENTS = frozenset({"align", "align*", "eqnarray"})
 
 
-@dataclass(frozen=True)
-class MathSpan:
+class MathSpan(NamedTuple):
     """One display row or inline snippet of math.
 
     span is the source offset range of the (trimmed) body, excluding the

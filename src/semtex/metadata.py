@@ -21,11 +21,10 @@ from __future__ import annotations
 import re
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass, field
 from enum import Enum
 from itertools import pairwise
 from operator import attrgetter
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .canonicalize import (
     CanonicalSettings,
@@ -88,6 +87,7 @@ _PROOF_RE = re.compile(r"%\s*proof:\s*(.+)$", re.IGNORECASE)
 _SPACES_RE = re.compile(r"\s+")
 _WORD_RE = re.compile(r"[A-Za-z]+")
 _TAIL_RE = re.compile(r"\s+([a-z]+)")
+_TITLE_GAP_RE = re.compile(r"[\s_]+")
 
 
 class AnnotationKind(Enum):
@@ -98,8 +98,7 @@ class AnnotationKind(Enum):
     NOTE = "note"
 
 
-@dataclass(frozen=True)
-class Annotation:
+class Annotation(NamedTuple):
     """One piece of metadata attached to a Formula.
 
     body is semantic LaTeX for constraints and substitutions, prose for
@@ -112,13 +111,11 @@ class Annotation:
     origin: str = ""
 
 
-@dataclass(frozen=True)
-class Citation:
+class Citation(NamedTuple):
     key: str
     tag: str
 
 
-@dataclass
 class Formula:
     """One display-math row with its metadata.
 
@@ -131,23 +128,40 @@ class Formula:
     when the same heading is the last one before them.
     """
 
-    id: str
-    source_canonical: CanonicalTree
-    source_semantic: str
-    citation: Citation
-    annotations: list[Annotation] = field(default_factory=list)
-    semantic_nodes: tuple[Node, ...] = ()
-    unit: int = 0
-    ordinal: int = 0
-    span: tuple[int, int] = (0, 0)
-    stats: ReplacementStats = field(default_factory=ReplacementStats)
+    __slots__ = (
+        "id", "source_canonical", "source_semantic", "citation", "annotations",
+        "semantic_nodes", "unit", "ordinal", "span", "stats",
+    )
+
+    def __init__(
+        self,
+        id: str,
+        source_canonical: CanonicalTree,
+        source_semantic: str,
+        citation: Citation,
+        annotations: list[Annotation] | None = None,
+        semantic_nodes: tuple[Node, ...] = (),
+        unit: int = 0,
+        ordinal: int = 0,
+        span: tuple[int, int] = (0, 0),
+        stats: ReplacementStats | None = None,
+    ):
+        self.id = id
+        self.source_canonical = source_canonical
+        self.source_semantic = source_semantic
+        self.citation = citation
+        self.annotations = [] if annotations is None else annotations
+        self.semantic_nodes = semantic_nodes
+        self.unit = unit
+        self.ordinal = ordinal
+        self.span = span
+        self.stats = ReplacementStats() if stats is None else stats
 
     def annotations_of(self, kind: AnnotationKind) -> list[Annotation]:
         return [a for a in self.annotations if a.kind is kind]
 
 
-@dataclass
-class SubstitutionDef:
+class SubstitutionDef(NamedTuple):
     """A formula that merely defines a symbol used by its neighbours.
 
     ordinal is the defining row's Formula.ordinal, which, unlike its id,
@@ -166,20 +180,18 @@ class SubstitutionDef:
     users: frozenset[int]
 
 
-@dataclass
-class ExtractionResult:
+class ExtractionResult(NamedTuple):
     formulae: list[Formula]
     defs: list[SubstitutionDef]
     stats: ReplacementStats
-    failures: list[tuple[str, str]] = field(default_factory=list)
+    failures: list[tuple[str, str]]
 
 
 def contains_relational(nodes: Iterable[Node]) -> bool:
     return any(t.text in _RELATIONAL_TEXTS for t in flatten(nodes))
 
 
-@dataclass(frozen=True)
-class _Heading:
+class _Heading(NamedTuple):
     pos: int
     end: int
     title: str
@@ -230,7 +242,7 @@ def _row(
     canonicalized.  sections are the document's headings and leaves is
     its leaf table (see _build)."""
     _, a, b, outer = row
-    fid = _find_label(texts, a, b) or f"f{ordinal}"
+    fid = (_find_label(texts, a, b) or "").strip() or f"f{ordinal}"
     span = (starts[a], starts[b])
     proofs: list[Annotation] = []
     # a row whose source holds no % has no comment to look for
@@ -822,7 +834,7 @@ def extract_document(
     kept: dict[str, Formula] = {}
     repeated: set[int] = set()
     for f in remaining:
-        first = kept.setdefault(f.id, f)
+        first = kept.setdefault(_title_key(f.id), f)
         if first is not f:
             repeated.add(f.ordinal)
             failures.append(
@@ -836,6 +848,12 @@ def extract_document(
     remaining = list(kept.values())
     stats = ReplacementStats.combine(f.stats for f in ok if f.ordinal not in repeated)
     return ExtractionResult(remaining, defs, stats, failures)
+
+
+def _title_key(title: str) -> str:
+    """title as MediaWiki compares page titles: a run of whitespace and
+    underscores is one space, and the ends are trimmed."""
+    return _TITLE_GAP_RE.sub(" ", title).strip()
 
 
 def _line_col(source: str, offset: int) -> str:

@@ -8,35 +8,31 @@ for bulk import.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .engine import ReplacementStats
 from .errors import ConfigInvalidError, DuplicateTitleError, MissingBibEntryError
 from .glossary import Glossary, MacroRule
-from .metadata import AnnotationKind, Formula, SubstitutionDef
+from .metadata import AnnotationKind, Formula, SubstitutionDef, _title_key
 
 EXPORT_NS = "http://www.mediawiki.org/xml/export-0.10/"
 EXPORT_SCHEMA = "http://www.mediawiki.org/xml/export-0.10.xsd"
 
 
-@dataclass(frozen=True)
-class SymbolsListEntry:
+class SymbolsListEntry(NamedTuple):
     macro_name: str
     rendered_form: str
     definition_link: str
     description: str
 
 
-@dataclass(frozen=True)
-class FormulaPage:
+class FormulaPage(NamedTuple):
     title: str
     wikitext: str
 
 
-@dataclass(frozen=True)
-class BibEntry:
+class BibEntry(NamedTuple):
     key: str
     author: str
     title: str
@@ -44,8 +40,7 @@ class BibEntry:
     year: str = ""
 
 
-@dataclass(frozen=True)
-class SiteInfo:
+class SiteInfo(NamedTuple):
     """Fixed dump header fields; pinned so dumps are byte-identical."""
 
     sitename: str = "DRMF"
@@ -196,12 +191,14 @@ def _attr(text: str) -> str:
 
 def emit_dump(pages: Sequence[FormulaPage], siteinfo: SiteInfo = SiteInfo()) -> str:
     """Deterministic MediaWiki export XML for the given pages, in order,
-    with page ids 1..N.  Raises DuplicateTitleError on title collisions."""
+    with page ids 1..N.  Raises DuplicateTitleError on two titles that
+    MediaWiki takes for one."""
     seen = set()
     for p in pages:
-        if p.title in seen:
+        key = _title_key(p.title)
+        if key in seen:
             raise DuplicateTitleError(p.title)
-        seen.add(p.title)
+        seen.add(key)
 
     si = siteinfo
     out = [
@@ -265,7 +262,7 @@ def stats_report(
         f"pages: {pages}",
         f"formulae: {stats.formulae}",
         f"replacements: {stats.total}",
-        f"average per formula: {float(stats.avg_per_formula):.2f}",
+        f"average per formula: {stats.total / stats.formulae if stats.formulae else 0.0:.2f}",
         f"substitution definitions (removed from page list): {len(defs)}",
         f"formulae with substitution annotations: {annotated}",
         f"non-empty symbols lists: {non_empty}/{pages} ({pct:.1f}%)",

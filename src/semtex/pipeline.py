@@ -11,9 +11,8 @@ import json
 import os
 import re
 import time
-from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 from urllib.parse import urlparse
 
 from .canonicalize import _build
@@ -37,6 +36,7 @@ from .metadata import (
     Formula,
     SubstitutionDef,
     _line_col,
+    _title_key,
     extract_document,
 )
 from .pages import (
@@ -50,23 +50,40 @@ from .pages import (
 )
 
 
-@dataclass
 class PipelineConfig:
-    inputs: list[Path] = field(default_factory=list)
-    glossary_path: Path | None = None
-    bibliography_path: Path | None = None
-    output_path: Path | None = None
-    report_path: Path | None = None
-    corpus_prefix: str = "KLS"
-    citation_key: str = "KLS"
-    keywords: tuple[str, ...] = DEFAULT_KEYWORDS
-    introducers: tuple[str, ...] = DEFAULT_INTRODUCERS
-    endpoint: str | None = None
-    workers: int = 1
-    siteinfo: SiteInfo = field(default_factory=SiteInfo)
+    __slots__ = (
+        "inputs", "glossary_path", "bibliography_path", "output_path", "report_path",
+        "corpus_prefix", "citation_key", "keywords", "introducers", "endpoint",
+        "workers", "siteinfo",
+    )
 
-    def __post_init__(self) -> None:
-        self.inputs = [Path(p) for p in self.inputs]
+    def __init__(
+        self,
+        inputs: Sequence[str | Path] = (),
+        glossary_path: str | Path | None = None,
+        bibliography_path: str | Path | None = None,
+        output_path: str | Path | None = None,
+        report_path: str | Path | None = None,
+        corpus_prefix: str = "KLS",
+        citation_key: str = "KLS",
+        keywords: tuple[str, ...] = DEFAULT_KEYWORDS,
+        introducers: tuple[str, ...] = DEFAULT_INTRODUCERS,
+        endpoint: str | None = None,
+        workers: int = 1,
+        siteinfo: SiteInfo = SiteInfo(),
+    ):
+        self.inputs = [Path(p) for p in inputs]
+        self.glossary_path = glossary_path
+        self.bibliography_path = bibliography_path
+        self.output_path = output_path
+        self.report_path = report_path
+        self.corpus_prefix = corpus_prefix
+        self.citation_key = citation_key
+        self.keywords = keywords
+        self.introducers = introducers
+        self.endpoint = endpoint
+        self.workers = workers
+        self.siteinfo = siteinfo
         for attr in ("glossary_path", "bibliography_path", "output_path", "report_path"):
             value = getattr(self, attr)
             if value is not None:
@@ -119,7 +136,7 @@ def _workers(value, key: str = "workers") -> int:
 def _siteinfo(value, key: str) -> SiteInfo:
     if not isinstance(value, dict):
         raise ConfigInvalidError(f"{key} must be an object")
-    bad = value.keys() - SiteInfo.__dataclass_fields__.keys()
+    bad = value.keys() - SiteInfo._fields
     if bad:
         raise ConfigInvalidError(f"unknown {key} keys: {sorted(bad)}")
     bad = {k for k, v in value.items() if not isinstance(v, str)}
@@ -225,7 +242,7 @@ def validate_config(cfg: PipelineConfig) -> None:
     # a config built in code has not been through the readers
     _xml_text(cfg.corpus_prefix, "corpus_prefix")
     _xml_text(cfg.citation_key, "citation_key")
-    _siteinfo(asdict(cfg.siteinfo), "siteinfo")
+    _siteinfo(cfg.siteinfo._asdict(), "siteinfo")
 
 
 def _load_glossary(cfg: PipelineConfig) -> Glossary:
@@ -248,8 +265,7 @@ def _file_failure(exc: Exception, source: str) -> str:
     return msg
 
 
-@dataclass
-class RunResult:
+class RunResult(NamedTuple):
     exit_code: int
     dump: str
     report: str
@@ -276,11 +292,13 @@ def run_pipeline(cfg: PipelineConfig, write: bool = True) -> RunResult:
             raise ConfigInvalidError(f"cannot write {path}: no directory {path.parent}")
     files = expand_inputs(cfg.inputs)
     prefixes = _id_prefixes(files)
+    # prefixes MediaWiki takes for one would give pages one title
     first: dict[str, Path] = {}
     for path, prefix in zip(files, prefixes):
-        if first.setdefault(prefix, path) != path:
+        key = _title_key(prefix)
+        if first.setdefault(key, path) != path:
             raise ConfigInvalidError(
-                f"inputs {first[prefix]} and {path} share the formula id prefix {prefix!r}"
+                f"inputs {first[key]} and {path} share the formula id prefix {prefix!r}"
             )
     glossary = _load_glossary(cfg)
     bib = (
@@ -422,8 +440,7 @@ def replace_files(
 _RENDER_DEADLINE_S = 60.0
 
 
-@dataclass(frozen=True)
-class RenderedMath:
+class RenderedMath(NamedTuple):
     presentation: str
     content: str
 

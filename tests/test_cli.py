@@ -137,6 +137,25 @@ def test_importing_the_cli_loads_no_network_stack():
     assert done.stdout == "[]\n"
 
 
+def test_a_conversion_loads_no_dataclasses_or_fractions(tmp_path):
+    out = str(tmp_path / "dump.xml")
+    code = (
+        "import sys, semtex.cli; "
+        f"rc = semtex.cli.main(['convert', '--input', {MINI!r}, '--out', {out!r}]); "
+        "print(rc, sorted({'dataclasses', 'inspect', 'fractions', 'decimal'} & set(sys.modules)))"
+    )
+    src = str(Path(semtex.__file__).resolve().parent.parent)
+    # -S: no site-packages, whose start-up hooks could import these first
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        check=True,
+    )
+    assert done.stdout.splitlines()[-1] == "0 []"
+
+
 def test_stats(capsys):
     rc = main(["stats", "--input", MINI, "--bib", BIB])
     assert rc == 0
@@ -202,6 +221,17 @@ def test_inputs_that_share_a_stem_and_a_directory_are_a_config_error(tmp_path, c
     assert not (tmp_path / "d.xml").exists()
     assert main(["replace", *inputs, "--out", str(tmp_path / "o")]) == 0
     assert capsys.readouterr().out == "x.tex: 1 replacements\nx.txt: 1 replacements\n"
+
+
+def test_inputs_whose_prefixes_mediawiki_takes_for_one_are_a_config_error(tmp_path, capsys):
+    for name in ("a b.tex", "a_b.tex"):
+        (tmp_path / name).write_text("\\[ x+1 \\label{a} \\]\n")
+    inputs = ["--input", str(tmp_path / "a b.tex"), "--input", str(tmp_path / "a_b.tex")]
+    assert main(["convert", *inputs, "--out", str(tmp_path / "d.xml")]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: inputs {tmp_path / 'a b.tex'} and {tmp_path / 'a_b.tex'} "
+        "share the formula id prefix 'a_b'\n"
+    )
 
 
 def test_replace_reports_an_undecodable_file(tmp_path, capsys):

@@ -194,6 +194,17 @@ def test_the_walk_returns_a_tree_without_at_untouched(glossary):
     assert engine._walk(tree.nodes, glossary, instantiate) is tree.nodes
 
 
+def test_firings_of_one_rule_share_its_inert_head_and_at_tokens(glossary):
+    tree, stats = replace_all(canonicalize_string(r"\sin x+\sin y", glossary.settings), glossary)
+    assert stats.per_rule == {"sin": 2}
+    heads = [n for n in tree.nodes if getattr(n, "text", None) == "\\sin"]
+    ats = [n for n in tree.nodes if getattr(n, "text", None) == "@"]
+    assert len(heads) == 2 and len(ats) == 4
+    assert heads[0] is heads[1] is glossary.by_name["sin"].head_token
+    assert all(at is ats[0] for at in ats)
+    assert all(n.inert for n in heads + ats)
+
+
 # Rules the bundled glossary lacks, so that first-atom dispatch meets every
 # kind of first atom: leading captures ranked above and below keyed rules,
 # a [ opener, a separator, and a literal shared with a higher-ranked rule.

@@ -1,6 +1,6 @@
 """Constraint splitting, substitutions, names, notes, proofs."""
 
-import dataclasses
+import copy
 import gc
 import random
 from collections import Counter
@@ -503,8 +503,15 @@ def _replaced_rows(glossary, source):
     return fs
 
 
+def _fresh(f):
+    """A copy of f with no annotations, so inlining leaves f as it was."""
+    f = copy.copy(f)
+    f.annotations = []
+    return f
+
+
 def _substitute(detect, inline, fs, glossary):
-    fs = [dataclasses.replace(f, annotations=[]) for f in fs]
+    fs = [_fresh(f) for f in fs]
     defs = detect(fs, glossary)
     try:
         kept = inline(fs, defs)
@@ -687,6 +694,17 @@ _PROSE_PIECES = (
     "Generating function. ", "This follows from the binomial theorem. ",
     "Two words. ", "$x=1$ is used. ", "\n\n", "% where $a<b$.\n", "x",
 )
+
+
+def test_labels_mediawiki_takes_for_one_title_fail_on_their_own(glossary):
+    labels = (" a ", "a", "b_c", "b  c", " ")
+    res = extract(glossary, wrap(*(f"x+{k} \\label{{{label}}}" for k, label in enumerate(labels))))
+    # surrounding spaces are trimmed, and a label of spaces alone is none
+    assert [f.id for f in res.formulae] == ["a", "b_c", "f5"]
+    assert res.failures == [
+        ("a", "DuplicateTitleError: row at line 3:4 repeats the label 'a' of the row at line 2:4"),
+        ("b  c", "DuplicateTitleError: row at line 5:4 repeats the label 'b  c' of the row at line 4:4"),
+    ]
 
 
 def test_gap_prose_matches_the_per_row_walk_reference(glossary):

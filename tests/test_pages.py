@@ -15,6 +15,7 @@ from semtex.errors import ConfigInvalidError, DuplicateTitleError, MissingBibEnt
 from semtex.metadata import Annotation, AnnotationKind, Citation, Formula
 from semtex.pages import (
     EXPORT_NS,
+    FormulaPage,
     SiteInfo,
     build_symbols_list,
     emit_dump,
@@ -288,6 +289,18 @@ def test_duplicate_titles_rejected(glossary, formulae, bib):
     page = pages_of(glossary, formulae, bib, ["1.1.1"])[0]
     with pytest.raises(DuplicateTitleError):
         emit_dump([page, page])
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [("K:b_c", "K:b c"), ("K:b  c", "K:b\tc"), ("K:a", "K:a_"), ("K:a", " K:a"), ("K:a__b", "K:a b")],
+)
+def test_titles_mediawiki_folds_together_are_duplicates(first, second):
+    with pytest.raises(DuplicateTitleError) as info:
+        emit_dump([FormulaPage(first, "x"), FormulaPage(second, "y")])
+    assert info.value.title == second
+    # titles that differ after folding stay apart
+    assert emit_dump([FormulaPage(first, "x"), FormulaPage(second + "d", "y")]).count("<page>") == 2
 
 
 # ------------------------------------------------------------------- reports
