@@ -4,12 +4,16 @@ One walker, _walk, reads the semantic-macro occurrences of a tree
 (\\Head, its params, its @ run and its args) and rebuilds each one
 through a callback.  replace_all first walks with instantiate, which
 marks every occurrence inert, so macros read back from an earlier pass
-are never matched as presentation.  Then it walks the tree left to
+are never matched as presentation.  That premark runs only where an @
+can be: every occurrence has an @ run, so extract_document skips it for
+a row whose source holds no @.  Then the rewrite walks the tree left to
 right; at each non-inert position the highest-ordered matching rule
 fires, its captures are rewritten recursively, and the instantiated
-template is spliced in inert.  Inert groups are descended into, so
-presentation left in a hand-written field is still rewritten, and a
-second pass fires nothing: replace reaches a fixpoint after one pass.
+template is spliced in inert.  A one-token capture that is inert, or
+that no rule starts with, is kept as it is, without a recursive call.
+Inert groups are descended into, so presentation left in a hand-written
+field is still rewritten, and a second pass fires nothing: replace
+reaches a fixpoint after one pass.
 Only the rules whose first pattern atom can match the node at hand are
 tried (the glossary buckets them by that atom: a token by its text, a
 group by whether it is empty), in the same total order, so the rule
@@ -234,10 +238,18 @@ def _rewrite(nodes: Sequence[Node], glossary: Glossary, counts: Counter) -> Sequ
             if m is not None:
                 fired = True
                 counts[rule.macro_name] += 1
-                rewritten = {
-                    name: _rewrite(seq, glossary, counts) for name, seq in m.captures.items()
-                }
-                out.extend(instantiate(rule, rewritten))
+                # rewritten in place; _rewrite would keep a one-token
+                # capture no rule can start at as it is
+                caps = m.captures
+                for name, seq in caps.items():
+                    if len(seq) == 1:
+                        leaf = seq[0]
+                        if leaf.__class__ is Token and (
+                            leaf.inert or (not unkeyed and leaf.text not in by_first)
+                        ):
+                            continue
+                    caps[name] = _rewrite(seq, glossary, counts)
+                out.extend(instantiate(rule, caps))
                 i = m.end
                 break
         else:
@@ -267,9 +279,22 @@ def replace_all(
     """
     nodes = tree.nodes if isinstance(tree, CanonicalTree) else tuple(tree)
     counts: Counter = Counter()
-    out = _rewrite(_walk(nodes, glossary, instantiate), glossary, counts)
-    stats = ReplacementStats.from_counts(counts, formulae=1)
-    return CanonicalTree(tuple(out)), stats
+    out = _replace(nodes, glossary, counts)
+    return CanonicalTree(tuple(out)), ReplacementStats.from_counts(counts, formulae=1)
+
+
+def _replace(
+    nodes: Sequence[Node], glossary: Glossary, counts: Counter, premark: bool = True
+) -> Sequence[Node]:
+    """replace_all's rewrite of nodes, adding each firing to counts.
+
+    premark=False skips marking the semantic macros already in nodes
+    inert.  That changes nothing when nodes hold no @ token: every
+    occurrence has an @ run, so _walk would return nodes untouched.
+    """
+    if premark:
+        nodes = _walk(nodes, glossary, instantiate)
+    return _rewrite(nodes, glossary, counts)
 
 
 def _fields(nodes: Sequence[Node], j: int, names: Sequence[str], caps: dict) -> int | None:

@@ -21,7 +21,6 @@ from __future__ import annotations
 import json
 import re
 from enum import Enum
-from importlib import resources
 from pathlib import Path
 from typing import NamedTuple
 
@@ -406,7 +405,7 @@ def loads_glossary(text: str) -> Glossary:
 
 def builtin_glossary_path() -> Path:
     """Path of the glossary that ships with the package."""
-    return Path(resources.files("semtex").joinpath("data/glossary.json"))
+    return Path(__file__).parent / "data" / "glossary.json"
 
 
 def builtin_glossary() -> Glossary:

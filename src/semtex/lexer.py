@@ -72,6 +72,10 @@ _FIRST = {
 }
 _TOKEN_RE = re.compile(r"\\(?:[A-Za-z]+|.)?|%[^\n]*|\s+|.", re.S)
 
+# read once for _render: each read of an enum member through its class
+# goes through the enum's metaclass (about 0.13 us on CPython 3.11)
+_CONTROL = TokenKind.CONTROL
+
 
 def _kind(text: str) -> TokenKind:
     """The kind of a token of text, which its first character decides;
@@ -242,7 +246,7 @@ def _render(nodes: Iterable[Node], append, word: bool) -> bool:
     text appended last is a control word that a letter would extend.
     Returns that flag for the last text appended here."""
     for node in nodes:
-        if isinstance(node, Group):
+        if node.__class__ is Group:
             append("{")
             _render(node.children, append, False)
             append("}")
@@ -252,7 +256,7 @@ def _render(nodes: Iterable[Node], append, word: bool) -> bool:
         if word and text[:1] in _LETTERS:
             append(" ")
         append(text)
-        word = node.kind is TokenKind.CONTROL and len(text) > 1 and text[-1] in _LETTERS
+        word = node.kind is _CONTROL and len(text) > 1 and text[-1] in _LETTERS
     return word
 
 

@@ -32,7 +32,7 @@ from .canonicalize import (
     _build,
     canonicalize_string,
 )
-from .engine import ReplacementStats, replace_all
+from .engine import ReplacementStats, _replace
 from .errors import (
     DuplicateTitleError,
     MismatchedLeftRightError,
@@ -310,7 +310,6 @@ def _split_trailing(nodes: Sequence[Node]) -> tuple[tuple[Node, ...], list[tuple
     segment (so enumerations like n=0,1,...,N stay together); the
     segments before the first clause form the core.
     """
-    nodes = list(nodes)
     cuts = [-1]  # segment k runs from cuts[k] + 1 to cuts[k + 1]
     relational: set[int] = set()  # the segments that hold a relational token
     depth = 0
@@ -690,14 +689,28 @@ def _noteworthy(sentence: str) -> bool:
     return len(sentence.split()) >= 3 and sentence[0].isalpha()
 
 
+class _Sentence:
+    """What extract_document reads from one distinct prose sentence: its
+    keyword phrase (None when it has none), whether it is noteworthy,
+    and its prose constraints, None until a row first needs them."""
+
+    __slots__ = ("phrase", "note", "constraints")
+
+    def __init__(self, sentence: str, patterns: Sequence[tuple[str, re.Pattern]]):
+        self.phrase = _match_keyword(sentence, patterns)
+        self.note = _noteworthy(sentence)
+        self.constraints: list[tuple[Node, ...]] | None = None
+
+
 def _names_and_notes(
     f: Formula,
     heading: _Heading | None,
     sentences: Sequence[str],
-    patterns: Sequence[tuple[str, re.Pattern]],
+    prose: dict[str, _Sentence],
 ) -> list[Annotation]:
     """Name and Note annotations for f from the prose before its
-    environment; heading is the last one before that environment.
+    environment; heading is the last one before that environment and
+    prose holds each sentence's _Sentence.
 
     The first keyword sentence names the formula as "<heading title>
     <keyword phrase>"; other sentences of three or more words become
@@ -706,12 +719,12 @@ def _names_and_notes(
     out = []
     named = False
     for s in sentences:
-        phrase = _match_keyword(s, patterns)
-        if phrase is not None:
+        got = prose[s]
+        if got.phrase is not None:
             if not named and heading is not None:
-                out.append(Annotation(AnnotationKind.NAME, f"{heading.title} {phrase}", f.id))
+                out.append(Annotation(AnnotationKind.NAME, f"{heading.title} {got.phrase}", f.id))
             named = True
-        elif _noteworthy(s):
+        elif got.note:
             out.append(Annotation(AnnotationKind.NOTE, s, f.id))
     return out
 
@@ -738,10 +751,16 @@ def extract_document(
     an earlier one left after inlining is such a failure, located by
     line:col, and the earlier one keeps the id.
 
-    Each distinct prose sentence's constraints and each distinct
-    clause's replacement are computed once per document and kept in a
-    table; a conversion that raises is not kept, so every row that
-    holds it fails on its own.
+    Three tables per document keep what the rows share, each entry
+    computed once: gaps maps each distinct prose text to its sentences,
+    prose each distinct sentence to its _Sentence (keyword phrase, note
+    flag and, once a row needs them, prose constraints), and converted
+    each distinct constraint clause to its rendered replacement and
+    per-rule counts.  A conversion that raises is not kept, so every
+    row that holds it fails on its own.  Each row gets its own
+    Annotation objects, with its own id as origin.  A row whose source
+    holds no @ is rewritten without first marking semantic macros: it
+    holds none, unless a delimiter class maps to @.
     """
     settings = glossary.settings
     patterns = _keyword_patterns(keywords)
@@ -751,10 +770,19 @@ def extract_document(
     sections = _scan_sections(texts, starts, marks)
     rows = _display_rows(texts, starts, marks)
     leaves: dict[str, Token] = {}
-    # sentence text -> its canonical constraints; canonical clause ->
-    # its rendered replacement and per-rule counts
-    prose: dict[str, list[tuple[Node, ...]]] = {}
-    converted: dict[tuple[Node, ...], tuple[str, dict[str, int]]] = {}
+    gaps: dict[str, list[str]] = {}
+    prose: dict[str, _Sentence] = {}
+    converted: dict[tuple[Node, ...], tuple[str, Counter]] = {}
+    mapped_at = "@" in settings.delimiter_map.values()
+    def split(text: str) -> list[str]:
+        got = gaps.get(text)
+        if got is None:
+            got = gaps[text] = _sentences(text)
+            for sentence in got:
+                if sentence not in prose:
+                    prose[sentence] = _Sentence(sentence, patterns)
+        return got
+
     ok: list[Formula] = []
     failures: list[tuple[str, str]] = []
     # each environment's extent -> the index of its last row, in order
@@ -769,7 +797,7 @@ def extract_document(
         i = bisect_left(sections, a, key=_pos)
         j = bisect_left(sections, b, key=_pos)
         # the prose up to the first heading that cuts the gap, if one does
-        first = _sentences(source[a : sections[i].pos if i < j else b])
+        first = split(source[a : sections[i].pos if i < j else b])
         lead = 0  # the leading introducer sentences
         if prev is not None:
             for sentence in first:
@@ -779,7 +807,7 @@ def extract_document(
                 lead += 1
             after[prev] = first[:lead]
         if nxt is not None:
-            before[nxt] = _sentences(source[sections[j - 1].end : b]) if i < j else first[lead:]
+            before[nxt] = split(source[sections[j - 1].end : b]) if i < j else first[lead:]
     for k, row in enumerate(rows):
         outer = row[3]
         f = _row(source, texts, starts, row, k + 1, sections, citation_key, settings, leaves)
@@ -789,10 +817,10 @@ def extract_document(
         core, clauses = _split_trailing(f.source_canonical.nodes)
         try:
             for sentence in after[outer] if ends[outer] == k else ():
-                got = prose.get(sentence)
-                if got is None:
-                    got = prose[sentence] = _prose_constraints(sentence, settings)
-                clauses += got
+                got = prose[sentence]
+                if got.constraints is None:
+                    got.constraints = _prose_constraints(sentence, settings)
+                clauses += got.constraints
         except SemtexError as exc:
             # offsets in a prose snippet are not source offsets
             what = str(exc).split(" at offset ")[0]
@@ -804,15 +832,18 @@ def extract_document(
                 )
             )
             continue
-        tree = CanonicalTree(core)
+        # a row with no @ character holds no @ token, so no semantic
+        # macro to mark, unless a delimiter class is spelt @
+        premark = mapped_at or source.find("@", *f.span) != -1
+        counts: Counter = Counter()
         try:
-            sem, stats = replace_all(tree, glossary)
-            counts = Counter(stats.per_rule)
+            sem = _replace(core, glossary, counts, premark)
             for clause in clauses:
                 got = converted.get(clause)
                 if got is None:
-                    rep, st = replace_all(CanonicalTree(clause), glossary)
-                    got = converted[clause] = (render(rep.nodes), st.per_rule)
+                    per_rule: Counter = Counter()
+                    rep = _replace(clause, glossary, per_rule)
+                    got = converted[clause] = (render(rep), per_rule)
                 body, per_rule = got
                 counts.update(per_rule)
                 f.annotations.append(Annotation(AnnotationKind.CONSTRAINT, body, f.id))
@@ -820,12 +851,12 @@ def extract_document(
             where = _line_col(source, f.span[0])
             failures.append((f.id, f"{type(exc).__name__}: {exc} for the row at line {where}"))
             continue
-        f.source_canonical = tree
-        f.semantic_nodes = sem.nodes
-        f.source_semantic = render(sem.nodes)
+        f.source_canonical = CanonicalTree(core)
+        f.semantic_nodes = tuple(sem)
+        f.source_semantic = render(sem)
         f.stats = ReplacementStats.from_counts(counts, formulae=1)
         heading = sections[f.unit - 1] if f.unit else None
-        f.annotations.extend(_names_and_notes(f, heading, before.pop(outer, []), patterns))
+        f.annotations.extend(_names_and_notes(f, heading, before.pop(outer, []), prose))
         ok.append(f)
 
     defs = detect_substitutions(ok, glossary)

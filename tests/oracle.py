@@ -40,7 +40,9 @@ prose_walk() is the row loop that semtex.metadata.extract_document's
 pass over the gaps replaced: it splits the gap after an environment
 when it meets the environment's last row, looking one row ahead, and
 carries the sentences before an environment to its first row that
-converts.  It cuts a gap at every heading inside it.
+converts.  It cuts a gap at every heading inside it, splits every gap
+and matches every sentence afresh (names_and_notes), where
+extract_document keeps one table of each per document.
 
 Slow and simple on purpose.
 """
@@ -91,7 +93,8 @@ from semtex.metadata import (
     _display_rows,
     _keyword_patterns,
     _line_col,
-    _names_and_notes,
+    _match_keyword,
+    _noteworthy,
     _parse_def_lhs,
     _prose_constraints,
     _row,
@@ -897,6 +900,24 @@ def build(texts, pos, a, b, settings, row=False):
     return CanonicalTree(_drop_punctuation(out) if row else tuple(out))
 
 
+def names_and_notes(f, heading, sentences, patterns):
+    """Name and Note annotations for f from the sentences before its
+    environment, each sentence matched afresh: the first keyword
+    sentence names f when a heading precedes it, and other noteworthy
+    sentences become Notes."""
+    out = []
+    named = False
+    for s in sentences:
+        phrase = _match_keyword(s, patterns)
+        if phrase is not None:
+            if not named and heading is not None:
+                out.append(Annotation(AnnotationKind.NAME, f"{heading.title} {phrase}", f.id))
+            named = True
+        elif _noteworthy(s):
+            out.append(Annotation(AnnotationKind.NOTE, s, f.id))
+    return out
+
+
 def prose_walk(source, glossary, keywords=DEFAULT_KEYWORDS, introducers=DEFAULT_INTRODUCERS):
     """The Constraint, Name and Note annotations of each row of source
     that converts, keyed by its ordinal, and the failures of the rows
@@ -970,6 +991,6 @@ def prose_walk(source, glossary, keywords=DEFAULT_KEYWORDS, introducers=DEFAULT_
         heading = sections[f.unit - 1] if f.unit else None
         out[f.ordinal] = [
             Annotation(AnnotationKind.CONSTRAINT, body, f.id) for body in bodies
-        ] + _names_and_notes(f, heading, before, patterns)
+        ] + names_and_notes(f, heading, before, patterns)
         before = []
     return out, failures

@@ -137,12 +137,19 @@ def test_importing_the_cli_loads_no_network_stack():
     assert done.stdout == "[]\n"
 
 
-def test_a_conversion_loads_no_dataclasses_or_fractions(tmp_path):
+# standard-library modules a convert does without; importlib.resources
+# would bring tempfile and zipfile
+_HEAVY_MODULES = {
+    "dataclasses", "inspect", "fractions", "decimal", "importlib.resources", "tempfile", "zipfile",
+}
+
+
+def test_a_conversion_loads_no_heavy_standard_modules(tmp_path):
     out = str(tmp_path / "dump.xml")
     code = (
         "import sys, semtex.cli; "
         f"rc = semtex.cli.main(['convert', '--input', {MINI!r}, '--out', {out!r}]); "
-        "print(rc, sorted({'dataclasses', 'inspect', 'fractions', 'decimal'} & set(sys.modules)))"
+        f"print(rc, sorted({_HEAVY_MODULES!r} & set(sys.modules)))"
     )
     src = str(Path(semtex.__file__).resolve().parent.parent)
     # -S: no site-packages, whose start-up hooks could import these first

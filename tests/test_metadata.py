@@ -2,6 +2,7 @@
 
 import copy
 import gc
+import json
 import random
 from collections import Counter
 
@@ -11,8 +12,12 @@ import gen
 import oracle
 from conftest import DATA
 from semtex.engine import replace_all
-from semtex.errors import SubstitutionCycleError, UnbalancedGroupError
-from semtex.glossary import loads_glossary
+from semtex.errors import (
+    SubstitutionCycleError,
+    UnbalancedGroupError,
+    UnknownSemanticMacroError,
+)
+from semtex.glossary import builtin_glossary_path, loads_glossary
 from semtex.lexer import Group, Token, flatten, render
 from semtex.metadata import (
     Annotation,
@@ -947,13 +952,121 @@ def test_repeated_constraints_convert_as_each_row_alone(glossary, monkeypatch):
     # each distinct clause is replaced once, except one that fails,
     # which every row holding it replaces again
     calls = []
-    real = semtex.metadata.replace_all
+    real = semtex.metadata._replace
     monkeypatch.setattr(
-        semtex.metadata, "replace_all", lambda tree, g: calls.append(tree) or real(tree, g)
+        semtex.metadata, "_replace", lambda nodes, *rest: calls.append(nodes) or real(nodes, *rest)
     )
     extract_document("\n".join(head + sum(blocks, [])), glossary)
     cores = len(_REPEATED_ROWS) - 2  # the two rows failing in their prose reach no core
     assert len(calls) == cores + 3 + 2
+
+
+def test_rows_after_identical_prose_get_their_own_names_and_notes(glossary):
+    prose = "Orthogonality relation. This holds for every real parameter.\n"
+    doc = (
+        "\\section{Jacobi}\n"
+        + prose + "\\[ x+1 \\label{a} \\]\n"
+        + prose + "\\[ x+2 \\label{b} \\]\n"
+    )
+    fs = by_id(extract_document(doc, glossary))
+    a, b = fs["a"].annotations, fs["b"].annotations
+    assert [(x.kind, x.body) for x in a] == [
+        (AnnotationKind.NAME, "Jacobi orthogonality relation"),
+        (AnnotationKind.NOTE, "This holds for every real parameter."),
+    ]
+    assert [(x.kind, x.body) for x in b] == [(x.kind, x.body) for x in a]
+    assert {x.origin for x in a} == {"a"} and {x.origin for x in b} == {"b"}
+    a.append(Annotation(AnnotationKind.NOTE, "added", "a"))
+    assert len(b) == 2 and fs["b"].annotations_of(AnnotationKind.NOTE)[0].origin == "b"
+
+
+_SUBSECTION = r"""\subsection{Family}
+The generating function reads as follows. It converges near the origin.
+\begin{equation}\label{g{k}}
+\Gamma(z)\,(a;q)_n = \sum_{n} y_{k}, \quad |t|<1
+\end{equation}
+where $0<q<1$ and $n \ge 0$.
+
+Orthogonality relation.
+\begin{equation}\label{d{k}}
+y_{k} = \sin x + 1
+\end{equation}
+Another step, taken with care.
+\begin{align}
+f(x) &= y_{k} + \Gamma(x) \label{u{k}}\\
+h &= \cos x % proof: by parts
+\label{v{k}}
+\end{align}
+for $\Re a > 0$.
+"""
+
+
+def test_a_repeated_subsection_annotates_each_copy_as_alone(glossary):
+    head = "\\section{Big q-Jacobi}\n"
+    copies = [_SUBSECTION.replace("{k}", f"{k}") for k in range(3)]
+    whole = extract_document(head + "".join(copies), glossary)
+    assert not whole.failures
+    got = {f.id: f for f in whole.formulae}
+    assert len(got) == 9 and len(whole.defs) == 3
+    for k, copy_k in enumerate(copies):
+        alone = extract_document(head + copy_k, glossary)
+        assert not alone.failures and len(alone.formulae) == 3, k
+        for f in alone.formulae:
+            g = got[f.id]
+            # the copy's own labels are its ids, so origins match too
+            assert g.annotations == f.annotations, (k, f.id)
+            assert (g.source_semantic, g.stats) == (f.source_semantic, f.stats), (k, f.id)
+        kinds = {a.kind for f in alone.formulae for a in f.annotations}
+        assert kinds == set(AnnotationKind), k
+
+
+def _at_rows_glossary(glossary):
+    """The builtin glossary with \\lparen spelt @ in canonical trees."""
+    data = json.loads(builtin_glossary_path().read_text(encoding="utf-8"))
+    data["canonicalization"]["delimiter_classes"].append(
+        {"canonical": "@", "variants": ["\\lparen"]}
+    )
+    return loads_glossary(json.dumps(data))
+
+
+def test_skipping_the_premark_of_rows_without_at_is_exact(glossary):
+    plain = [r for r in gen.corpus(seed=24, count=40) if "@" not in r]
+    special = [
+        "x+\\Gamma(z) % a@b\n",
+        "\\Gamma(z) \\label{a@b}",
+        "\\EulerGamma@{x}+\\Gamma(y)",
+        "\\Foo{x}@{y}+\\Gamma(y)",
+        "\\Foo@{y}+\\Gamma(y)",
+    ]
+    # with \\lparen spelt @, these rows hold an @ token but no @ character
+    mapped = ["\\Foo\\lparen{y}+\\Gamma(y)", "\\EulerGamma\\lparen{x}+\\Gamma(y)"]
+    cases = ((glossary, plain + special), (_at_rows_glossary(glossary), plain + special + mapped))
+    for g, rows in cases:
+        doc = "\\section{S}\n" + "".join(f"\\[ {r} \\]\n" for r in rows)
+        result = extract_document(doc, g)
+        done = {f.ordinal: f for f in result.formulae}
+        failed = dict(result.failures)
+        checked = set()
+        for f in segment_formulae(doc, g):
+            if _split_trailing(f.source_canonical.nodes)[1]:
+                continue  # a row with clauses counts them too
+            checked.add(f.ordinal)
+            try:
+                want, stats = replace_all(f.source_canonical, g)
+            except UnknownSemanticMacroError as exc:
+                assert f.ordinal not in done, f.id
+                assert failed[f.id].startswith(f"UnknownSemanticMacroError: {exc} for"), f.id
+                continue
+            got = done[f.ordinal]
+            assert [(t.text, t.inert) for t in flatten(got.semantic_nodes)] == [
+                (t.text, t.inert) for t in flatten(want.nodes)
+            ], f.id
+            assert (got.source_semantic, got.stats) == (render(want.nodes), stats), f.id
+        assert set(range(len(plain) + 1, len(rows) + 1)) <= checked
+        assert len(checked) > 30
+        # \\Foo@ fails with either glossary, \\Foo\\lparen with the second;
+        # the one-leaf group of \\Foo{x}@ is unwrapped, so it reads no macro
+        assert len(failed) == (1 if g is glossary else 2)
 
 
 # ------------------------------------------------------------ head trie
