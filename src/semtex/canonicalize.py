@@ -14,10 +14,10 @@ of a built tree.
 from __future__ import annotations
 
 from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import MismatchedLeftRightError
-from .lexer import Group, Node, Token, TokenKind, _check_balance, _lex, flatten
+from .lexer import Group, Node, Token, TokenKind, _check_balance, _lex, _match, flatten
 
 DEFAULT_SPACING_TOKENS = (
     "\\,", "\\!", "\\;", "\\:", "~", "\\ ",
@@ -131,20 +131,6 @@ _SPACE = Token(" ")
 _ROW_PUNCTUATION = frozenset({",", ".", ";"})
 
 
-def _match(texts: Sequence[str], j: int) -> int:
-    """Index of the } that matches the { at texts[j]."""
-    depth = 0
-    while True:
-        t = texts[j]
-        if t == "{":
-            depth += 1
-        elif t == "}":
-            depth -= 1
-            if not depth:
-                return j
-        j += 1
-
-
 def _skip_blank(texts: Sequence[str], i: int, b: int, markup: bool) -> int:
     """Index of the first token at or after i, before b, that is not
     whitespace nor, with markup, row markup; TeX skips spaces after a
@@ -165,15 +151,16 @@ def _skip_blank(texts: Sequence[str], i: int, b: int, markup: bool) -> int:
 
 def _build(
     texts: Sequence[str],
-    pos: Sequence[int | None],
+    pos: Callable[[int], int | None],
     a: int,
     b: int,
     settings: CanonicalSettings,
     row: bool = False,
     leaves: dict[str, Token] | None = None,
+    at: bool = True,
 ) -> CanonicalTree:
     """The canonical tree of the balanced tokens texts[a:b], read once, by
-    the rules canonicalize gives; pos[k] is the offset an error at token k
+    the rules canonicalize gives; pos(k) is the offset an error at token k
     names.  A row also drops \\label{...}, \\nonumber and \\notag at every
     depth, and then the , . ; leaves that end its canonical top level,
     so the . of a closing \\right. is a delimiter, not punctuation.
@@ -183,18 +170,23 @@ def _build(
 
     Leaves are spanless and never mutated, and all but a label
     argument's are non-inert, so one leaf serves every occurrence of its
-    text.  leaves maps each plain text met so
-    far to its leaf, and a caller that builds many rows of a document
-    passes one table, with one settings, to all of them.  A plain text
-    is one whose treatment does not depend on its context: wherever no
-    size prefix waits, it becomes its own leaf, so one lookup decides
-    it.  Whitespace, spacing tokens, { } & and comments, size prefixes,
-    bar and delimiter synonyms, \\label, \\nonumber, \\notag, \\hspace,
-    \\mspace and the text commands of _TEXT_ARGS are not plain; a leaf
-    built for one of them is fresh.
+    text.  leaves maps each plain text met so far to its leaf, and a
+    caller that builds many rows of a document passes one table, with
+    one settings, to all of them.  A plain text is one whose treatment
+    does not depend on its context: wherever no size prefix waits, it
+    becomes its own leaf, so one lookup decides it.  Whitespace, spacing
+    tokens, { } & and comments, size prefixes, bar and delimiter
+    synonyms, \\label, \\nonumber, \\notag, \\hspace, \\mspace, the text
+    commands of _TEXT_ARGS and @ are not plain; a leaf built for one of
+    them is fresh.  A one-leaf group in the run of groups right before
+    an @ keeps its braces, so the run reads as a macro's fields; at=False
+    says texts[a:b] hold no @, so none is looked for unless a delimiter
+    class is spelt @.
     """
     if leaves is None:
         leaves = {}
+    # (sequence, index, children) of each one-leaf group unwrapped
+    bare = [] if at or "@" in settings.delimiter_map.values() else None
     plain = leaves.get
     spacing = settings.spacing_tokens
     # one (nodes, depth, first) frame per enclosing group: the sequence
@@ -256,7 +248,7 @@ def _build(
             elif size == "right":
                 depth -= 1
                 if depth < 0:
-                    raise MismatchedLeftRightError(pos[prefix])
+                    raise MismatchedLeftRightError(pos(prefix))
             prefix = -1
             if t == "." and (size == "left" or size == "right"):
                 continue
@@ -278,13 +270,15 @@ def _build(
                 continue
             if c == "}":
                 if depth:
-                    raise MismatchedLeftRightError(pos[first])
+                    raise MismatchedLeftRightError(pos(first))
                 if len(stack) == quoted:
                     quoted = -1
                 kids = out
                 out, depth, first = stack.pop()
                 kid = kids[0] if len(kids) == 1 else None
                 if kid.__class__ is Token and kid.kind in _LEAF_KINDS:
+                    if bare is not None:
+                        bare.append((out, len(out), kids))
                     out.append(kid)
                 else:
                     out.append(Group(tuple(kids)))
@@ -302,22 +296,36 @@ def _build(
             continue
         mapped = settings.delimiter_map.get(t)
         if mapped is not None:
-            out.append(Token(mapped))
-        elif c != "&" and c != "%":
+            leaf = Token(mapped)
+        elif c == "&" or c == "%":
+            continue
+        else:
             leaf = plain(t)
             if leaf is None:
                 leaf = Token(t)
-                if c != "\\" or (name not in _ARG_SPACING and t not in _NOT_PLAIN):
+                if t != "@" and (c != "\\" or (name not in _ARG_SPACING and t not in _NOT_PLAIN)):
                     leaves[t] = leaf
-            out.append(leaf)
+        if leaf.text == "@" and bare:
+            _rebrace(out, bare)
+        out.append(leaf)
     if prefix >= 0:
         out.append(Token(texts[prefix]))
     if depth:
-        raise MismatchedLeftRightError(pos[first])
+        raise MismatchedLeftRightError(pos(first))
     if row:
         while out and out[-1].__class__ is Token and out[-1].text in _ROW_PUNCTUATION:
             out.pop()
     return CanonicalTree(tuple(out))
+
+
+def _rebrace(out: list[Node], bare: list) -> None:
+    """Put back the braces of the groups of bare that end out."""
+    braced = {k: kids for seq, k, kids in bare if seq is out}
+    k = len(out) - 1
+    while k >= 0 and (k in braced or out[k].__class__ is Group):
+        if k in braced:
+            out[k] = Group(tuple(braced[k]))
+        k -= 1
 
 
 def canonicalize(
@@ -333,12 +341,14 @@ def canonicalize(
        when \\left/\\right do not pair up within the sequence;
     3. drop alignment tabs and comments;
     4. canonicalize each group once and unwrap it when it holds a single
-       CHAR or CONTROL leaf, so {{n}} becomes n; the argument of \\label
-       is not read as math but kept as its source text, in its braces.
+       CHAR or CONTROL leaf, so {{n}} becomes n, unless it stands in the
+       run of groups right before an @, so \\Foo{x}@{y} keeps {x}; the
+       argument of \\label is not read as math but kept as its source
+       text, in its braces.
     """
     flat = flatten(nodes)
     texts = [t.text for t in flat]
-    return _build(texts, [t.span and t.span[0] for t in flat], 0, len(texts), settings)
+    return _build(texts, [t.span and t.span[0] for t in flat].__getitem__, 0, len(texts), settings)
 
 
 def canonicalize_string(

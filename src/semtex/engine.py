@@ -5,8 +5,8 @@ One walker, _walk, reads the semantic-macro occurrences of a tree
 through a callback.  replace_all first walks with instantiate, which
 marks every occurrence inert, so macros read back from an earlier pass
 are never matched as presentation.  That premark runs only where an @
-can be: every occurrence has an @ run, so extract_document skips it for
-a row whose source holds no @.  Then the rewrite walks the tree left to
+can be: every occurrence has an @ run, so _replace skips it for a row
+or span whose source holds no @.  Then the rewrite walks the tree left to
 right; at each non-inert position the highest-ordered matching rule
 fires, its captures are rewritten recursively, and the instantiated
 template is spliced in inert.  A one-token capture that is inert, or
@@ -284,15 +284,14 @@ def replace_all(
 
 
 def _replace(
-    nodes: Sequence[Node], glossary: Glossary, counts: Counter, premark: bool = True
+    nodes: Sequence[Node], glossary: Glossary, counts: Counter, at: bool = True
 ) -> Sequence[Node]:
-    """replace_all's rewrite of nodes, adding each firing to counts.
-
-    premark=False skips marking the semantic macros already in nodes
-    inert.  That changes nothing when nodes hold no @ token: every
-    occurrence has an @ run, so _walk would return nodes untouched.
+    """replace_all's rewrite of nodes, adding each firing to counts.  The
+    semantic macros in nodes are marked inert first, unless at=False says
+    their source holds no @ and no delimiter class is spelt @: then nodes
+    hold no @ token, so _walk would return them untouched.
     """
-    if premark:
+    if at or "@" in glossary.settings.delimiter_map.values():
         nodes = _walk(nodes, glossary, instantiate)
     return _rewrite(nodes, glossary, counts)
 

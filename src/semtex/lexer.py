@@ -24,21 +24,20 @@ not give, and two tokens of one text are equal whatever their spans.
 A Group is its children; its braces are implied, and flatten and
 render write them back.
 
-A document is lexed to token texts and start offsets only; math rows
-and headings are found on those as index ranges, reading only the
-structural tokens _marks lists, and rows are canonicalized straight
-from the texts.  No verb goes through
-extract_math: it is the public, Token-building view of the same rows,
-and only it builds Tokens, for the bodies of the MathSpans it returns.
+A document is never lexed whole: one regular-expression scan (_marks)
+finds its structural tokens, the braces after a mark are scanned only
+to their close, and each math body is lexed once, to token texts that
+rows are canonicalized from.  No verb goes through extract_math: it is the
+public, Token-building view of the same rows, and only it builds
+Tokens, for the bodies of the MathSpans it returns.
 """
 
 from __future__ import annotations
 
 import re
-from bisect import bisect_left
 from enum import Enum
 from itertools import accumulate
-from typing import Iterable, Iterator, NamedTuple, Union
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, Union
 
 from .errors import UnbalancedGroupError, UnterminatedEnvironmentError
 
@@ -71,6 +70,13 @@ _FIRST = {
     "&": TokenKind.ALIGN_TAB,
 }
 _TOKEN_RE = re.compile(r"\\(?:[A-Za-z]+|.)?|%[^\n]*|\s+|.", re.S)
+# The lexer's multi-character tokens, and $ or a brace: a hit starts
+# where a token starts, so a scan skips what the lexer would, a mark
+# inside a comment, after \\ or at the head of a longer control word
+_SCAN_RE = re.compile(r"\\(?:[A-Za-z]+|.)?|%[^\n]*|\$", re.S)
+_BRACE_RE = re.compile(r"\\(?:[A-Za-z]+|.)?|%[^\n]*|[{}]", re.S)
+_MARKS = frozenset({"\\begin", "\\end", "\\[", "\\]", "$", "\\section", "\\subsection"})
+_BLANK_RE = re.compile(r"\s*")
 
 # read once for _render: each read of an enum member through its class
 # goes through the enum's metaclass (about 0.13 us on CPython 3.11)
@@ -127,17 +133,18 @@ class Token:
         return f"Token({self.kind.name}, {self.text!r})"
 
 
-def _lex(source: str) -> tuple[list[str], list[int]]:
-    """Token texts of source and their start offsets; starts has one
-    more entry, len(source), so token k spans starts[k]:starts[k + 1]."""
-    texts = _TOKEN_RE.findall(source)
-    return texts, [0, *accumulate(map(len, texts))]
+def _lex(source: str, a: int = 0, b: int | None = None) -> tuple[list[str], Callable[[int], int]]:
+    """Token texts of source[a:b], which must start and end at token
+    boundaries of source, and the function giving the source offset of
+    text k.  It sums the offset when called: only an error calls it."""
+    texts = _TOKEN_RE.findall(source, a, len(source) if b is None else b)
+    return texts, lambda k: a + len("".join(texts[:k]))
 
 
-def _tokens(texts: list[str], starts: list[int], a: int, b: int) -> list[Token]:
-    """The Tokens of lexed tokens a..b-1, with their source spans."""
-    spans = zip(starts[a:b], starts[a + 1 : b + 1])
-    return [Token(text, span) for text, span in zip(texts[a:b], spans)]
+def _tokens(texts: list[str], a: int, b: int, p: int) -> list[Token]:
+    """The Tokens of lexed tokens a..b-1, the first at offset p."""
+    run = texts[a:b]
+    return [Token(t, (q, q + len(t))) for t, q in zip(run, accumulate(map(len, run), initial=p))]
 
 
 def tokenize(source: str) -> list[Token]:
@@ -146,8 +153,8 @@ def tokenize(source: str) -> list[Token]:
     A trailing lone backslash becomes a one-character control sequence
     with an empty name; comments run to (not including) the newline.
     """
-    texts, starts = _lex(source)
-    return _tokens(texts, starts, 0, len(texts))
+    texts = _TOKEN_RE.findall(source)
+    return _tokens(texts, 0, len(texts), 0)
 
 
 def detokenize(tokens: Iterable[Token]) -> str:
@@ -287,42 +294,53 @@ class MathSpan(NamedTuple):
         return self.environment != "inline-dollar"
 
 
-# The scans below read token texts by index: _TOKEN_RE gives {, } and $
-# their own tokens, backslash-initial text only to control sequences and
-# whitespace-initial text only to whitespace runs.
-def _group_text(texts: list[str], i: int, n: int) -> tuple[str, int] | None:
-    """Read a balanced {...} at texts[i] (skipping leading whitespace),
-    looking no further than texts[n - 1].
+def _match(texts: Sequence[str], j: int) -> int:
+    """Index of the } that matches the { at texts[j]."""
+    depth = 0
+    while True:
+        t = texts[j]
+        if t == "{":
+            depth += 1
+        elif t == "}":
+            depth -= 1
+            if not depth:
+                return j
+        j += 1
 
-    Returns (inner text, index past the closing brace), or None.
-    """
-    while i < n and texts[i][0].isspace():
-        i += 1
-    if i >= n or texts[i] != "{":
+
+def _group_at(source: str, p: int) -> tuple[str, int] | None:
+    """Read a balanced {...} at offset p (a token start), skipping leading
+    whitespace: (inner text, offset past the closing brace), or None.
+    Only controls, comments and braces are scanned, as in _marks."""
+    p = _BLANK_RE.match(source, p).end()
+    if not source.startswith("{", p):
         return None
     depth = 0
-    j = i
-    while j < n:
-        if texts[j] == "{":
+    for m in _BRACE_RE.finditer(source, p):
+        t = m.group()
+        if t == "{":
             depth += 1
-        elif texts[j] == "}":
+        elif t == "}":
             depth -= 1
-            if depth == 0:
-                return "".join(texts[i + 1 : j]), j + 1
-        j += 1
+            if not depth:
+                return source[p + 1 : m.start()], m.end()
     return None
 
 
 def _find_label(texts: list[str], a: int, b: int) -> str | None:
-    for i in range(a, b):
-        if texts[i] == "\\label":
-            got = _group_text(texts, i + 1, b)
-            if got is not None:
-                return got[0]
-    return None
+    """The text of the first \\label{...} among the balanced texts[a:b];
+    TeX skips spaces before the brace."""
+    while True:
+        try:
+            a = texts.index("\\label", a, b) + 1
+        except ValueError:
+            return None
+        j = a + (a < b and texts[a][0].isspace())  # past one whitespace run
+        if j < b and texts[j] == "{":
+            return "".join(texts[j + 1 : _match(texts, j)])
 
 
-def _check_balance(texts: list[str], starts: list[int], a: int, b: int) -> None:
+def _check_balance(texts: list[str], offset: Callable[[int], int], a: int, b: int) -> None:
     """Raise UnbalancedGroupError, as build_groups does, unless the braces
     of tokens a..b-1 balance: at the first unmatched }, else at the
     outermost unclosed {."""
@@ -335,32 +353,31 @@ def _check_balance(texts: list[str], starts: list[int], a: int, b: int) -> None:
             depth += 1
         elif t == "}":
             if not depth:
-                raise UnbalancedGroupError(starts[k])
+                raise UnbalancedGroupError(offset(k))
             depth -= 1
     if depth:
-        raise UnbalancedGroupError(starts[opened])
+        raise UnbalancedGroupError(offset(opened))
 
 
-def _split_rows(texts: list[str], a: int, b: int) -> list[tuple[int, int]]:
-    """Split an alignment body a..b-1 at top-level \\\\ separators into
-    index ranges."""
+def _split_rows(texts: list[str]) -> list[tuple[int, int]]:
+    """Split the tokens of an alignment body at \\\\ separators outside
+    braces and inner environments into index ranges."""
     rows: list[tuple[int, int]] = []
-    depth = 0
-    env_depth = 0
-    for i in range(a, b):
-        text = texts[i]
-        if text == "{":
-            depth += 1
-        elif text == "}":
-            depth -= 1
-        elif text == "\\begin":
-            env_depth += 1
-        elif text == "\\end":
-            env_depth -= 1
-        elif text == "\\\\" and depth == 0 and env_depth == 0:
-            rows.append((a, i))
-            a = i + 1
-    rows.append((a, b))
+    # depth and env_depth count the { and \\begin not closed before token i
+    depth = env_depth = a = i = 0
+    while True:
+        try:
+            j = texts.index("\\\\", i)
+        except ValueError:
+            break
+        seen = texts[i:j]
+        depth += seen.count("{") - seen.count("}")
+        env_depth += seen.count("\\begin") - seen.count("\\end")
+        if not depth and not env_depth:
+            rows.append((a, j))
+            a = j + 1
+        i = j + 1
+    rows.append((a, len(texts)))
     return rows
 
 
@@ -371,111 +388,96 @@ def extract_math(source: str) -> list[MathSpan]:
     UnterminatedEnvironmentError when an opener has no closer, and
     UnbalancedGroupError when a row's braces do not balance.
     """
-    texts, starts = _lex(source)
     return [
-        MathSpan(env, tuple(build_groups(_tokens(texts, starts, a, b))),
-                 (starts[a], starts[b]), _find_label(texts, a, b), outer)
-        for env, a, b, outer in _row_ranges(texts, starts, _marks(source, texts, starts))
+        MathSpan(env, tuple(build_groups(_tokens(texts, a, b, span[0]))),
+                 span, _find_label(texts, a, b), outer)
+        for env, texts, _, a, b, span, outer in _row_ranges(source, _marks(source))
     ]
 
 
-_OPENERS = frozenset({"\\begin", "\\[", "$"})
-
-# Where a structural token may start: \begin, \end, \[, \], $, \section
-# and \subsection, or the start of a longer control word
-_MARK_RE = re.compile(r"\\(?:begin|end|section|subsection|\[|\])|\$")
 
 
-def _marks(source: str, texts: list[str], starts: list[int]) -> list[int]:
-    """Indices, in order, of the structural tokens of a lexed document:
-    \\begin, \\end, \\[, \\], $, \\section and \\subsection.  The scans of
-    math rows and headings read only these.  A hit of _MARK_RE counts
-    only where a token of its text starts, so one inside a comment,
-    after a backslash or at the head of a longer control word is none."""
-    out: list[int] = []
-    for m in _MARK_RE.finditer(source):
-        p = m.start()
-        k = bisect_left(starts, p)
-        if starts[k] == p and texts[k] == m.group():
-            out.append(k)
-    return out
+def _marks(source: str) -> list[tuple[int, str]]:
+    """The (offset, text) of each structural token of a document, in
+    order: the scans of math rows and headings read only these."""
+    return [(m.start(), t) for m in _SCAN_RE.finditer(source) if (t := m.group()) in _MARKS]
 
 
-def _row_ranges(texts: list[str], starts: list[int], marks: list[int]) -> Iterator[tuple]:
-    """The math rows of a lexed document as (environment, a, b, outer):
-    tokens a..b-1 are the body with whitespace trimmed, outer the source
-    extent of the environment.  marks are the document's _marks: an
-    environment opens and closes only at one of them.  Rows of only
-    whitespace and comments are skipped; raises as extract_math does."""
-    n = len(texts)
+def _row_ranges(source: str, marks: list[tuple[int, str]]) -> Iterator[tuple]:
+    """The math rows of a document as (environment, texts, offset, a, b,
+    span, outer): tokens a..b-1, whitespace trimmed, of texts and offset,
+    the _lex of the environment's body; span is their source extent,
+    outer that of the environment, delimiters included.  marks are the
+    document's _marks: only they open and close environments.  Rows of
+    only whitespace and comments are skipped; raises as extract_math
+    does."""
     nm = len(marks)
     m = 0
     while m < nm:
-        i = marks[m]
+        p, t = marks[m]
         m += 1
-        t = texts[i]
-        if t not in _OPENERS:
-            continue
         if t == "\\begin":
-            got = _group_text(texts, i + 1, n)
+            got = _group_at(source, p + 6)
             if got is None:
                 continue
-            env, end = got
+            env, body = got
             if env in MATH_ENVIRONMENTS:
-                after = end
+                # the \end{env} that closes it, past nested \begin{env};
+                # the group of either matches env only when it reads {env}
+                name = "{" + env + "}"
                 depth = 0
-                j = after  # the next \begin or \end looked at starts here
-                end_at = None
                 while m < nm:
-                    q = marks[m]
+                    q, u = marks[m]
                     m += 1
-                    u = texts[q]
-                    if q < j or (u != "\\begin" and u != "\\end"):
+                    if u != "\\begin" and u != "\\end":
                         continue
-                    inner = _group_text(texts, q + 1, n)
-                    if inner is None or inner[0] != env:
+                    k = _BLANK_RE.match(source, q + len(u)).end()
+                    if not source.startswith(name, k):
                         continue
                     if u == "\\begin":
                         depth += 1
                     elif depth:
                         depth -= 1
                     else:
-                        end_at, end = q, inner[1]
+                        end = k + len(name)
                         break
-                    j = inner[1]
-                if end_at is None:
-                    raise UnterminatedEnvironmentError(env, starts[i])
-                if env in ROW_SPLIT_ENVIRONMENTS:
-                    rows = _split_rows(texts, after, end_at)
                 else:
-                    rows = [(after, end_at)]
+                    raise UnterminatedEnvironmentError(env, p)
             else:
-                rows = ()
-        else:
+                env, end = None, body
+        elif t == "\\[" or t == "$":
             # \[ closes at \], $$ at $ followed by $ and $ at $; width is
             # the number of tokens in the opener and in the closer
             close = "\\]" if t == "\\[" else "$"
-            width = 2 if t == "$" and i + 1 < n and texts[i + 1] == "$" else 1
+            width = 2 if t == "$" and source.startswith("$", p + 1) else 1
             env = "inline-dollar" if t == "$" and width == 1 else "bracket-display"
             m += width - 1  # past the second $ of $$
             while m < nm:
-                j = marks[m]
-                if texts[j] == close and (width == 1 or (j + 1 < n and texts[j + 1] == "$")):
+                q, u = marks[m]
+                if u == close and (width == 1 or source.startswith("$", q + 1)):
                     break
                 m += 1
             if m == nm:
-                raise UnterminatedEnvironmentError(env, starts[i])
-            rows, end = [(i + width, j)], j + width
+                raise UnterminatedEnvironmentError(env, p)
+            body, end = p + len(t) * width, q + len(u) * width
+        else:
+            continue
         # marks before end lie inside what was just read
-        while m < nm and marks[m] < end:
+        while m < nm and marks[m][0] < end:
             m += 1
-        outer = (starts[i], starts[end])
-        for a, b in rows:
+        if env is None:
+            continue
+        texts, offset = _lex(source, body, q)
+        k = 0  # token k starts at offset body
+        for a, b in _split_rows(texts) if env in ROW_SPLIT_ENVIRONMENTS else [(0, len(texts))]:
             while a < b and texts[a][0].isspace():
                 a += 1
             while b > a and texts[b - 1][0].isspace():
                 b -= 1
             if all(u[0] == "%" or u[0].isspace() for u in texts[a:b]):
                 continue
-            _check_balance(texts, starts, a, b)
-            yield env, a, b, outer
+            _check_balance(texts, offset, a, b)
+            body += len("".join(texts[k:a]))
+            k = b
+            start, body = body, body + len("".join(texts[a:b]))
+            yield env, texts, offset, a, b, (start, body), (p, end)

@@ -45,10 +45,9 @@ from .lexer import (
     Node,
     Token,
     TokenKind,
-    _TOKEN_RE,
+    _BLANK_RE,
     _find_label,
-    _group_text,
-    _lex,
+    _group_at,
     _marks,
     _row_ranges,
     flatten,
@@ -203,34 +202,27 @@ _pos = attrgetter("pos")
 _HEADINGS = frozenset({"\\section", "\\subsection"})
 
 
-def _scan_sections(texts: list[str], starts: list[int], marks: list[int]) -> list[_Heading]:
-    """The headings of a lexed document; marks are its lexer._marks.  A
+def _scan_sections(source: str, marks: list[tuple[int, str]]) -> list[_Heading]:
+    """The headings of a document; marks are its lexer._marks.  A
     heading inside the title of another is part of that title."""
     out: list[_Heading] = []
-    n = len(texts)
     after = 0
-    for i in marks:
-        t = texts[i]
-        if i < after or t not in _HEADINGS:
+    for p, t in marks:
+        if p < after or t not in _HEADINGS:
             continue
         # TeX skips spaces after a control word, so \section * {T} is
         # starred too
-        k = i + 1
-        while k < n and texts[k][0].isspace():
-            k += 1
-        j = k + 1 if k < n and texts[k] == "*" else i + 1
-        got = _group_text(texts, j, n)
+        k = _BLANK_RE.match(source, p + len(t)).end()
+        got = _group_at(source, k + 1 if source.startswith("*", k) else k)
         if got is not None:
             title, after = got
-            out.append(_Heading(starts[i], starts[after], title.strip()))
+            out.append(_Heading(p, after, title.strip()))
     return out
 
 
 def _row(
     source: str,
-    texts: list[str],
-    starts: list[int],
-    row: tuple[str, int, int, tuple[int, int]],
+    row: tuple,
     ordinal: int,
     sections: Sequence[_Heading],
     citation_key: str,
@@ -241,9 +233,8 @@ def _row(
     failure, naming the line:col of the fault, when the body cannot be
     canonicalized.  sections are the document's headings and leaves is
     its leaf table (see _build)."""
-    _, a, b, outer = row
+    _, texts, offset, a, b, span, outer = row
     fid = (_find_label(texts, a, b) or "").strip() or f"f{ordinal}"
-    span = (starts[a], starts[b])
     proofs: list[Annotation] = []
     # a row whose source holds no % has no comment to look for
     if source.find("%", *span) != -1:
@@ -255,7 +246,7 @@ def _row(
             if m is not None
         ]
     try:
-        core = _build(texts, starts, a, b, settings, True, leaves)
+        core = _build(texts, offset, a, b, settings, True, leaves, "@" in source[slice(*span)])
     except MismatchedLeftRightError as exc:
         where = _line_col(source, span[0] if exc.position is None else exc.position)
         return fid, f"{type(exc).__name__}: {exc} in the row at line {where}"
@@ -271,8 +262,8 @@ def _row(
     )
 
 
-def _display_rows(texts: list[str], starts: list[int], marks: list[int]) -> list[tuple]:
-    return [r for r in _row_ranges(texts, starts, marks) if r[0] != "inline-dollar"]
+def _display_rows(source: str, marks: list[tuple[int, str]]) -> list[tuple]:
+    return [r for r in _row_ranges(source, marks) if r[0] != "inline-dollar"]
 
 
 def segment_formulae(
@@ -289,13 +280,12 @@ def segment_formulae(
     bodies cannot be canonicalized are dropped here; extract_document
     reports them as failures.
     """
-    texts, starts = _lex(source)
-    marks = _marks(source, texts, starts)
-    sections = _scan_sections(texts, starts, marks)
+    marks = _marks(source)
+    sections = _scan_sections(source, marks)
     leaves: dict[str, Token] = {}
     rows = (
-        _row(source, texts, starts, row, k, sections, citation_key, glossary.settings, leaves)
-        for k, row in enumerate(_display_rows(texts, starts, marks), 1)
+        _row(source, row, k, sections, citation_key, glossary.settings, leaves)
+        for k, row in enumerate(_display_rows(source, marks), 1)
     )
     return [f for f in rows if isinstance(f, Formula)]
 
@@ -337,6 +327,10 @@ def _split_trailing(nodes: Sequence[Node]) -> tuple[tuple[Node, ...], list[tuple
     return core, [tuple(nodes[cuts[a] + 1 : cuts[b]]) for a, b in zip(heads, ends)]
 
 
+# The lexer's multi-character tokens, $ and the sentence ends: a hit
+# starts where a token starts, so a control symbol such as \$ or \. is
+# no hit of its own.  All but a comment is group 1.
+_PROSE_RE = re.compile(r"(\\(?:[A-Za-z]+|.)?|[$.!?])|%[^\n]*", re.S)
 _SENTENCE_ENDS = frozenset(".!?")
 
 
@@ -344,29 +338,28 @@ def _sentences(text: str) -> list[str]:
     """Split prose into sentences, treating $...$ as opaque and dropping
     comments.  Both follow the lexer's rules, so \\$ opens no math and
     the % after \\\\ starts a comment."""
+    if "%" in text:
+        text = _PROSE_RE.sub(r"\1", text)
     out: list[str] = []
-    buf: list[str] = []
+    cut = 0
     in_math = False
-    for t in _TOKEN_RE.findall(text):
-        if t[0] == "%":
-            continue
-        buf.append(t)
+    for m in _PROSE_RE.finditer(text):
+        t = m.group()
         if t == "$":
             in_math = not in_math
         elif t in _SENTENCE_ENDS and not in_math:
-            out.append("".join(buf))
-            buf = []
-    out.append("".join(buf))
+            out.append(text[cut : m.end()])
+            cut = m.end()
+    out.append(text[cut:])
     return [_SPACES_RE.sub(" ", s).strip() for s in out if s.strip()]
 
 
 def _prose_constraints(sentence: str, settings: CanonicalSettings) -> list[tuple[Node, ...]]:
     """Relational $...$ snippets, canonical; $ tokens pair as in _sentences."""
-    texts = _TOKEN_RE.findall(sentence)
-    dollars = [k for k, t in enumerate(texts) if t == "$"]
+    dollars = [m.start() for m in _PROSE_RE.finditer(sentence) if m.group() == "$"]
     out = []
     for i, j in zip(dollars[::2], dollars[1::2]):
-        tree = canonicalize_string("".join(texts[i + 1 : j]), settings)
+        tree = canonicalize_string(sentence[i + 1 : j], settings)
         if contains_relational(tree.nodes):
             out.append(tree.nodes)
     return out
@@ -765,15 +758,13 @@ def extract_document(
     settings = glossary.settings
     patterns = _keyword_patterns(keywords)
     introducers = frozenset(w.lower() for w in introducers)
-    texts, starts = _lex(source)
-    marks = _marks(source, texts, starts)
-    sections = _scan_sections(texts, starts, marks)
-    rows = _display_rows(texts, starts, marks)
+    marks = _marks(source)
+    sections = _scan_sections(source, marks)
+    rows = _display_rows(source, marks)
     leaves: dict[str, Token] = {}
     gaps: dict[str, list[str]] = {}
     prose: dict[str, _Sentence] = {}
     converted: dict[tuple[Node, ...], tuple[str, Counter]] = {}
-    mapped_at = "@" in settings.delimiter_map.values()
     def split(text: str) -> list[str]:
         got = gaps.get(text)
         if got is None:
@@ -786,7 +777,7 @@ def extract_document(
     ok: list[Formula] = []
     failures: list[tuple[str, str]] = []
     # each environment's extent -> the index of its last row, in order
-    ends = {row[3]: k for k, row in enumerate(rows)}
+    ends = {row[-1]: k for k, row in enumerate(rows)}
     # the sentences of the prose before and after each environment, from
     # one pass over the gaps between them
     before: dict[tuple[int, int], list[str]] = {}
@@ -809,8 +800,8 @@ def extract_document(
         if nxt is not None:
             before[nxt] = split(source[sections[j - 1].end : b]) if i < j else first[lead:]
     for k, row in enumerate(rows):
-        outer = row[3]
-        f = _row(source, texts, starts, row, k + 1, sections, citation_key, settings, leaves)
+        outer = row[-1]
+        f = _row(source, row, k + 1, sections, citation_key, settings, leaves)
         if not isinstance(f, Formula):
             failures.append(f)
             continue
@@ -832,12 +823,9 @@ def extract_document(
                 )
             )
             continue
-        # a row with no @ character holds no @ token, so no semantic
-        # macro to mark, unless a delimiter class is spelt @
-        premark = mapped_at or source.find("@", *f.span) != -1
         counts: Counter = Counter()
         try:
-            sem = _replace(core, glossary, counts, premark)
+            sem = _replace(core, glossary, counts, "@" in source[slice(*f.span)])
             for clause in clauses:
                 got = converted.get(clause)
                 if got is None:

@@ -11,12 +11,13 @@ import json
 import os
 import re
 import time
+from collections import Counter
 from pathlib import Path
 from typing import Iterator, Mapping, NamedTuple, Sequence
 from urllib.parse import urlparse
 
 from .canonicalize import _build
-from .engine import ReplacementStats, replace_all
+from .engine import ReplacementStats, _replace
 from .errors import (
     ConfigInvalidError,
     ForbiddenCharacterError,
@@ -29,7 +30,7 @@ from .errors import (
     UnterminatedEnvironmentError,
 )
 from .glossary import Glossary, builtin_glossary, load_glossary
-from .lexer import Token, _lex, _marks, _row_ranges, render
+from .lexer import Token, _marks, _row_ranges, render
 from .metadata import (
     DEFAULT_INTRODUCERS,
     DEFAULT_KEYWORDS,
@@ -367,40 +368,40 @@ def run_pipeline(cfg: PipelineConfig, write: bool = True) -> RunResult:
 def replace_text(source: str, glossary: Glossary) -> tuple[str, ReplacementStats]:
     """Rewrite every math span of a document in place.
 
-    The document is lexed once; each span is canonicalized straight from
-    its token texts, labels kept, then replaced.  Only the span bodies
-    change, so the output diffs cleanly against the input for review,
-    and semantic macros already in a span keep their form, so a second
-    pass changes nothing.  An @-marked macro the glossary does not read
-    raises UnknownSemanticMacroError naming the span's line:col, and a
-    span whose \\left and \\right do not pair raises
-    MismatchedLeftRightError naming the line:col of the fault.
+    Each span is lexed, canonicalized from its token texts, labels kept,
+    and replaced.  Only the span bodies change, so the output diffs
+    cleanly against the input for review, and semantic macros already in
+    a span keep their form, so a second pass changes nothing.  An
+    @-marked macro the glossary does not read raises
+    UnknownSemanticMacroError naming the span's line:col, and a span
+    whose \\left and \\right do not pair raises MismatchedLeftRightError
+    naming the line:col of the fault.
     """
-    texts, starts = _lex(source)
     leaves: dict[str, Token] = {}
-    parts: list[ReplacementStats] = []
+    counts: Counter = Counter()
     pieces: list[str] = []
     cursor = 0
     # every span is found and brace-checked before any is canonicalized,
     # as extract_math does, so an unterminated or unbalanced span raises
     # even when an earlier span holds a lone \left
-    for _, a, b, _ in list(_row_ranges(texts, starts, _marks(source, texts, starts))):
+    spans = list(_row_ranges(source, _marks(source)))
+    for _, texts, offset, a, b, span, _ in spans:
         try:
-            tree = _build(texts, starts, a, b, glossary.settings, False, leaves)
-            sem, stats = replace_all(tree, glossary)
+            at = "@" in source[span[0] : span[1]]
+            tree = _build(texts, offset, a, b, glossary.settings, False, leaves, at)
+            sem = _replace(tree.nodes, glossary, counts, at)
         except MismatchedLeftRightError as exc:
-            where = _line_col(source, starts[a] if exc.position is None else exc.position)
+            where = _line_col(source, span[0] if exc.position is None else exc.position)
             msg = f"{exc} in the span at line {where}"
             raise MismatchedLeftRightError(exc.position, msg) from None
         except UnknownSemanticMacroError as exc:
-            where = _line_col(source, starts[a])
+            where = _line_col(source, span[0])
             msg = f"{exc} in the span at line {where}"
             raise UnknownSemanticMacroError(exc.name, msg) from None
-        parts.append(stats)
-        pieces += (source[cursor : starts[a]], render(sem.nodes))
-        cursor = starts[b]
+        pieces += (source[cursor : span[0]], render(sem))
+        cursor = span[1]
     pieces.append(source[cursor:])
-    return "".join(pieces), ReplacementStats.combine(parts)
+    return "".join(pieces), ReplacementStats.from_counts(counts, formulae=len(spans))
 
 
 def replace_files(

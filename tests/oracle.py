@@ -28,13 +28,10 @@ glossary head, which semtex.pages now finds for all heads in one scan.
 
 split_trailing() and top_level_equation() read a canonical body through
 the top_level() generator, as semtex.metadata's one-loop scans did
-before.  row_ranges() and scan_sections() walk every token of a lexed
-document, where semtex's scans read only its structural marks.  locate()
-is the section/subsection walk semtex.metadata's heading bisection
-replaced: it gives a row's heading path and unit from every heading
-before it.  build()
-is semtex.canonicalize._build without a leaf table: every leaf is built
-afresh and every token takes the full path.
+before.  build() is semtex.canonicalize._build without a leaf table:
+every leaf is built afresh and every token takes the full path, and
+unwrap() keeps the braces before an @ after the fact.  The references
+for the structural scans of a document are in tests/lexing_oracle.py.
 
 prose_walk() is the row loop that semtex.metadata.extract_document's
 pass over the gaps replaced: it splits the gap after an environment
@@ -57,7 +54,6 @@ from semtex.canonicalize import (
     _TEXT_ARGS,
     DEFAULT_SETTINGS,
     CanonicalTree,
-    _match,
     _skip_blank,
 )
 from semtex.engine import replace_all
@@ -66,23 +62,9 @@ from semtex.errors import (
     SemtexError,
     SubstitutionCycleError,
     UnknownSemanticMacroError,
-    UnterminatedEnvironmentError,
 )
 from semtex.glossary import AtomKind
-from semtex.lexer import (
-    MATH_ENVIRONMENTS,
-    ROW_SPLIT_ENVIRONMENTS,
-    Group,
-    Token,
-    TokenKind,
-    _check_balance,
-    _group_text,
-    _lex,
-    _marks,
-    _split_rows,
-    build_groups,
-    flatten,
-)
+from semtex.lexer import Group, Token, TokenKind, _marks, _match, build_groups, flatten
 from semtex.metadata import (
     DEFAULT_INTRODUCERS,
     DEFAULT_KEYWORDS,
@@ -495,15 +477,7 @@ def _canon(nodes, settings, text=False, row=False):
             out.append(Group((Token(arg, inert=True),) if arg else ()))
             continue
         if isinstance(node, Group):
-            kids = _canon(node.children, settings, text or i - 1 in texts, row)
-            if (
-                len(kids) == 1
-                and isinstance(kids[0], Token)
-                and kids[0].kind in (TokenKind.CHAR, TokenKind.CONTROL)
-            ):
-                out.append(kids[0])
-            else:
-                out.append(Group(tuple(kids)))
+            out.append(Group(tuple(_canon(node.children, settings, text or i - 1 in texts, row))))
             continue
         if node.kind is TokenKind.CONTROL and node.name in settings.size_prefixes:
             nxt = seq[i] if i < n else None
@@ -528,6 +502,32 @@ def _canon(nodes, settings, text=False, row=False):
     if depth != 0:
         pos = first_open.span[0] if first_open is not None and first_open.span else None
         raise MismatchedLeftRightError(pos)
+    return unwrap(out)
+
+
+def unwrap(seq):
+    """seq with each group that holds a single CHAR or CONTROL leaf
+    replaced by the leaf, except a label argument, whose leaf is inert,
+    and the groups of a run that an @ token follows."""
+    kept = set()
+    for k, nd in enumerate(seq):
+        if isinstance(nd, Token) and nd.text == "@":
+            j = k - 1
+            while j >= 0 and isinstance(seq[j], Group):
+                kept.add(j)
+                j -= 1
+    out = []
+    for k, nd in enumerate(seq):
+        if (
+            k not in kept
+            and isinstance(nd, Group)
+            and len(nd.children) == 1
+            and isinstance(nd.children[0], Token)
+            and not nd.children[0].inert
+            and nd.children[0].kind in (TokenKind.CHAR, TokenKind.CONTROL)
+        ):
+            nd = nd.children[0]
+        out.append(nd)
     return out
 
 
@@ -662,136 +662,10 @@ def top_level_equation(nodes):
     return found
 
 
-def row_ranges(texts, starts):
-    """The math rows of a lexed document, read token by token."""
-    n = len(texts)
-    i = 0
-    while i < n:
-        t = texts[i]
-        if t not in ("\\begin", "\\[", "$"):
-            i += 1
-            continue
-        if t == "\\begin":
-            got = _group_text(texts, i + 1, n)
-            if got is None:
-                i += 1
-                continue
-            env, after = got
-            if env not in MATH_ENVIRONMENTS:
-                i = after
-                continue
-            j = after
-            depth = 0
-            end_at = None
-            while j < n:
-                u = texts[j]
-                if u == "\\begin":
-                    inner = _group_text(texts, j + 1, n)
-                    if inner is not None and inner[0] == env:
-                        depth += 1
-                        j = inner[1]
-                        continue
-                elif u == "\\end":
-                    inner = _group_text(texts, j + 1, n)
-                    if inner is not None and inner[0] == env:
-                        if depth == 0:
-                            end_at = j
-                            after_end = inner[1]
-                            break
-                        depth -= 1
-                        j = inner[1]
-                        continue
-                j += 1
-            if end_at is None:
-                raise UnterminatedEnvironmentError(env, starts[i])
-            outer = (starts[i], starts[after_end])
-            if env in ROW_SPLIT_ENVIRONMENTS:
-                rows = _split_rows(texts, after, end_at)
-            else:
-                rows = [(after, end_at)]
-            i = after_end
-        elif t == "\\[":
-            j = i + 1
-            while j < n and texts[j] != "\\]":
-                j += 1
-            if j >= n:
-                raise UnterminatedEnvironmentError("bracket-display", starts[i])
-            env, rows, outer = "bracket-display", [(i + 1, j)], (starts[i], starts[j + 1])
-            i = j + 1
-        elif i + 1 < n and texts[i + 1] == "$":
-            j = i + 2
-            while j < n:
-                if texts[j] == "$" and j + 1 < n and texts[j + 1] == "$":
-                    break
-                j += 1
-            if j >= n:
-                raise UnterminatedEnvironmentError("bracket-display", starts[i])
-            env, rows, outer = "bracket-display", [(i + 2, j)], (starts[i], starts[j + 2])
-            i = j + 2
-        else:
-            j = i + 1
-            while j < n and texts[j] != "$":
-                j += 1
-            if j >= n:
-                raise UnterminatedEnvironmentError("inline-dollar", starts[i])
-            env, rows, outer = "inline-dollar", [(i + 1, j)], (starts[i], starts[j + 1])
-            i = j + 1
-        for a, b in rows:
-            while a < b and texts[a][0].isspace():
-                a += 1
-            while b > a and texts[b - 1][0].isspace():
-                b -= 1
-            if all(u[0] == "%" or u[0].isspace() for u in texts[a:b]):
-                continue
-            _check_balance(texts, starts, a, b)
-            yield env, a, b, outer
-
-
-def scan_sections(texts, starts):
-    """The (pos, end, level, title) of each heading, read token by token."""
-    out = []
-    i = 0
-    n = len(texts)
-    while i < n:
-        t = texts[i]
-        if t in ("\\section", "\\subsection"):
-            k = i + 1
-            while k < n and texts[k][0].isspace():
-                k += 1
-            j = k + 1 if k < n and texts[k] == "*" else i + 1
-            got = _group_text(texts, j, n)
-            if got is not None:
-                title, after = got
-                out.append((starts[i], starts[after], t[1:], title.strip()))
-                i = after
-                continue
-        i += 1
-    return out
-
-
-def locate(sections, pos):
-    """The (section title, subsection title) path and the unit of a row
-    whose environment starts at pos, from the scan_sections() headings:
-    the unit is "u<section index>.<subsection index>", or "doc" before
-    any heading."""
-    sec = sub = None
-    si = ui = -1
-    for k, (start, _, level, title) in enumerate(sections):
-        if start >= pos:
-            break
-        if level == "section":
-            sec, si = title, k
-            sub, ui = None, -1
-        else:
-            sub, ui = title, k
-    path = tuple(t for t in (sec, sub) if t is not None)
-    unit = f"u{si}.{ui}" if path else "doc"
-    return path, unit
-
-
 def build(texts, pos, a, b, settings, row=False):
     """The canonical tree of texts[a:b], token by token, every leaf built
-    afresh, by the rules semtex.canonicalize._build documents."""
+    afresh, by the rules semtex.canonicalize._build documents; pos(k) is
+    the offset an error at token k names."""
     spacing = settings.spacing_tokens
     stack = []
     out = []
@@ -843,7 +717,7 @@ def build(texts, pos, a, b, settings, row=False):
             elif size == "right":
                 depth -= 1
                 if depth < 0:
-                    raise MismatchedLeftRightError(pos[prefix])
+                    raise MismatchedLeftRightError(pos(prefix))
             prefix = -1
             if t == "." and (size == "left" or size == "right"):
                 continue
@@ -865,19 +739,12 @@ def build(texts, pos, a, b, settings, row=False):
                 continue
             if c == "}":
                 if depth:
-                    raise MismatchedLeftRightError(pos[first])
+                    raise MismatchedLeftRightError(pos(first))
                 if len(stack) == quoted:
                     quoted = -1
-                kids = out
+                kids = unwrap(out)
                 out, depth, first = stack.pop()
-                if (
-                    len(kids) == 1
-                    and isinstance(kids[0], Token)
-                    and kids[0].kind in (TokenKind.CHAR, TokenKind.CONTROL)
-                ):
-                    out.append(kids[0])
-                else:
-                    out.append(Group(tuple(kids)))
+                out.append(Group(tuple(kids)))
                 continue
             if c == "\\" and name in settings.size_prefixes:
                 prefix = k - 1
@@ -896,7 +763,8 @@ def build(texts, pos, a, b, settings, row=False):
     if prefix >= 0:
         out.append(Token(texts[prefix]))
     if depth:
-        raise MismatchedLeftRightError(pos[first])
+        raise MismatchedLeftRightError(pos(first))
+    out = unwrap(out)
     return CanonicalTree(_drop_punctuation(out) if row else tuple(out))
 
 
@@ -927,10 +795,9 @@ def prose_walk(source, glossary, keywords=DEFAULT_KEYWORDS, introducers=DEFAULT_
     settings = glossary.settings
     patterns = _keyword_patterns(keywords)
     introducers = {w.lower() for w in introducers}
-    texts, starts = _lex(source)
-    marks = _marks(source, texts, starts)
-    sections = _scan_sections(texts, starts, marks)
-    rows = _display_rows(texts, starts, marks)
+    marks = _marks(source)
+    sections = _scan_sections(source, marks)
+    rows = _display_rows(source, marks)
 
     def chunks(a, b):
         """The prose of source[a:b] cut at every heading that starts in it."""
@@ -951,13 +818,13 @@ def prose_walk(source, glossary, keywords=DEFAULT_KEYWORDS, introducers=DEFAULT_
         return k
 
     out, failures = {}, []
-    upcoming = _sentences(chunks(0, rows[0][3][0])[-1]) if rows else []
+    upcoming = _sentences(chunks(0, rows[0][-1][0])[-1]) if rows else []
     following = before = []
     for k, row in enumerate(rows):
-        outer = row[3]
-        if k == 0 or outer != rows[k - 1][3]:
+        outer = row[-1]
+        if k == 0 or outer != rows[k - 1][-1]:
             before = upcoming
-        nxt = rows[k + 1][3] if k + 1 < len(rows) else None
+        nxt = rows[k + 1][-1] if k + 1 < len(rows) else None
         if nxt != outer:
             gap = chunks(outer[1], nxt[0] if nxt else len(source))
             following = _sentences(gap[0])
@@ -967,7 +834,7 @@ def prose_walk(source, glossary, keywords=DEFAULT_KEYWORDS, introducers=DEFAULT_
                 upcoming = following[introduced(following) :]
         else:
             following = []
-        f = _row(source, texts, starts, row, k + 1, sections, "", settings, {})
+        f = _row(source, row, k + 1, sections, "", settings, {})
         if not isinstance(f, Formula):
             failures.append(f)
             continue

@@ -129,6 +129,7 @@ _SOUP = (
     "\\lbrace", "\\rbrace", "\\langle", "\\label", "{eq:a}", "{b}", "\\nonumber", "\\notag", "&",
     "% c\n", " ", " ", "\\,", "\\quad", "~", ",", ";", "x", "1", "\\alpha", "^", "_", "=",
     "\\\\", "\\text", "\\mbox", "\\textrm", "\\textit", "\\textbf", "{a b}", "\\ ",
+    "@", "{y}@",
 )
 
 

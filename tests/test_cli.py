@@ -295,6 +295,38 @@ def test_convert_fails_the_row_of_an_unknown_semantic_macro(tmp_path, capsys):
     assert out.read_text().count("<page>") == 1
 
 
+# a one-leaf group before the @ reads as a field as any other does
+_GROUPS_THEN_AT = [
+    ("\\Foo{x}@{y}", "unknown semantic macro \\Foo"),
+    ("\\EulerGamma{x}@{y}", "\\EulerGamma occurrence does not match its glossary signature"),
+    ("\\Foo{x+1}@{y}", "unknown semantic macro \\Foo"),
+]
+
+
+@pytest.mark.parametrize("row, message", _GROUPS_THEN_AT)
+def test_convert_fails_the_row_of_groups_then_at_of_no_glossary_macro(
+    tmp_path, capsys, row, message
+):
+    src = tmp_path / "s.tex"
+    src.write_text(f"\\[ {row} \\label{{a}} \\]\n\\[ \\Gamma(z) \\label{{b}} \\]\n")
+    out = tmp_path / "d.xml"
+    assert main(["convert", "--input", str(src), "--out", str(out)]) == 0
+    printed = capsys.readouterr().out
+    assert f"  a: UnknownSemanticMacroError: {message} for the row at line 1:4\n" in printed
+    assert out.read_text().count("<page>") == 1
+
+
+@pytest.mark.parametrize("row, message", _GROUPS_THEN_AT)
+def test_replace_reports_groups_then_at_of_no_glossary_macro(tmp_path, capsys, row, message):
+    bad = tmp_path / "bad.tex"
+    bad.write_text(f"Let $x$ be\nso ${row}$ holds.\n")
+    rc = main(["replace", "--input", str(bad), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"{bad}: UnknownSemanticMacroError: {message} in the span at line 2:5\n"
+    assert not (tmp_path / "o" / "bad.tex").exists()
+
+
 def test_an_unwritable_output_is_a_config_error(tmp_path, capsys, monkeypatch):
     extracted = []
     monkeypatch.setattr(semtex.pipeline, "extract_document", lambda *a, **k: extracted.append(a))

@@ -9,8 +9,9 @@ from collections import Counter
 import pytest
 
 import gen
+import lexing_oracle
 import oracle
-from conftest import DATA
+from conftest import DATA, assert_lexed_once_in_windows, prose_document
 from semtex.engine import replace_all
 from semtex.errors import (
     SubstitutionCycleError,
@@ -54,28 +55,21 @@ def by_id(result):
 # ---------------------------------------------------------------- segmentation
 
 
-def test_extract_document_lexes_the_source_once(glossary, mini_source, monkeypatch):
-    import semtex.canonicalize
-    import semtex.lexer
-    import semtex.metadata
-
-    real = semtex.lexer._lex
-    calls = []
-
-    def counting(source):
-        calls.append(source)
-        return real(source)
-
-    # tokenize and extract_math lex through semtex.lexer._lex, and
-    # metadata and canonicalize bind their own names for it
-    for mod in (semtex.lexer, semtex.metadata, semtex.canonicalize):
-        monkeypatch.setattr(mod, "_lex", counting)
-    extract_document(mini_source, glossary, citation_key="KLS")
-    assert calls.count(mini_source) == 1
-    # besides the document, only the $...$ snippets of the prose that
-    # follows a row are lexed; no constraint annotation is lexed again
-    snippets = [c for c in calls if c != mini_source]
+def test_extract_document_lexes_only_math_and_mark_windows_once(glossary, mini_source, lexed):
+    docs = [mini_source, prose_document(1), prose_document(10)]
+    for source in docs:
+        extract_document(source, glossary, citation_key="KLS")
+        assert_lexed_once_in_windows(source, lexed)
+    # however much prose a document holds, none of it is lexed
+    sizes = [sum(b - a for a, b in lexed[source]) for source in docs[1:]]
+    assert sizes[0] == sizes[1] > 0
+    # besides the documents, only the $...$ snippets of the prose that
+    # follows a row are lexed, each once: no constraint annotation is
+    # lexed again
+    snippets = [text for text in lexed if text not in docs]
     assert all(f"${c}$" in mini_source for c in snippets)
+    lexed_once = sum(len(lexing_oracle.lex(c)[0]) for c in snippets)
+    assert sum(len(lexed[c]) for c in snippets) == lexed_once
     assert len(snippets) == 5
 
 
@@ -1064,9 +1058,9 @@ def test_skipping_the_premark_of_rows_without_at_is_exact(glossary):
             assert (got.source_semantic, got.stats) == (render(want.nodes), stats), f.id
         assert set(range(len(plain) + 1, len(rows) + 1)) <= checked
         assert len(checked) > 30
-        # \\Foo@ fails with either glossary, \\Foo\\lparen with the second;
-        # the one-leaf group of \\Foo{x}@ is unwrapped, so it reads no macro
-        assert len(failed) == (1 if g is glossary else 2)
+        # \\Foo{x}@ and \\Foo@ fail with either glossary, \\Foo\\lparen with
+        # the second: the one-leaf group before an @ keeps its braces
+        assert len(failed) == (2 if g is glossary else 3)
 
 
 # ------------------------------------------------------------ head trie

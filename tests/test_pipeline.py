@@ -12,7 +12,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import pytest
 
 import gen
-from conftest import DATA
+from conftest import DATA, assert_lexed_once_in_windows, prose_document
 from semtex.canonicalize import canonicalize
 from semtex.engine import ReplacementStats, replace_all
 from semtex.errors import (
@@ -25,7 +25,7 @@ from semtex.errors import (
     UnknownSemanticMacroError,
     UnterminatedEnvironmentError,
 )
-from semtex.glossary import builtin_glossary
+from semtex.glossary import builtin_glossary, builtin_glossary_path, loads_glossary
 from semtex.lexer import extract_math, render
 from semtex.metadata import _line_col
 from semtex.mockserver import response_for, start_server
@@ -373,29 +373,64 @@ def test_replace_text_equals_the_public_composition_on_mixed_documents(glossary)
     assert kinds == {str, MismatchedLeftRightError, UnterminatedEnvironmentError}
 
 
-def test_replace_text_lexes_the_source_once_and_builds_no_source_token(
-    glossary, mini_source, monkeypatch
+def test_replace_text_lexes_only_math_and_mark_windows_once_and_builds_no_token(
+    glossary, mini_source, lexed, monkeypatch
 ):
-    import semtex.canonicalize
     import semtex.lexer
-    import semtex.pipeline
-
-    real = semtex.lexer._lex
-    calls = []
-
-    def counting(source):
-        calls.append(source)
-        return real(source)
 
     def no_tokens(*args):
         raise AssertionError("the source was lexed to Tokens")
 
-    for mod in (semtex.lexer, semtex.pipeline, semtex.canonicalize):
-        monkeypatch.setattr(mod, "_lex", counting)
     monkeypatch.setattr(semtex.lexer, "_tokens", no_tokens)
     out, stats = replace_text(mini_source, glossary)
-    assert calls == [mini_source]
     assert stats.total == 56 and out != mini_source
+    docs = [mini_source, prose_document(1), prose_document(10)]
+    for source in docs[1:]:
+        replace_text(source, glossary)
+    for source in docs:
+        assert_lexed_once_in_windows(source, lexed)
+    assert list(lexed) == docs
+    # however much prose a document holds, none of it is lexed
+    assert len(lexed[docs[1]]) == len(lexed[docs[2]]) > 0
+
+
+def test_replace_text_premarks_only_spans_that_may_hold_a_semantic_macro(
+    glossary, mini_source, monkeypatch
+):
+    """The premark walk runs on a span only when its source holds an @,
+    or on every span when a delimiter class is spelt @, and the output
+    and stats are those of the public composition either way."""
+    import semtex.engine
+
+    real = semtex.engine._walk
+    calls = []
+    depth = [0]
+
+    def counting(nodes, *args):
+        # the walks replace_text starts, not their recursive calls
+        if not depth[0]:
+            calls.append(nodes)
+        depth[0] += 1
+        try:
+            return real(nodes, *args)
+        finally:
+            depth[0] -= 1
+
+    data = json.loads(builtin_glossary_path().read_text(encoding="utf-8"))
+    data["canonicalization"]["delimiter_classes"].append(
+        {"canonical": "@", "variants": ["\\lparen"]}
+    )
+    at_glossary = loads_glossary(json.dumps(data))
+    with_at = mini_source + "\\[ \\EulerGamma@{x} + \\Gamma(y) \\]\n"
+    spans = len(extract_math(mini_source))
+    assert "@" not in mini_source and spans > 30
+    cases = [(mini_source, glossary, 0), (with_at, glossary, 1), (mini_source, at_glossary, spans)]
+    want = [outcome(composed_replace, source, g) for source, g, _ in cases]
+    monkeypatch.setattr(semtex.engine, "_walk", counting)
+    for (source, g, walks), expect in zip(cases, want):
+        calls.clear()
+        assert replace_text(source, g) == expect
+        assert len(calls) == walks
 
 
 def test_replace_text_is_a_fixpoint(glossary, mini_source):
