@@ -22,6 +22,7 @@ import re
 from bisect import bisect_left
 from collections import Counter
 from enum import Enum
+from functools import cache, partial
 from itertools import pairwise
 from operator import attrgetter
 from typing import Callable, Iterable, NamedTuple, Sequence
@@ -365,6 +366,12 @@ def _prose_constraints(sentence: str, settings: CanonicalSettings) -> list[tuple
     return out
 
 
+def _convert(clause: tuple[Node, ...], glossary: Glossary) -> tuple[str, Counter]:
+    """A constraint clause's rendered replacement and per-rule counts."""
+    per_rule: Counter = Counter()
+    return render(_replace(clause, glossary, per_rule)), per_rule
+
+
 class _State:
     """One state of a head trie, the goto function of Aho and Corasick
     (1975) over a unit's head runs.  next holds the states that follow
@@ -682,28 +689,15 @@ def _noteworthy(sentence: str) -> bool:
     return len(sentence.split()) >= 3 and sentence[0].isalpha()
 
 
-class _Sentence:
-    """What extract_document reads from one distinct prose sentence: its
-    keyword phrase (None when it has none), whether it is noteworthy,
-    and its prose constraints, None until a row first needs them."""
-
-    __slots__ = ("phrase", "note", "constraints")
-
-    def __init__(self, sentence: str, patterns: Sequence[tuple[str, re.Pattern]]):
-        self.phrase = _match_keyword(sentence, patterns)
-        self.note = _noteworthy(sentence)
-        self.constraints: list[tuple[Node, ...]] | None = None
-
-
 def _names_and_notes(
     f: Formula,
     heading: _Heading | None,
     sentences: Sequence[str],
-    prose: dict[str, _Sentence],
+    phrase: Callable[[str], str | None],
 ) -> list[Annotation]:
     """Name and Note annotations for f from the prose before its
     environment; heading is the last one before that environment and
-    prose holds each sentence's _Sentence.
+    phrase gives a sentence's keyword phrase, None when it has none.
 
     The first keyword sentence names the formula as "<heading title>
     <keyword phrase>"; other sentences of three or more words become
@@ -712,12 +706,12 @@ def _names_and_notes(
     out = []
     named = False
     for s in sentences:
-        got = prose[s]
-        if got.phrase is not None:
+        got = phrase(s)
+        if got is not None:
             if not named and heading is not None:
-                out.append(Annotation(AnnotationKind.NAME, f"{heading.title} {got.phrase}", f.id))
+                out.append(Annotation(AnnotationKind.NAME, f"{heading.title} {got}", f.id))
             named = True
-        elif got.note:
+        elif _noteworthy(s):
             out.append(Annotation(AnnotationKind.NOTE, s, f.id))
     return out
 
@@ -744,36 +738,27 @@ def extract_document(
     an earlier one left after inlining is such a failure, located by
     line:col, and the earlier one keeps the id.
 
-    Three tables per document keep what the rows share, each entry
-    computed once: gaps maps each distinct prose text to its sentences,
-    prose each distinct sentence to its _Sentence (keyword phrase, note
-    flag and, once a row needs them, prose constraints), and converted
-    each distinct constraint clause to its rendered replacement and
-    per-rule counts.  A conversion that raises is not kept, so every
-    row that holds it fails on its own.  Each row gets its own
-    Annotation objects, with its own id as origin.  A row whose source
-    holds no @ is rewritten without first marking semantic macros: it
-    holds none, unless a delimiter class maps to @.
+    What the rows share is computed once per call, by functions cached
+    for that call only: the sentences of each distinct prose text, the
+    keyword phrase and the prose constraints of each distinct sentence,
+    and the rendered replacement and per-rule counts of each distinct
+    constraint clause.  functools.cache keeps no call that raises, so
+    every row after a failing sentence, or holding a failing clause,
+    fails on its own.  Each row gets its own Annotation objects, with
+    its own id as origin.  A row whose source holds no @ is rewritten
+    without first marking semantic macros: it holds none, unless a
+    delimiter class maps to @.
     """
     settings = glossary.settings
-    patterns = _keyword_patterns(keywords)
     introducers = frozenset(w.lower() for w in introducers)
     marks = _marks(source)
     sections = _scan_sections(source, marks)
     rows = _display_rows(source, marks)
     leaves: dict[str, Token] = {}
-    gaps: dict[str, list[str]] = {}
-    prose: dict[str, _Sentence] = {}
-    converted: dict[tuple[Node, ...], tuple[str, Counter]] = {}
-    def split(text: str) -> list[str]:
-        got = gaps.get(text)
-        if got is None:
-            got = gaps[text] = _sentences(text)
-            for sentence in got:
-                if sentence not in prose:
-                    prose[sentence] = _Sentence(sentence, patterns)
-        return got
-
+    split = cache(_sentences)
+    phrase = cache(partial(_match_keyword, patterns=_keyword_patterns(keywords)))
+    constraints = cache(partial(_prose_constraints, settings=settings))
+    convert = cache(partial(_convert, glossary=glossary))
     ok: list[Formula] = []
     failures: list[tuple[str, str]] = []
     # each environment's extent -> the index of its last row, in order
@@ -808,10 +793,7 @@ def extract_document(
         core, clauses = _split_trailing(f.source_canonical.nodes)
         try:
             for sentence in after[outer] if ends[outer] == k else ():
-                got = prose[sentence]
-                if got.constraints is None:
-                    got.constraints = _prose_constraints(sentence, settings)
-                clauses += got.constraints
+                clauses += constraints(sentence)
         except SemtexError as exc:
             # offsets in a prose snippet are not source offsets
             what = str(exc).split(" at offset ")[0]
@@ -827,12 +809,7 @@ def extract_document(
         try:
             sem = _replace(core, glossary, counts, "@" in source[slice(*f.span)])
             for clause in clauses:
-                got = converted.get(clause)
-                if got is None:
-                    per_rule: Counter = Counter()
-                    rep = _replace(clause, glossary, per_rule)
-                    got = converted[clause] = (render(rep), per_rule)
-                body, per_rule = got
+                body, per_rule = convert(clause)
                 counts.update(per_rule)
                 f.annotations.append(Annotation(AnnotationKind.CONSTRAINT, body, f.id))
         except UnknownSemanticMacroError as exc:
@@ -844,7 +821,7 @@ def extract_document(
         f.source_semantic = render(sem)
         f.stats = ReplacementStats.from_counts(counts, formulae=1)
         heading = sections[f.unit - 1] if f.unit else None
-        f.annotations.extend(_names_and_notes(f, heading, before.pop(outer, []), prose))
+        f.annotations.extend(_names_and_notes(f, heading, before.pop(outer, []), phrase))
         ok.append(f)
 
     defs = detect_substitutions(ok, glossary)

@@ -452,7 +452,7 @@ def request_mathml(semantic_latex: str, endpoint: str) -> RenderedMath:
     The service answers with XML holding a presentation and a content
     MathML island; anything else raises ServiceRejectedError, transport
     failures and a body not complete within _RENDER_DEADLINE_S (checked
-    each time body text arrives) raise ServiceUnreachableError.
+    each time body bytes arrive) raise ServiceUnreachableError.
     """
     import requests
 
@@ -461,12 +461,13 @@ def request_mathml(semantic_latex: str, endpoint: str) -> RenderedMath:
 
 def _post_mathml(post, semantic_latex: str, endpoint: str) -> RenderedMath:
     """request_mathml through post, requests.post or a Session's post."""
+    import io
     import requests
     import urllib3
     from xml.etree import ElementTree
 
     deadline = time.monotonic() + _RENDER_DEADLINE_S
-    body = bytearray()
+    raw = bytearray()
     try:
         with post(
             endpoint,
@@ -475,15 +476,19 @@ def _post_mathml(post, semantic_latex: str, endpoint: str) -> RenderedMath:
             timeout=30,
             stream=True,
         ) as resp:
-            # read1 returns as soon as a socket read yields body text, so
-            # the deadline is checked as the body comes; decode_content
-            # undoes a Content-Encoding such as gzip, as resp.text would
-            while chunk := resp.raw.read1(8192, decode_content=True):
-                body += chunk
+            # read1 returns as soon as a socket read yields body bytes, so
+            # the deadline is checked as the body comes.  The bytes are
+            # decoded once complete: a decoder may take many reads (say,
+            # of a gzip header's file name) before it yields any text
+            while chunk := resp.raw.read1(8192, decode_content=False):
+                raw += chunk
                 if time.monotonic() > deadline:
                     raise ServiceUnreachableError(
                         f"{endpoint}: no complete answer within {_RENDER_DEADLINE_S:g} s"
                     )
+        # urllib3 undoes the Content-Encoding, as resp.text would
+        coding = {"Content-Encoding": resp.headers.get("Content-Encoding", "")}
+        body = urllib3.HTTPResponse(io.BytesIO(raw), coding).data
     except (requests.RequestException, urllib3.exceptions.HTTPError) as exc:
         raise ServiceUnreachableError(f"{endpoint}: {exc}") from exc
     try:

@@ -21,6 +21,8 @@ from semtex.errors import (
 from semtex.glossary import builtin_glossary_path, loads_glossary
 from semtex.lexer import Group, Token, flatten, render
 from semtex.metadata import (
+    DEFAULT_INTRODUCERS,
+    DEFAULT_KEYWORDS,
     Annotation,
     AnnotationKind,
     _head_finder,
@@ -321,6 +323,14 @@ def test_glossary_heads_never_define(glossary):
     # \Gamma(z) = ... looks like a function def but the head is converted
     res = extract(glossary, wrap(r"\Gamma(z)=(z-1)\Gamma(z-1)", r"y=\Gamma(z)+1"))
     assert res.defs == []
+
+
+def test_an_unconverted_glossary_head_never_defines(glossary):
+    # \sin with no argument stays \sin, a plain control word, yet it is
+    # the head of a glossary rule; the u pair of the same unit is a def
+    res = extract(glossary, wrap(r"\sin = y+1", r"\sin + 2", "u = y+1", "u + 2"))
+    assert [f.source_semantic for f in res.formulae] == [r"\sin=y+1", r"\sin+2", "u+2"]
+    assert [d.equation for d in res.defs] == ["u=y+1"]
 
 
 def test_a_head_two_rows_define_defines_nothing(glossary):
@@ -953,6 +963,62 @@ def test_repeated_constraints_convert_as_each_row_alone(glossary, monkeypatch):
     extract_document("\n".join(head + sum(blocks, [])), glossary)
     cores = len(_REPEATED_ROWS) - 2  # the two rows failing in their prose reach no core
     assert len(calls) == cores + 3 + 2
+    # each distinct gap text is split once, and each distinct
+    # where-sentence canonicalized once, except the one that fails,
+    # which every row after it canonicalizes again
+    texts, snippets = _count_calls(monkeypatch, "_sentences", "canonicalize_string")
+    extract_document("\n".join(head + sum(blocks, [])), glossary)
+    assert len(texts) == len(set(texts)) == 5
+    assert snippets == [r"n=0,1,\ldots,N", r"\Gamma(z)\ne 0", r"\left( n<1", r"\left( n<1"]
+
+
+def _count_calls(monkeypatch, *names):
+    """Patch each named function of semtex.metadata to record its first
+    argument in a list of its own; returns the lists."""
+    import semtex.metadata
+
+    out = []
+    for name in names:
+        seen, real = [], getattr(semtex.metadata, name)
+
+        def counting(x, *rest, seen=seen, real=real, **kw):
+            seen.append(x)
+            return real(x, *rest, **kw)
+
+        monkeypatch.setattr(semtex.metadata, name, counting)
+        out.append(seen)
+    return out
+
+
+def test_the_shared_work_of_rows_is_kept_for_one_call_only(glossary, monkeypatch):
+    doc = (
+        "\\section{S}\n"
+        "The generating function and orthogonality relation hold.\n"
+        "\\[ y = x, (a;q)_n>0 \\label{a} \\]\n"
+        "where $0<q\\,<1$. Given $n\\ge 0$.\n"
+    )
+    plain = loads_glossary('{"rules": [], "canonicalization": {"spacing_tokens": []}}')
+    first = (glossary, DEFAULT_KEYWORDS, DEFAULT_INTRODUCERS)
+    second = (plain, ["orthogonality"], ["where", "given"])
+    names = ("_sentences", "_match_keyword", "canonicalize_string", "_replace")
+    calls = _count_calls(monkeypatch, *names)
+    got, made = [], []
+    # the first call again last: a cache that outlived its call would
+    # answer it, or the second, without the work
+    for g, keywords, introducers in (first, second, first):
+        for seen in calls:
+            seen.clear()
+        (f,) = extract_document(doc, g, keywords=keywords, introducers=introducers).formulae
+        got.append((bodies(AnnotationKind.NAME, f), bodies(AnnotationKind.CONSTRAINT, f)))
+        made.append([len(seen) for seen in calls])
+    assert got == [
+        (["S generating function"], [r"\qPochhammer{a}{q}@{n}>0", "0<q<1"]),
+        (["S orthogonality relation"], ["(a;q)_n>0", r"0<q\,<1", r"n\ge0"]),
+        (["S generating function"], [r"\qPochhammer{a}{q}@{n}>0", "0<q<1"]),
+    ]
+    # 3 gap texts, the sentence before the row, 1 or 2 snippets, and a
+    # core and 2 or 3 clauses
+    assert made == [[3, 1, 1, 3], [3, 1, 2, 4], [3, 1, 1, 3]]
 
 
 def test_rows_after_identical_prose_get_their_own_names_and_notes(glossary):

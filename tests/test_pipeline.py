@@ -5,8 +5,10 @@ import gzip
 import random
 import re
 import socket
+import struct
 import threading
 import time
+import zlib
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
@@ -705,6 +707,61 @@ def test_request_mathml_decodes_a_gzipped_answer():
         server.server_close()
     assert r"\EulerGamma@{z}" in rendered.presentation
     assert "<csymbol>" in rendered.content
+
+
+class _GzipNameTrickle(BaseHTTPRequestHandler):
+    """Answers a POST with a gzip body whose header carries an 80-byte
+    file name, sent one byte every 50 ms: no text decodes before the
+    name ends, 4 s after the body starts."""
+
+    protocol_version = "HTTP/1.1"
+
+    def do_POST(self):
+        data = self.rfile.read(int(self.headers["Content-Length"])).decode("utf-8")
+        raw = response_for(data).encode("utf-8")
+        pack = zlib.compressobj(wbits=-zlib.MAX_WBITS)
+        deflated = pack.compress(raw) + pack.flush()
+        # magic, deflate, a file name follows, no mtime, no extra flags,
+        # unknown OS; then the name, the data, its CRC and size
+        head = b"\x1f\x8b\x08\x08" + bytes(4) + b"\x00\xff"
+        name = b"n" * 80 + b"\0"
+        tail = deflated + struct.pack("<II", zlib.crc32(raw), len(raw))
+        self.send_response(200)
+        self.send_header("Content-Type", "application/xml; charset=utf-8")
+        self.send_header("Content-Encoding", "gzip")
+        self.send_header("Content-Length", str(len(head) + len(name) + len(tail)))
+        self.end_headers()
+        try:
+            self.wfile.write(head)
+            for k in range(len(name)):
+                self.wfile.write(name[k : k + 1])
+                self.wfile.flush()
+                time.sleep(0.05)
+            self.wfile.write(tail)
+        except OSError:
+            pass
+
+    def log_message(self, fmt, *args):
+        pass
+
+
+def test_a_trickling_gzip_header_is_cut_off_at_the_request_deadline(monkeypatch):
+    import semtex.pipeline
+
+    monkeypatch.setattr(semtex.pipeline, "_RENDER_DEADLINE_S", 0.3)
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _GzipNameTrickle)
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    endpoint = f"http://127.0.0.1:{server.server_address[1]}/"
+    try:
+        began = time.monotonic()
+        with pytest.raises(ServiceUnreachableError, match="no complete answer within 0.3 s"):
+            request_mathml("x", endpoint)
+        elapsed = time.monotonic() - began
+    finally:
+        server.shutdown()
+        server.server_close()
+    # the whole name would take 4 s to arrive
+    assert elapsed < 1.5, elapsed
 
 
 # ------------------------------------------------------------ text and labels
