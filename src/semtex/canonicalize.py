@@ -103,12 +103,14 @@ DEFAULT_SETTINGS = CanonicalSettings()
 
 
 class CanonicalTree:
-    """Canonical node sequence; trees compare by content."""
+    """Canonical node sequence; trees compare by content.  at is False
+    only for a tree the builder made with no @ leaf."""
 
-    __slots__ = ("nodes",)
+    __slots__ = ("nodes", "at")
 
-    def __init__(self, nodes: tuple[Node, ...]):
+    def __init__(self, nodes: tuple[Node, ...], at: bool = True):
         self.nodes = nodes
+        self.at = at
 
     def __eq__(self, other):
         if other.__class__ is not CanonicalTree:
@@ -157,7 +159,6 @@ def _build(
     settings: CanonicalSettings,
     row: bool = False,
     leaves: dict[str, Token] | None = None,
-    at: bool = True,
 ) -> CanonicalTree:
     """The canonical tree of the balanced tokens texts[a:b], read once, by
     the rules canonicalize gives; pos(k) is the offset an error at token k
@@ -179,14 +180,15 @@ def _build(
     synonyms, \\label, \\nonumber, \\notag, \\hspace, \\mspace, the text
     commands of _TEXT_ARGS and @ are not plain; a leaf built for one of
     them is fresh.  A one-leaf group in the run of groups right before
-    an @ keeps its braces, so the run reads as a macro's fields; at=False
-    says texts[a:b] hold no @, so none is looked for unless a delimiter
-    class is spelt @.
+    an @ keeps its braces, so the run reads as a macro's fields.  The
+    tree's at says whether an @ leaf was made, a mapped delimiter
+    included.
     """
     if leaves is None:
         leaves = {}
     # (sequence, index, children) of each one-leaf group unwrapped
-    bare = [] if at or "@" in settings.delimiter_map.values() else None
+    bare = []
+    at = False
     plain = leaves.get
     spacing = settings.spacing_tokens
     # one (nodes, depth, first) frame per enclosing group: the sequence
@@ -277,8 +279,7 @@ def _build(
                 out, depth, first = stack.pop()
                 kid = kids[0] if len(kids) == 1 else None
                 if kid.__class__ is Token and kid.kind in _LEAF_KINDS:
-                    if bare is not None:
-                        bare.append((out, len(out), kids))
+                    bare.append((out, len(out), kids))
                     out.append(kid)
                 else:
                     out.append(Group(tuple(kids)))
@@ -305,7 +306,8 @@ def _build(
                 leaf = Token(t)
                 if t != "@" and (c != "\\" or (name not in _ARG_SPACING and t not in _NOT_PLAIN)):
                     leaves[t] = leaf
-        if leaf.text == "@" and bare:
+        if leaf.text == "@":
+            at = True
             _rebrace(out, bare)
         out.append(leaf)
     if prefix >= 0:
@@ -315,7 +317,7 @@ def _build(
     if row:
         while out and out[-1].__class__ is Token and out[-1].text in _ROW_PUNCTUATION:
             out.pop()
-    return CanonicalTree(tuple(out))
+    return CanonicalTree(tuple(out), at)
 
 
 def _rebrace(out: list[Node], bare: list) -> None:

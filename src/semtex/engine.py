@@ -5,8 +5,8 @@ One walker, _walk, reads the semantic-macro occurrences of a tree
 through a callback.  replace_all first walks with instantiate, which
 marks every occurrence inert, so macros read back from an earlier pass
 are never matched as presentation.  That premark runs only where an @
-can be: every occurrence has an @ run, so _replace skips it for a row
-or span whose source holds no @.  Then the rewrite walks the tree left to
+can be: every occurrence has an @ run, so _replace skips it for a tree
+built with no @ leaf.  Then the rewrite walks the tree left to
 right; at each non-inert position the highest-ordered matching rule
 fires, its captures are rewritten recursively, and the instantiated
 template is spliced in inert.  A one-token capture that is inert, or
@@ -277,9 +277,9 @@ def replace_all(
     and per-rule firing counts for this one formula (formulae == 1 in
     the stats).
     """
-    nodes = tree.nodes if isinstance(tree, CanonicalTree) else tuple(tree)
+    nodes, at = (tree.nodes, tree.at) if isinstance(tree, CanonicalTree) else (tuple(tree), True)
     counts: Counter = Counter()
-    out = _replace(nodes, glossary, counts)
+    out = _replace(nodes, glossary, counts, at)
     return CanonicalTree(tuple(out)), ReplacementStats.from_counts(counts, formulae=1)
 
 
@@ -288,10 +288,8 @@ def _replace(
 ) -> Sequence[Node]:
     """replace_all's rewrite of nodes, adding each firing to counts.  The
     semantic macros in nodes are marked inert first, unless at=False says
-    their source holds no @ and no delimiter class is spelt @: then nodes
-    hold no @ token, so _walk would return them untouched.
-    """
-    if at or "@" in glossary.settings.delimiter_map.values():
+    nodes hold no @ token and so no macro (see CanonicalTree)."""
+    if at:
         nodes = _walk(nodes, glossary, instantiate)
     return _rewrite(nodes, glossary, counts)
 

@@ -247,7 +247,7 @@ def _row(
             if m is not None
         ]
     try:
-        core = _build(texts, offset, a, b, settings, True, leaves, "@" in source[slice(*span)])
+        core = _build(texts, offset, a, b, settings, True, leaves)
     except MismatchedLeftRightError as exc:
         where = _line_col(source, span[0] if exc.position is None else exc.position)
         return fid, f"{type(exc).__name__}: {exc} in the row at line {where}"
@@ -745,9 +745,8 @@ def extract_document(
     constraint clause.  functools.cache keeps no call that raises, so
     every row after a failing sentence, or holding a failing clause,
     fails on its own.  Each row gets its own Annotation objects, with
-    its own id as origin.  A row whose source holds no @ is rewritten
-    without first marking semantic macros: it holds none, unless a
-    delimiter class maps to @.
+    its own id as origin.  A row whose canonical tree holds no @ leaf is
+    rewritten without first marking semantic macros: it holds none.
     """
     settings = glossary.settings
     introducers = frozenset(w.lower() for w in introducers)
@@ -807,7 +806,7 @@ def extract_document(
             continue
         counts: Counter = Counter()
         try:
-            sem = _replace(core, glossary, counts, "@" in source[slice(*f.span)])
+            sem = _replace(core, glossary, counts, f.source_canonical.at)
             for clause in clauses:
                 body, per_rule = convert(clause)
                 counts.update(per_rule)

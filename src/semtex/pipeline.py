@@ -111,38 +111,37 @@ def _xml_text(value, key: str) -> str:
 
 
 def _path(value, key: str) -> Path:
-    return Path(_string(value, key))
+    return value if isinstance(value, Path) else Path(_string(value, key))
 
 
 def _paths(value, key: str) -> list[Path]:
     if isinstance(value, str):
         return [Path(value)]
-    if isinstance(value, list) and all(isinstance(v, str) for v in value):
+    if isinstance(value, list) and all(isinstance(v, (str, Path)) for v in value):
         return [Path(v) for v in value]
     raise ConfigInvalidError(f"{key} must be a string or list of strings")
 
 
 def _strings(value, key: str) -> tuple[str, ...]:
-    if isinstance(value, list) and all(isinstance(v, str) for v in value):
+    if isinstance(value, (list, tuple)) and all(isinstance(v, str) for v in value):
         return tuple(value)
     raise ConfigInvalidError(f"{key} must be a list of strings")
 
 
-def _workers(value, key: str = "workers") -> int:
+def _workers(value, key: str) -> int:
     if type(value) is not int or value < 1:  # bool is an int subclass
         raise ConfigInvalidError(f"{key} must be a positive integer")
     return value
 
 
 def _siteinfo(value, key: str) -> SiteInfo:
+    if isinstance(value, SiteInfo):
+        value = value._asdict()
     if not isinstance(value, dict):
         raise ConfigInvalidError(f"{key} must be an object")
     bad = value.keys() - SiteInfo._fields
     if bad:
         raise ConfigInvalidError(f"unknown {key} keys: {sorted(bad)}")
-    bad = {k for k, v in value.items() if not isinstance(v, str)}
-    if bad:
-        raise ConfigInvalidError(f"{key} values must be strings: {sorted(bad)}")
     return SiteInfo(**{k: _xml_text(v, f"{key}.{k}") for k, v in value.items()})
 
 
@@ -163,6 +162,7 @@ _SETTINGS = {
     "workers": ("workers", _workers),
     "siteinfo": ("siteinfo", _siteinfo),
 }
+_UNSET = frozenset({"glossary", "bibliography", "output", "report", "endpoint"})  # None is unset
 
 
 def load_config(
@@ -224,26 +224,23 @@ def _id_prefixes(files: Sequence[Path]) -> list[str]:
 
 
 def validate_config(cfg: PipelineConfig) -> None:
+    """Set each setting of cfg, but an unset path or endpoint, to what its
+    reader gives, as load_config does; then check paths and endpoint."""
+    for key, (attr, read) in _SETTINGS.items():
+        if getattr(cfg, attr) is not None or key not in _UNSET:
+            setattr(cfg, attr, read(getattr(cfg, attr), key))
     for p in cfg.inputs:
         if not p.exists():
             raise ConfigInvalidError(f"input path does not exist: {p}")
         if p.is_dir() and next(p.glob("*.tex"), None) is None:
             raise ConfigInvalidError(f"input directory holds no *.tex file: {p}")
-    for name, p in (
-        ("glossary", cfg.glossary_path),
-        ("bibliography", cfg.bibliography_path),
-    ):
+    for name, p in (("glossary", cfg.glossary_path), ("bibliography", cfg.bibliography_path)):
         if p is not None and not p.is_file():
             raise ConfigInvalidError(f"{name} file does not exist: {p}")
     if cfg.endpoint is not None:
         parsed = urlparse(cfg.endpoint)
         if parsed.scheme not in ("http", "https") or not parsed.netloc:
             raise ConfigInvalidError(f"endpoint is not an absolute URL: {cfg.endpoint}")
-    _workers(cfg.workers)
-    # a config built in code has not been through the readers
-    _xml_text(cfg.corpus_prefix, "corpus_prefix")
-    _xml_text(cfg.citation_key, "citation_key")
-    _siteinfo(cfg.siteinfo._asdict(), "siteinfo")
 
 
 def _load_glossary(cfg: PipelineConfig) -> Glossary:
@@ -387,9 +384,8 @@ def replace_text(source: str, glossary: Glossary) -> tuple[str, ReplacementStats
     spans = list(_row_ranges(source, _marks(source)))
     for _, texts, offset, a, b, span, _ in spans:
         try:
-            at = "@" in source[span[0] : span[1]]
-            tree = _build(texts, offset, a, b, glossary.settings, False, leaves, at)
-            sem = _replace(tree.nodes, glossary, counts, at)
+            tree = _build(texts, offset, a, b, glossary.settings, False, leaves)
+            sem = _replace(tree.nodes, glossary, counts, tree.at)
         except MismatchedLeftRightError as exc:
             where = _line_col(source, span[0] if exc.position is None else exc.position)
             msg = f"{exc} in the span at line {where}"
@@ -450,9 +446,10 @@ def request_mathml(semantic_latex: str, endpoint: str) -> RenderedMath:
     """POST semantic LaTeX to a rendering service.
 
     The service answers with XML holding a presentation and a content
-    MathML island; anything else raises ServiceRejectedError, transport
-    failures and a body not complete within _RENDER_DEADLINE_S (checked
-    each time body bytes arrive) raise ServiceUnreachableError.
+    MathML island; anything else, a body that does not decode included,
+    raises ServiceRejectedError.  Transport failures and a body not
+    complete within _RENDER_DEADLINE_S (checked each time body bytes
+    arrive) raise ServiceUnreachableError.
     """
     import requests
 
@@ -486,11 +483,14 @@ def _post_mathml(post, semantic_latex: str, endpoint: str) -> RenderedMath:
                     raise ServiceUnreachableError(
                         f"{endpoint}: no complete answer within {_RENDER_DEADLINE_S:g} s"
                     )
-        # urllib3 undoes the Content-Encoding, as resp.text would
-        coding = {"Content-Encoding": resp.headers.get("Content-Encoding", "")}
-        body = urllib3.HTTPResponse(io.BytesIO(raw), coding).data
     except (requests.RequestException, urllib3.exceptions.HTTPError) as exc:
         raise ServiceUnreachableError(f"{endpoint}: {exc}") from exc
+    # urllib3 undoes the Content-Encoding, as resp.text would
+    coding = {"Content-Encoding": resp.headers.get("Content-Encoding", "")}
+    try:
+        body = urllib3.HTTPResponse(io.BytesIO(raw), coding).data
+    except urllib3.exceptions.DecodeError as exc:
+        raise ServiceRejectedError(resp.status_code, f"undecodable response: {exc}") from exc
     try:
         text = body.decode(resp.encoding or "utf-8", errors="replace")
     except LookupError:

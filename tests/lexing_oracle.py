@@ -21,7 +21,12 @@ from bisect import bisect_left
 from itertools import accumulate
 
 from semtex.errors import UnterminatedEnvironmentError
-from semtex.lexer import MATH_ENVIRONMENTS, ROW_SPLIT_ENVIRONMENTS, _TOKEN_RE, _check_balance
+from semtex.lexer import MATH_ENVIRONMENTS, ROW_SPLIT_ENVIRONMENTS, _check_balance
+
+# The lexer's token pattern, compiled here: a test may stand a recorder
+# in for semtex.lexer._TOKEN_RE, and whole-document lexes made for
+# reference must not be recorded as the program's.
+_TOKEN_RE = re.compile(r"\\(?:[A-Za-z]+|.)?|%[^\n]*|\s+|.", re.S)
 
 
 def row_ranges(texts, starts):

@@ -7,7 +7,7 @@ import pytest
 import gen
 import oracle
 from semtex import canonicalize_string, render
-from semtex.canonicalize import CanonicalSettings, _build, canonicalize
+from semtex.canonicalize import CanonicalSettings, CanonicalTree, _build, canonicalize
 from semtex.errors import MismatchedLeftRightError, SemtexError
 from semtex.lexer import Token, _check_balance, _lex, build_groups, flatten, tokenize
 
@@ -93,6 +93,31 @@ def test_unwrap_is_bottom_up():
     node = tree.nodes[0]
     assert isinstance(node, Token)
     assert node.text == "q"
+
+
+_LPAREN_AT = CanonicalSettings.from_config(
+    {"delimiter_classes": [{"canonical": "@", "variants": ["\\lparen"]}]}
+)
+
+
+@pytest.mark.parametrize(
+    "source, settings, at",
+    [
+        (r"\EulerGamma@{x}", None, True),
+        (r"{a\EulerGamma@{x}}", None, True),
+        (r"f\lparen x)", _LPAREN_AT, True),
+        (r"f\lparen x)", None, False),
+        ("x % a@b", None, False),
+        (r"x \label{a@b}", None, False),
+        (r"\Gamma(x)+\label{@}", _LPAREN_AT, False),
+    ],
+)
+def test_a_built_tree_says_whether_it_holds_an_at_leaf(source, settings, at):
+    tree = canonicalize_string(source, settings or CanonicalSettings())
+    assert tree.at is at
+    # a tree built elsewhere may hold one; at takes no part in equality
+    assert CanonicalTree(tree.nodes).at is True
+    assert CanonicalTree(tree.nodes) == tree
 
 
 @pytest.mark.parametrize(
@@ -212,13 +237,17 @@ def test_builder_matches_the_tree_walk_reference(glossary):
 
 def _bar_mapped():
     """Settings where | is a delimiter synonym, so only the bar spelling
-    of \\mid stays |, and where x is a spacing token."""
+    of \\mid stays |, where \\lparen is spelt @ and where x is a
+    spacing token."""
     return CanonicalSettings.from_config(
         {
             "spacing_tokens": ["\\,", "x"],
             "size_prefixes": ["left", "right", "big"],
             "bar_synonyms": ["mid"],
-            "delimiter_classes": [{"canonical": "\\vert", "variants": ["|", "\\lvert"]}],
+            "delimiter_classes": [
+                {"canonical": "\\vert", "variants": ["|", "\\lvert"]},
+                {"canonical": "@", "variants": ["\\lparen"]},
+            ],
         }
     )
 
@@ -251,7 +280,11 @@ def test_builder_leaf_table_matches_the_table_free_reference(glossary, custom):
                 inert = [k for k, t in enumerate(leaves) if t.inert]
                 assert all(leaves[k - 2].text == "\\label" and not row for k in inert)
                 seen["label"] += bool(inert)
+                # at is exactly whether the tree holds an @ leaf
+                assert got.at == any(t.text == "@" and not t.inert for t in leaves)
+                seen["at"] += got.at
     assert seen["tree"] > 2000 and seen["MismatchedLeftRightError"] > 100 and seen["label"] > 40
+    assert 100 < seen["at"] < seen["tree"] - 100
     # the tables hold only texts whose leaf does not depend on context
     for table in tables.values():
         assert table and all(t == leaf.text for t, leaf in table.items())

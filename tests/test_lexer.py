@@ -489,6 +489,15 @@ def _walked(source, texts, starts, ranges):
     )
 
 
+def test_the_reference_lexes_with_a_copy_of_the_token_pattern():
+    """A test may stand a recorder in for semtex.lexer._TOKEN_RE, so the
+    reference compiles the same pattern for itself."""
+    import semtex.lexer
+
+    mine, real = lexing_oracle._TOKEN_RE, semtex.lexer._TOKEN_RE
+    assert (mine.pattern, mine.flags) == (real.pattern, real.flags)
+
+
 def test_structural_scans_match_the_token_walk_reference():
     rng = random.Random(20261019)
     seen = Counter()

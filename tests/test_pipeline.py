@@ -36,6 +36,7 @@ from semtex.pipeline import (
     PipelineConfig,
     expand_inputs,
     load_config,
+    replace_files,
     replace_text,
     request_mathml,
     run_pipeline,
@@ -141,6 +142,47 @@ def test_validate_config_checks_dump_text_of_a_config_built_in_code(settings):
     cfg = PipelineConfig(inputs=[DATA / "kls_mini.tex"], **settings)
     with pytest.raises(ConfigInvalidError, match="XML 1.0"):
         run_pipeline(cfg, write=False)
+
+
+@pytest.mark.parametrize(
+    "settings, message",
+    [
+        ({"endpoint": 5}, "endpoint must be a string"),
+        ({"keywords": "abc"}, "keywords must be a list of strings"),
+        ({"introducers": "where"}, "introducers must be a list of strings"),
+        ({"workers": True}, "workers must be a positive integer"),
+        ({"corpus_prefix": None}, "corpus_prefix must be a string"),
+    ],
+)
+def test_validate_config_reads_every_setting_of_a_config_built_in_code(
+    tmp_path, settings, message
+):
+    """A config built in code is read as a config file is: a value its
+    key's reader refuses is a ConfigInvalidError, not a crash or a
+    silent misreading, in convert and in replace."""
+    cfg = PipelineConfig(inputs=[DATA / "kls_mini.tex"], **settings)
+    with pytest.raises(ConfigInvalidError, match=message):
+        run_pipeline(cfg, write=False)
+    with pytest.raises(ConfigInvalidError, match=message):
+        list(replace_files(cfg, tmp_path / "out"))
+    assert not (tmp_path / "out").exists()
+
+
+def test_validate_config_keeps_what_the_readers_give(tmp_path):
+    """Lists, strings and a siteinfo mapping set in code become what
+    load_config would make of them, so the run reads them as it would
+    read a config file's."""
+    cfg = PipelineConfig(
+        inputs=[str(DATA / "kls_mini.tex")],
+        bibliography_path=str(DATA / "bib.json"),
+        keywords=["Definition"],
+        siteinfo={"sitename": "S"},
+    )
+    validate_config(cfg)
+    assert cfg.bibliography_path == DATA / "bib.json"
+    assert cfg.keywords == ("Definition",)
+    assert cfg.siteinfo == SiteInfo(sitename="S")
+    assert "<sitename>S</sitename>" in run_pipeline(cfg, write=False).dump
 
 
 def test_expand_inputs(tmp_path):
@@ -399,9 +441,10 @@ def test_replace_text_lexes_only_math_and_mark_windows_once_and_builds_no_token(
 def test_replace_text_premarks_only_spans_that_may_hold_a_semantic_macro(
     glossary, mini_source, monkeypatch
 ):
-    """The premark walk runs on a span only when its source holds an @,
-    or on every span when a delimiter class is spelt @, and the output
-    and stats are those of the public composition either way."""
+    """The premark walk runs on a span only when its canonical tree holds
+    an @ leaf: not for an @ in a comment or a label, nor for a glossary
+    that spells \\lparen as @ where no \\lparen is.  The output and
+    stats are those of the public composition either way."""
     import semtex.engine
 
     real = semtex.engine._walk
@@ -424,9 +467,16 @@ def test_replace_text_premarks_only_spans_that_may_hold_a_semantic_macro(
     )
     at_glossary = loads_glossary(json.dumps(data))
     with_at = mini_source + "\\[ \\EulerGamma@{x} + \\Gamma(y) \\]\n"
-    spans = len(extract_math(mini_source))
-    assert "@" not in mini_source and spans > 30
-    cases = [(mini_source, glossary, 0), (with_at, glossary, 1), (mini_source, at_glossary, spans)]
+    inert_at = mini_source + "\\[ x \\label{a@b} % c@d\n \\]\n"
+    with_paren = mini_source + "\\[ f\\lparen x) \\]\n"
+    assert "@" not in mini_source and "\\lparen" not in mini_source
+    cases = [
+        (mini_source, glossary, 0),
+        (with_at, glossary, 1),
+        (inert_at, glossary, 0),
+        (mini_source, at_glossary, 0),
+        (with_paren, at_glossary, 1),
+    ]
     want = [outcome(composed_replace, source, g) for source, g, _ in cases]
     monkeypatch.setattr(semtex.engine, "_walk", counting)
     for (source, g, walks), expect in zip(cases, want):
@@ -707,6 +757,51 @@ def test_request_mathml_decodes_a_gzipped_answer():
         server.server_close()
     assert r"\EulerGamma@{z}" in rendered.presentation
     assert "<csymbol>" in rendered.content
+
+
+class _BadGzip(BaseHTTPRequestHandler):
+    """Answers a POST with a body said to be gzip that is not."""
+
+    protocol_version = "HTTP/1.1"
+
+    def do_POST(self):
+        data = self.rfile.read(int(self.headers["Content-Length"])).decode("utf-8")
+        payload = response_for(data).encode("utf-8")
+        self.send_response(200)
+        self.send_header("Content-Type", "application/xml; charset=utf-8")
+        self.send_header("Content-Encoding", "gzip")
+        self.send_header("Content-Length", str(len(payload)))
+        self.end_headers()
+        self.wfile.write(payload)
+
+    def log_message(self, fmt, *args):
+        pass
+
+
+def test_an_undecodable_answer_is_a_rejection_that_stops_nothing(mini_extraction, monkeypatch):
+    import requests
+
+    posts = []
+    real = requests.Session.post
+
+    def counting(session, url, **kwargs):
+        posts.append(url)
+        return real(session, url, **kwargs)
+
+    monkeypatch.setattr(requests.Session, "post", counting)
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _BadGzip)
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    endpoint = f"http://127.0.0.1:{server.server_address[1]}/"
+    try:
+        with pytest.raises(ServiceRejectedError):
+            request_mathml(r"\EulerGamma@{z}", endpoint)
+        got = verify_render(mini_extraction.formulae[:3], endpoint)
+    finally:
+        server.shutdown()
+        server.server_close()
+    rejected = "warning: service rejected: rendering service rejected request: HTTP 200"
+    assert [status for _, status in got] == [rejected] * 3
+    assert len(posts) == 3
 
 
 class _GzipNameTrickle(BaseHTTPRequestHandler):
