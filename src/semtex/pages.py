@@ -217,29 +217,32 @@ def emit_dump(pages: Sequence[FormulaPage], siteinfo: SiteInfo = SiteInfo()) -> 
         "    </namespaces>",
         "  </siteinfo>",
     ]
+    # one string a page, each page's escaped wikitext freed as soon as
+    # that string is made, rather than sixteen strings a page held to
+    # the join
+    revision = (
+        f"      <timestamp>{_escape(si.timestamp)}</timestamp>\n"
+        "      <contributor>\n"
+        f"        <username>{_escape(si.contributor)}</username>\n"
+        "      </contributor>\n"
+        f"      <comment>{_escape(si.comment)}</comment>\n"
+        "      <model>wikitext</model>\n"
+        "      <format>text/x-wiki</format>\n"
+    )
     for num, p in enumerate(pages, start=1):
-        out.extend(
-            [
-                "  <page>",
-                f"    <title>{_escape(p.title)}</title>",
-                "    <ns>0</ns>",
-                f"    <id>{num}</id>",
-                "    <revision>",
-                f"      <id>{num}</id>",
-                f"      <timestamp>{_escape(si.timestamp)}</timestamp>",
-                "      <contributor>",
-                f"        <username>{_escape(si.contributor)}</username>",
-                "      </contributor>",
-                f"      <comment>{_escape(si.comment)}</comment>",
-                "      <model>wikitext</model>",
-                "      <format>text/x-wiki</format>",
-                f'      <text xml:space="preserve">{_escape(p.wikitext)}</text>',
-                "    </revision>",
-                "  </page>",
-            ]
+        out.append(
+            "  <page>\n"
+            f"    <title>{_escape(p.title)}</title>\n"
+            "    <ns>0</ns>\n"
+            f"    <id>{num}</id>\n"
+            "    <revision>\n"
+            f"      <id>{num}</id>\n"
+            f"{revision}"
+            f'      <text xml:space="preserve">{_escape(p.wikitext)}</text>\n'
+            "    </revision>\n"
+            "  </page>"
         )
-    out.append("</mediawiki>")
-    out.append("")
+    out.append("</mediawiki>\n")
     return "\n".join(out)
 
 

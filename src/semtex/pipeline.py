@@ -73,6 +73,9 @@ class PipelineConfig:
         workers: int = 1,
         siteinfo: SiteInfo = SiteInfo(),
     ):
+        # a single path is one input, not a sequence of characters
+        if isinstance(inputs, (str, os.PathLike)):
+            inputs = (inputs,)
         self.inputs = [Path(p) for p in inputs]
         self.glossary_path = glossary_path
         self.bibliography_path = bibliography_path
@@ -263,6 +266,21 @@ def _file_failure(exc: Exception, source: str) -> str:
     return msg
 
 
+# Characters _write encodes at a time
+_WRITE_SLICE = 1 << 16
+
+
+def _write(path: Path, text: str) -> None:
+    """Write text to path as UTF-8, a slice at a time, so no encoded copy
+    of the whole text is ever held."""
+    try:
+        with path.open("w", encoding="utf-8", newline="\n") as fh:
+            for start in range(0, len(text), _WRITE_SLICE):
+                fh.write(text[start : start + _WRITE_SLICE])
+    except OSError as exc:
+        raise ConfigInvalidError(f"cannot write {path}: {exc}") from exc
+
+
 class RunResult(NamedTuple):
     exit_code: int
     dump: str
@@ -345,10 +363,7 @@ def run_pipeline(cfg: PipelineConfig, write: bool = True) -> RunResult:
 
     for path, text in zip(targets, (dump, report)):
         if path is not None:
-            try:
-                path.write_text(text, encoding="utf-8", newline="\n")
-            except OSError as exc:
-                raise ConfigInvalidError(f"cannot write {path}: {exc}") from exc
+            _write(path, text)
 
     return RunResult(
         exit_code=1 if file_error else 0,
@@ -420,11 +435,13 @@ def replace_files(
         name = prefix + path.suffix
         text = ""
         try:
-            text = path.read_text(encoding="utf-8")
+            # newline="" keeps each line ending as the input has it
+            with path.open(encoding="utf-8", newline="") as fh:
+                text = fh.read()
             rewritten, stats = replace_text(text, glossary)
             target = outdir / name
             target.parent.mkdir(parents=True, exist_ok=True)
-            target.write_text(rewritten, encoding="utf-8")
+            target.write_text(rewritten, encoding="utf-8", newline="")
         except _FILE_ERRORS as exc:
             yield str(path), _file_failure(exc, text)
             continue

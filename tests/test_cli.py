@@ -14,6 +14,7 @@ import pytest
 
 import semtex
 import semtex.cli
+import semtex.glossary
 import semtex.pipeline
 from conftest import DATA
 from semtex.cli import main
@@ -35,6 +36,31 @@ def test_convert(tmp_path, capsys):
     assert printed.startswith("pages: 28\n")
     assert report.read_text() == printed
     assert out.read_text().startswith("<mediawiki")
+
+
+def _rule_counts(report):
+    """The per-rule lines of a report, rule name to count."""
+    lines = report.split("per-rule replacement counts:\n", 1)[1].splitlines()
+    return dict(line.strip().split(": ") for line in lines if line.startswith("  "))
+
+
+@pytest.mark.parametrize("dropped", [None, "sin", "qPochhammer"])
+def test_convert_reads_a_glossary_file(tmp_path, capsys, dropped):
+    bundled = json.loads(semtex.glossary.builtin_glossary_path().read_text(encoding="utf-8"))
+    bundled["rules"] = [r for r in bundled["rules"] if r["name"] != dropped]
+    glossary = tmp_path / "glossary.json"
+    glossary.write_text(json.dumps(bundled), encoding="utf-8")
+    out, report = tmp_path / "dump.xml", tmp_path / "report.txt"
+    argv = ["convert", "--input", MINI, "--bib", BIB, "--glossary", str(glossary)]
+    assert main([*argv, "--out", str(out), "--report", str(report)]) == 0
+    capsys.readouterr()
+    if dropped is None:
+        assert out.read_bytes() == (DATA / "golden_dump.xml").read_bytes()
+        assert report.read_bytes() == (DATA / "golden_report.txt").read_bytes()
+    else:
+        expected = _rule_counts((DATA / "golden_report.txt").read_text(encoding="utf-8"))
+        del expected[dropped]
+        assert _rule_counts(report.read_text(encoding="utf-8")) == expected
 
 
 def test_the_collector_is_paused_while_a_command_runs(tmp_path, capsys, monkeypatch):

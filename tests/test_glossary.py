@@ -150,3 +150,30 @@ def test_a_delimiter_canonical_that_is_not_one_character_or_control_sequence_rai
         loads([make_rule()], canonicalization={"delimiter_classes": classes})
     assert repr(canonical) in str(err.value)
 
+
+
+@pytest.mark.parametrize(
+    "rule, message",
+    [
+        ("F", "rule #1: not an object"),
+        (make_rule(pattern=["F"]), "rule 'Foo': bad pattern atom 'F'"),
+        (make_rule(pattern=[{"lit": "F", "sep": ","}]), "rule 'Foo': bad pattern atom"),
+        (
+            make_rule(pattern=[{"lit": "F"}, {"capture": "x", "mode": "greedy"}]),
+            "rule 'Foo': unknown capture mode 'greedy'",
+        ),
+        (make_rule(pattern=[{"lit": "F"}, {"sep": "+"}]), "rule 'Foo': bad separator '+'"),
+        (make_rule(pattern=[{"open": "<"}]), "rule 'Foo': bad open delimiter '<'"),
+        (make_rule(template="\\Foo@{#x"), "rule 'Foo': template does not parse"),
+        (make_rule(template="Foo@{#x}"), "template must start with a control sequence"),
+        (make_rule(template="\\Foo@{#x}@"), "rule 'Foo': @ must appear once in template"),
+        (make_rule(template="\\Foo@{x}"), "template groups must hold one {#name} placeholder"),
+        (make_rule(template="\\Foo@{#x}y"), "rule 'Foo': unexpected template content"),
+        (make_rule(template="\\Foo@@{#x}"), "template must contain its at variant '@' exactly once"),
+        (make_rule(template="\\Foo{#x}@"), "template needs at least one argument group"),
+    ],
+)
+def test_a_malformed_rule_raises_parse_error_naming_its_fault(rule, message):
+    with pytest.raises(GlossaryParseError) as err:
+        loads([rule])
+    assert message in str(err.value)

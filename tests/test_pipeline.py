@@ -33,6 +33,7 @@ from semtex.metadata import _line_col
 from semtex.mockserver import response_for, start_server
 from semtex.pages import SiteInfo
 from semtex.pipeline import (
+    _WRITE_SLICE,
     PipelineConfig,
     expand_inputs,
     load_config,
@@ -219,6 +220,34 @@ def test_run_pipeline_mini(tmp_path):
     assert result.report.startswith("pages: 28\n")
 
 
+@pytest.mark.parametrize(
+    "single", [str(DATA / "kls_mini.tex"), DATA / "kls_mini.tex"], ids=["str", "Path"]
+)
+def test_a_single_input_path_is_one_input(single):
+    cfg = PipelineConfig(inputs=single, bibliography_path=DATA / "bib.json")
+    assert cfg.inputs == [DATA / "kls_mini.tex"]
+    assert run_pipeline(cfg, write=False).dump == (DATA / "golden_dump.xml").read_text()
+    assert PipelineConfig(inputs=(single, single)).inputs == [DATA / "kls_mini.tex"] * 2
+
+
+def test_a_dump_of_several_slices_is_written_as_it_is_returned(tmp_path):
+    rng = random.Random(29)
+    rows = [
+        f"\\[ {gen.formula(rng)} \\quad \\text{{f\u00fcr \u2019{k}\u2019}} \\label{{e.{k}}} \\]\n"
+        for k in range(300)
+    ]
+    doc = tmp_path / "big.tex"
+    doc.write_text("\\section{S}\n" + "".join(rows), encoding="utf-8")
+    cfg = PipelineConfig(
+        inputs=[doc], output_path=tmp_path / "dump.xml", report_path=tmp_path / "report.txt"
+    )
+    result = run_pipeline(cfg)
+    # several slices, and characters that UTF-8 writes in more than a byte
+    assert len(result.dump) > 3 * _WRITE_SLICE and "\u2019" in result.dump
+    assert (tmp_path / "dump.xml").read_bytes() == result.dump.encode("utf-8")
+    assert (tmp_path / "report.txt").read_bytes() == result.report.encode("utf-8")
+
+
 def test_golden_outputs():
     result = run_pipeline(mini_config(), write=False)
     assert result.dump == (DATA / "golden_dump.xml").read_text()
@@ -342,6 +371,37 @@ def test_replace_text_touches_every_span(glossary):
 def test_replace_text_without_math_is_identity(glossary):
     source = "no math here at all\n"
     assert replace_text(source, glossary) == (source, stats_zero())
+
+
+@pytest.mark.parametrize("eol", ["\r\n", "\n"])
+def test_replace_keeps_the_line_endings_of_its_input(tmp_path, eol):
+    source = eol.join(
+        [
+            "\\section{Gamma}",
+            "Let $\\Gamma(z)$ hold, % a note",
+            "\\begin{align}",
+            "\\sin(x) \\label{a} \\\\",
+            "\\cos(x) + 1 \\label{b}",
+            "\\end{align}",
+            "\\[ \\Gamma(z)",
+            "+ 1 \\]",
+            "",
+            "done.",
+            "",
+        ]
+    )
+    doc = tmp_path / "doc.tex"
+    doc.write_bytes(source.encode("utf-8"))
+    done = list(replace_files(PipelineConfig(inputs=[doc]), tmp_path / "out"))
+    assert [name for name, _ in done] == ["doc.tex"]
+    written = (tmp_path / "out" / "doc.tex").read_bytes().decode("utf-8")
+
+    def outside(text):
+        cuts = [0, *(x for m in extract_math(text) for x in m.span), len(text)]
+        return [text[a:b] for a, b in zip(cuts[::2], cuts[1::2])]
+
+    assert written != source
+    assert outside(written) == outside(source)
 
 
 def stats_zero():
@@ -586,10 +646,12 @@ def test_edited_documents_fail_only_with_located_semtex_errors(tmp_path, glossar
 
 @pytest.mark.parametrize("attr", ["output_path", "report_path"])
 def test_an_unwritable_output_path_is_a_config_error(tmp_path, attr):
-    target = tmp_path / "missing" / "out.txt"
-    cfg = PipelineConfig(inputs=[DATA / "kls_mini.tex"], **{attr: target})
-    with pytest.raises(ConfigInvalidError, match=str(target)):
-        run_pipeline(cfg)
+    # a missing directory is refused before any input is read, a path
+    # that is a directory when the file is written
+    for target in (tmp_path / "missing" / "out.txt", tmp_path):
+        cfg = PipelineConfig(inputs=[DATA / "kls_mini.tex"], **{attr: target})
+        with pytest.raises(ConfigInvalidError, match=f"^cannot write {re.escape(str(target))}: "):
+            run_pipeline(cfg)
 
 
 # ------------------------------------------------------------ render client
