@@ -69,13 +69,18 @@ _FIRST = {
     "_": TokenKind.SUBSCRIPT,
     "&": TokenKind.ALIGN_TAB,
 }
-_TOKEN_RE = re.compile(r"\\(?:[A-Za-z]+|.)?|%[^\n]*|\s+|.", re.S)
-# The lexer's multi-character tokens, and $ or a brace: a hit starts
-# where a token starts, so a scan skips what the lexer would, a mark
-# inside a comment, after \\ or at the head of a longer control word
-_SCAN_RE = re.compile(r"\\(?:[A-Za-z]+|.)?|%[^\n]*|\$", re.S)
-_BRACE_RE = re.compile(r"\\(?:[A-Za-z]+|.)?|%[^\n]*|[{}]", re.S)
-_MARKS = frozenset({"\\begin", "\\end", "\\[", "\\]", "$", "\\section", "\\subsection"})
+# The lexer's multi-character tokens: a control word or symbol, and a
+# comment, which runs to the end of its line
+_CONTROL_SEQ = r"\\(?:[A-Za-z]+|.)?"
+_COMMENT = r"%[^\n]*"
+_TOKEN_RE = re.compile("|".join((_CONTROL_SEQ, _COMMENT, r"\s+", ".")), re.S)
+# The multi-character tokens, and $ or a brace: a hit starts where a
+# token starts, so a scan skips what the lexer would, a mark inside a
+# comment, after \\ or at the head of a longer control word
+_SCAN_RE = re.compile("|".join((_CONTROL_SEQ, _COMMENT, r"\$")), re.S)
+_BRACE_RE = re.compile("|".join((_CONTROL_SEQ, _COMMENT, "[{}]")), re.S)
+_HEADINGS = frozenset({"\\section", "\\subsection"})
+_MARKS = frozenset({"\\begin", "\\end", "\\[", "\\]", "$", *_HEADINGS})
 _BLANK_RE = re.compile(r"\s*")
 
 # read once for _render: each read of an enum member through its class

@@ -23,7 +23,7 @@ from bisect import bisect_left
 from collections import Counter
 from enum import Enum
 from functools import cache, partial
-from itertools import pairwise
+from itertools import chain, pairwise
 from operator import attrgetter
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -47,6 +47,9 @@ from .lexer import (
     Token,
     TokenKind,
     _BLANK_RE,
+    _COMMENT,
+    _CONTROL_SEQ,
+    _HEADINGS,
     _find_label,
     _group_at,
     _marks,
@@ -200,8 +203,6 @@ class _Heading(NamedTuple):
 # the key that bisects a heading list by offset
 _pos = attrgetter("pos")
 
-_HEADINGS = frozenset({"\\section", "\\subsection"})
-
 
 def _scan_sections(source: str, marks: list[tuple[int, str]]) -> list[_Heading]:
     """The headings of a document; marks are its lexer._marks.  A
@@ -331,7 +332,7 @@ def _split_trailing(nodes: Sequence[Node]) -> tuple[tuple[Node, ...], list[tuple
 # The lexer's multi-character tokens, $ and the sentence ends: a hit
 # starts where a token starts, so a control symbol such as \$ or \. is
 # no hit of its own.  All but a comment is group 1.
-_PROSE_RE = re.compile(r"(\\(?:[A-Za-z]+|.)?|[$.!?])|%[^\n]*", re.S)
+_PROSE_RE = re.compile(f"({_CONTROL_SEQ}|[$.!?])|{_COMMENT}", re.S)
 _SENTENCE_ENDS = frozenset(".!?")
 
 
@@ -372,21 +373,6 @@ def _convert(clause: tuple[Node, ...], glossary: Glossary) -> tuple[str, Counter
     return render(_replace(clause, glossary, per_rule)), per_rule
 
 
-class _State:
-    """One state of a head trie, the goto function of Aho and Corasick
-    (1975) over a unit's head runs.  next holds the states that follow
-    it, keyed by node; plain and call hold the positions of the heads
-    whose run ends here, call those of function heads, which count only
-    where "(" follows."""
-
-    __slots__ = ("next", "plain", "call")
-
-    def __init__(self) -> None:
-        self.next: dict[Node, _State] = {}
-        self.plain: list[int] = []
-        self.call: list[int] = []
-
-
 def _head_finder(
     heads: Sequence[tuple[int, tuple[Node, ...], bool]]
 ) -> Callable[[Sequence[Node], int, str], list[int]]:
@@ -398,44 +384,43 @@ def _head_finder(
     nodes or any nested group; a function head counts only where "("
     follows it.  It returns [] without a walk when the text holds no
     first-token text of the unit's runs: then no token can start a run.
-    Otherwise it walks each node sequence once, and from each token
-    follows the unit's trie as far as the sequence matches it, so a
-    token costs at most the length of the longest run, however many
-    runs share its text.
+    Otherwise it walks each node sequence once, and at a token whose
+    text starts some run looks the nodes after it up in a table of the
+    rest of those runs, once for each length of a rest, so a token costs
+    the same however many runs share its text.
     """
-    # unit -> text of a run's first token -> the state after it
-    roots: dict[int, dict[str, _State]] = {}
+    # unit -> text of a run's first token -> (the lengths of the rest of
+    # those runs, (rest of a run, is_function) -> its positions in heads)
+    index: dict[int, dict[str, tuple[set[int], dict]]] = {}
     for k, (unit, run, is_function) in enumerate(heads):
-        state = roots.setdefault(unit, {}).setdefault(run[0].text, _State())
-        for nd in run[1:]:
-            state = state.next.setdefault(nd, _State())
-        (state.call if is_function else state.plain).append(k)
+        sizes, rests = index.setdefault(unit, {}).setdefault(run[0].text, (set(), {}))
+        sizes.add(len(run) - 1)
+        rests.setdefault((run[1:], is_function), []).append(k)
 
     def find(nodes: Sequence[Node], unit: int, text: str) -> list[int]:
-        goto = roots.get(unit)
-        if goto is None or not any(t in text for t in goto):
+        starts = index.get(unit)
+        if starts is None or not any(t in text for t in starts):
             return []
         hits: set[int] = set()
         todo = [nodes]
         while todo:
             seq = todo.pop()
-            n = len(seq)
             for i, nd in enumerate(seq):
                 if nd.__class__ is not Token:
                     todo.append(nd.children)
                     continue
-                state = goto.get(nd.text)
-                j = i + 1
-                while state is not None:
-                    nxt = seq[j] if j < n else None
-                    if state.plain:
-                        hits.update(state.plain)
-                    if state.call and nxt.__class__ is Token and nxt.text == "(":
-                        hits.update(state.call)
-                    if nxt is None or not state.next:
-                        break
-                    state = state.next.get(nxt)
-                    j += 1
+                got = starts.get(nd.text)
+                if got is None:
+                    continue
+                sizes, rests = got
+                for n in sizes:
+                    # near the end of seq the slice may be shorter than n:
+                    # it is still the rest of a run of seq
+                    rest = tuple(seq[i + 1 : i + 1 + n])
+                    hits.update(rests.get((rest, False), ()))
+                    end = i + 1 + len(rest)
+                    if end < len(seq) and seq[end].__class__ is Token and seq[end].text == "(":
+                        hits.update(rests.get((rest, True), ()))
         return sorted(hits)
 
     return find
@@ -574,17 +559,18 @@ def detect_substitutions(
 
 def _closures(
     defs: Sequence[SubstitutionDef], edges: Sequence[list[int]]
-) -> list[dict[int, SubstitutionDef]]:
-    """Each def's transitive closure over edges, keyed by position in
-    defs, in depth-first preorder.  Positions, not formula ids, because
-    repeated labels give several defs one id.
+) -> list[tuple[int, ...]]:
+    """Each def's transitive closure over edges: the positions in defs
+    of the defs it reaches, itself first, in depth-first preorder.
+    Positions, not formula ids, because repeated labels give several
+    defs one id.
 
     One three-colour depth-first search, roots and edges in defs order.
     An edge back to a def still on the search path raises
     SubstitutionCycleError with the ids from that def to the end of the
     path, then that def again.
     """
-    closures: list[dict[int, SubstitutionDef] | None] = [None] * len(defs)
+    closures: list[tuple[int, ...] | None] = [None] * len(defs)
     on_path = [False] * len(defs)
     for root in range(len(defs)):
         if closures[root] is not None:
@@ -606,17 +592,8 @@ def _closures(
                 k = path.pop()
                 todo.pop()
                 on_path[k] = False
-                closures[k] = _merge([{k: defs[k]}] + [closures[e] for e in edges[k]])
+                closures[k] = tuple(dict.fromkeys(chain((k,), *(closures[e] for e in edges[k]))))
     return closures
-
-
-def _merge(parts: Iterable[dict[int, SubstitutionDef]]) -> dict[int, SubstitutionDef]:
-    """Union of parts, each key where it is first seen."""
-    out: dict[int, SubstitutionDef] = {}
-    for part in parts:
-        for key, d in part.items():
-            out.setdefault(key, d)
-    return out
 
 
 def inline_substitutions(
@@ -653,12 +630,11 @@ def inline_substitutions(
     for f in fs:
         if f.ordinal in def_rows:
             continue
-        merged = _merge(closures[k] for k in used.get(f.ordinal, ()))
-        for d in merged.values():
+        reached = chain.from_iterable(closures[k] for k in used.get(f.ordinal, ()))
+        for k in dict.fromkeys(reached):
+            d = defs[k]
             f.annotations.append(
-                Annotation(
-                    AnnotationKind.SUBSTITUTION, d.equation, origin=d.def_formula_id
-                )
+                Annotation(AnnotationKind.SUBSTITUTION, d.equation, origin=d.def_formula_id)
             )
         out.append(f)
     return out

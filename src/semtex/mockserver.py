@@ -54,9 +54,17 @@ class _Handler(BaseHTTPRequestHandler):
         pass
 
 
+class _Server(ThreadingHTTPServer):
+    def shutdown(self) -> None:
+        """Stop serving and free the listening socket."""
+        super().shutdown()
+        self.server_close()
+
+
 def start_server(port: int = 0) -> ThreadingHTTPServer:
-    """Start the mock on a background thread; caller shuts it down."""
-    server = ThreadingHTTPServer(("127.0.0.1", port), _Handler)
+    """Start the mock on a background thread; caller shuts it down, which
+    also closes its socket."""
+    server = _Server(("127.0.0.1", port), _Handler)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     return server
@@ -72,6 +80,8 @@ def main(argv=None) -> int:
         server.serve_forever()
     except KeyboardInterrupt:
         pass
+    finally:
+        server.server_close()
     return 0
 
 

@@ -52,6 +52,11 @@ from .pages import (
 
 
 class PipelineConfig:
+    """The settings of a run.  A path may be a str or an os.PathLike, and
+    inputs one path or a list or tuple of them, whether given here or set
+    later: the readers load_config uses read them, so a value that is no
+    path raises ConfigInvalidError here or when the run checks them."""
+
     __slots__ = (
         "inputs", "glossary_path", "bibliography_path", "output_path", "report_path",
         "corpus_prefix", "citation_key", "keywords", "introducers", "endpoint",
@@ -60,11 +65,11 @@ class PipelineConfig:
 
     def __init__(
         self,
-        inputs: Sequence[str | Path] = (),
-        glossary_path: str | Path | None = None,
-        bibliography_path: str | Path | None = None,
-        output_path: str | Path | None = None,
-        report_path: str | Path | None = None,
+        inputs: str | os.PathLike | Sequence[str | os.PathLike] = (),
+        glossary_path: str | os.PathLike | None = None,
+        bibliography_path: str | os.PathLike | None = None,
+        output_path: str | os.PathLike | None = None,
+        report_path: str | os.PathLike | None = None,
         corpus_prefix: str = "KLS",
         citation_key: str = "KLS",
         keywords: tuple[str, ...] = DEFAULT_KEYWORDS,
@@ -73,10 +78,7 @@ class PipelineConfig:
         workers: int = 1,
         siteinfo: SiteInfo = SiteInfo(),
     ):
-        # a single path is one input, not a sequence of characters
-        if isinstance(inputs, (str, os.PathLike)):
-            inputs = (inputs,)
-        self.inputs = [Path(p) for p in inputs]
+        self.inputs = _paths(inputs, "input")
         self.glossary_path = glossary_path
         self.bibliography_path = bibliography_path
         self.output_path = output_path
@@ -88,10 +90,11 @@ class PipelineConfig:
         self.endpoint = endpoint
         self.workers = workers
         self.siteinfo = siteinfo
-        for attr in ("glossary_path", "bibliography_path", "output_path", "report_path"):
+        for key in ("glossary", "bibliography", "output", "report"):
+            attr, read = _SETTINGS[key]
             value = getattr(self, attr)
             if value is not None:
-                setattr(self, attr, Path(value))
+                setattr(self, attr, read(value, key))
 
 
 # The characters XML 1.0 does not allow, even as references.  Strict
@@ -114,15 +117,20 @@ def _xml_text(value, key: str) -> str:
 
 
 def _path(value, key: str) -> Path:
-    return value if isinstance(value, Path) else Path(_string(value, key))
+    """A path given as a str or an os.PathLike that gives one."""
+    try:
+        return Path(value)
+    except TypeError:
+        raise ConfigInvalidError(f"{key} must be a string") from None
 
 
 def _paths(value, key: str) -> list[Path]:
-    if isinstance(value, str):
-        return [Path(value)]
-    if isinstance(value, list) and all(isinstance(v, (str, Path)) for v in value):
-        return [Path(v) for v in value]
-    raise ConfigInvalidError(f"{key} must be a string or list of strings")
+    """One path, which is one input and not a sequence of characters, or
+    a list or tuple of paths."""
+    try:
+        return [Path(v) for v in (value if isinstance(value, (list, tuple)) else (value,))]
+    except TypeError:
+        raise ConfigInvalidError(f"{key} must be a string or list of strings") from None
 
 
 def _strings(value, key: str) -> tuple[str, ...]:
@@ -422,17 +430,24 @@ def replace_files(
     time, and yield (output name, stats) for each file written and
     (input path, error message) for each file that failed and was
     skipped.  Files that share a name land at their id-prefix paths, as
-    in run_pipeline, each keeping its suffix.
+    in run_pipeline, each keeping its suffix.  An output that would be
+    an input file raises ConfigInvalidError before anything is written,
+    so the input is left to diff against.
     """
     validate_config(cfg)
     glossary = _load_glossary(cfg)
+    files = expand_inputs(cfg.inputs)
+    names = [prefix + path.suffix for path, prefix in zip(files, _id_prefixes(files))]
+    inputs = {path.resolve(): path for path in files}
+    for name in names:
+        clash = inputs.get((outdir / name).resolve())
+        if clash is not None:
+            raise ConfigInvalidError(f"replace would overwrite its input {clash}")
     try:
         outdir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigInvalidError(f"cannot create output directory {outdir}: {exc}") from exc
-    files = expand_inputs(cfg.inputs)
-    for path, prefix in zip(files, _id_prefixes(files)):
-        name = prefix + path.suffix
+    for path, name in zip(files, names):
         text = ""
         try:
             # newline="" keeps each line ending as the input has it

@@ -368,6 +368,47 @@ def test_an_unwritable_output_is_a_config_error(tmp_path, capsys, monkeypatch):
     assert err.startswith("config error: ") and str(taken) in err
 
 
+@pytest.mark.parametrize("given", ["directory", "file"])
+@pytest.mark.parametrize("spelled", ["as given", "another way"])
+def test_replace_into_its_own_input_is_a_config_error(tmp_path, capsys, given, spelled):
+    d = tmp_path / "d"
+    d.mkdir()
+    doc = d / "a.tex"
+    shutil.copy(MINI, doc)
+    (tmp_path / "e").mkdir()
+    out = d if spelled == "as given" else tmp_path / "e" / ".." / "d"
+    given = d if given == "directory" else doc
+    assert main(["replace", "--input", str(given), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error: replace would overwrite its input {doc}\n"
+    assert doc.read_bytes() == Path(MINI).read_bytes()
+    assert list(d.iterdir()) == [doc]
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (
+            ["--glossary", "g.json"],
+            "GlossaryParseError: glossary parse error: rule #1: not an object",
+        ),
+        (["--citation-key", "NOPE"], "MissingBibEntryError: missing bibliography entry 'NOPE'"),
+    ],
+    ids=["bad glossary", "missing bib key"],
+)
+def test_convert_exits_1_naming_a_run_error_and_writes_no_dump(
+    tmp_path, capsys, monkeypatch, flags, message
+):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "g.json").write_text('{"rules": [7]}')
+    args = ["convert", "--input", MINI, "--bib", BIB, "--out", "d.xml", "--report", "r.txt"]
+    assert main(args + flags) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", message + "\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["g.json"]
+
+
 @pytest.mark.parametrize("content", [b'{"KLS": ', b'{"KLS": 3}', b'["KLS"]', b'{"KLS": {"author": "\xff"}}'])
 def test_a_malformed_bibliography_is_a_config_error(tmp_path, capsys, content):
     bib = tmp_path / "bib.json"

@@ -20,6 +20,7 @@ from semtex.engine import (
 from semtex.errors import UnknownSemanticMacroError
 from semtex.glossary import builtin_glossary_path, loads_glossary
 from semtex.lexer import Group, flatten, render
+from semtex.pipeline import replace_text
 
 
 def convert(text, glossary):
@@ -159,17 +160,33 @@ def test_strip_leaves_presentation_alone(glossary):
     assert strip_semantics(tree, glossary) == tree
 
 
-@pytest.mark.parametrize(
-    "bad", [r"\mystery@@{z}", r"\sin@{z}", r"\EulerGamma@@{z}", r"x+{\frac{ab}{cd}@e}"]
-)
+# each occurrence the rewriters reject, with the message they give
+_REJECTED = {
+    r"\mystery@@{z}": r"unknown semantic macro \mystery",
+    r"\sin@{z}": r"\sin occurrence does not match its glossary signature",
+    r"\EulerGamma@@{z}": r"\EulerGamma occurrence does not match its glossary signature",
+    r"x+{\frac{ab}{cd}@e}": r"unknown semantic macro \frac",
+    # a field missing after the @ run or before it
+    r"\EulerGamma@": r"\EulerGamma occurrence does not match its glossary signature",
+    r"\Jacobi{a}{b}@{x}": r"\Jacobi occurrence does not match its glossary signature",
+}
+
+
+@pytest.mark.parametrize("bad", list(_REJECTED))
 def test_strip_rejects_unknown_semantics(glossary, bad):
+    message = _REJECTED[bad]
     tree = canonicalize_string(bad, glossary.settings)
     with pytest.raises(UnknownSemanticMacroError) as stripping:
         strip_semantics(tree, glossary)
-    # one reader, one rule: replace_all rejects the same occurrence
+    assert str(stripping.value) == message
+    # one reader, one rule: replace_all and replace_text reject the same
+    # occurrence
     with pytest.raises(UnknownSemanticMacroError) as replacing:
         replace_all(tree, glossary)
-    assert str(replacing.value) == str(stripping.value)
+    assert str(replacing.value) == message
+    with pytest.raises(UnknownSemanticMacroError) as rewriting:
+        replace_text(f"so ${bad}$.", glossary)
+    assert str(rewriting.value) == f"{message} in the span at line 1:5"
 
 
 @pytest.mark.parametrize(

@@ -171,6 +171,7 @@ def test_a_delimiter_canonical_that_is_not_one_character_or_control_sequence_rai
         (make_rule(template="\\Foo@{#x}y"), "rule 'Foo': unexpected template content"),
         (make_rule(template="\\Foo@@{#x}"), "template must contain its at variant '@' exactly once"),
         (make_rule(template="\\Foo{#x}@"), "template needs at least one argument group"),
+        (make_rule(template="\\Foo@{#x}@{#y}"), "rule 'Foo': @ must appear once in template"),
     ],
 )
 def test_a_malformed_rule_raises_parse_error_naming_its_fault(rule, message):

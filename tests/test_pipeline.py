@@ -1,7 +1,9 @@
 """Config handling, full runs, and the rendering-service client."""
 
+import contextlib
 import json
 import gzip
+import os
 import random
 import re
 import socket
@@ -105,6 +107,7 @@ def test_load_config_single_input_string(tmp_path):
         {"siteinfo": {"sitename": "a\x02"}},
         {"corpus_prefix": "K\x01"},
         {"citation_key": "\ufffe"},
+        {"input": 5},
     ],
 )
 def test_load_config_rejects_bad_values(tmp_path, overrides):
@@ -228,6 +231,54 @@ def test_a_single_input_path_is_one_input(single):
     assert cfg.inputs == [DATA / "kls_mini.tex"]
     assert run_pipeline(cfg, write=False).dump == (DATA / "golden_dump.xml").read_text()
     assert PipelineConfig(inputs=(single, single)).inputs == [DATA / "kls_mini.tex"] * 2
+
+
+class _FsPath:
+    """An os.PathLike that is no pathlib.Path."""
+
+    def __init__(self, path):
+        self.path = os.fspath(path)
+
+    def __fspath__(self):
+        return self.path
+
+
+def test_paths_set_after_construction_are_read_as_at_construction():
+    """Any path may be a str or an os.PathLike, and inputs one path or a
+    list or tuple of paths, whether given to PipelineConfig or set on it
+    later."""
+    golden = (DATA / "golden_dump.xml").read_text()
+    built = PipelineConfig(
+        inputs=(_FsPath(DATA / "kls_mini.tex"),),
+        glossary_path=_FsPath(builtin_glossary_path()),
+        bibliography_path=_FsPath(DATA / "bib.json"),
+    )
+    assert built.inputs == [DATA / "kls_mini.tex"]
+    assert built.glossary_path == builtin_glossary_path()
+    assert run_pipeline(built, write=False).dump == golden
+    cfg = PipelineConfig()
+    cfg.inputs = (str(DATA / "kls_mini.tex"),)
+    cfg.glossary_path = _FsPath(builtin_glossary_path())
+    cfg.bibliography_path = _FsPath(DATA / "bib.json")
+    assert run_pipeline(cfg, write=False).dump == golden
+    cfg.inputs = _FsPath(DATA / "kls_mini.tex")
+    assert run_pipeline(cfg, write=False).dump == golden
+
+
+@pytest.mark.parametrize(
+    "settings, message",
+    [
+        ({"inputs": 5}, "input must be a string or list of strings"),
+        ({"inputs": [DATA / "kls_mini.tex", 5]}, "input must be a string or list of strings"),
+        ({"inputs": (_FsPath(b"a.tex"),)}, "input must be a string or list of strings"),
+        ({"glossary_path": 5}, "glossary must be a string"),
+        ({"report_path": b"r.txt"}, "report must be a string"),
+        ({"output_path": _FsPath(b"d.xml")}, "output must be a string"),
+    ],
+)
+def test_a_path_setting_that_is_no_path_is_a_config_error(settings, message):
+    with pytest.raises(ConfigInvalidError, match=f"^{message}$"):
+        PipelineConfig(**settings)
 
 
 def test_a_dump_of_several_slices_is_written_as_it_is_returned(tmp_path):
@@ -864,6 +915,70 @@ def test_an_undecodable_answer_is_a_rejection_that_stops_nothing(mini_extraction
     rejected = "warning: service rejected: rendering service rejected request: HTTP 200"
     assert [status for _, status in got] == [rejected] * 3
     assert len(posts) == 3
+
+
+@contextlib.contextmanager
+def _serving(handler):
+    """The endpoint of a local server that answers with handler; it
+    polls for shutdown every 50 ms."""
+    server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
+    threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True).start()
+    try:
+        yield f"http://127.0.0.1:{server.server_address[1]}/"
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+def _canned(content_type, payload):
+    """A handler that answers every POST with HTTP 200 and payload."""
+
+    class Canned(BaseHTTPRequestHandler):
+        protocol_version = "HTTP/1.1"
+
+        def do_POST(self):
+            self.rfile.read(int(self.headers["Content-Length"]))
+            self.send_response(200)
+            self.send_header("Content-Type", content_type)
+            self.send_header("Content-Length", str(len(payload)))
+            self.end_headers()
+            self.wfile.write(payload)
+
+        def log_message(self, fmt, *args):
+            pass
+
+    return Canned
+
+
+_XML = "application/xml; charset=utf-8"
+_MATH = '<math xmlns="http://www.w3.org/1998/Math/MathML"><mi>z</mi></math>'
+_LACKS = "response lacks presentation/content parts$"
+
+
+@pytest.mark.parametrize(
+    "content_type, payload, message",
+    [
+        ("text/plain", b"no XML <here", "unparseable response: "),
+        (_XML, f"<latexml><presentation>{_MATH}</presentation></latexml>".encode(), _LACKS),
+        (_XML, f"<latexml><content>{_MATH}</content></latexml>".encode(), _LACKS),
+        (_XML, f"<latexml><presentation/><content>{_MATH}</content></latexml>".encode(), _LACKS),
+    ],
+    ids=["not XML", "no content", "no presentation", "empty presentation"],
+)
+def test_an_answer_without_both_islands_is_a_rejection(content_type, payload, message):
+    with _serving(_canned(content_type, payload)) as endpoint:
+        with pytest.raises(ServiceRejectedError) as err:
+            request_mathml("z", endpoint)
+    assert err.value.status == 200
+    assert re.match(message, err.value.body), err.value.body
+
+
+def test_an_answer_in_an_unknown_charset_is_read_as_utf8():
+    payload = response_for("\\alpha \u00e9").encode("utf-8")
+    with _serving(_canned("application/xml; charset=x-no-such-charset", payload)) as endpoint:
+        rendered = request_mathml("x", endpoint)
+    assert "<mtext>\\alpha \u00e9</mtext>" in rendered.presentation
+    assert "<csymbol>\\alpha \u00e9</csymbol>" in rendered.content
 
 
 class _GzipNameTrickle(BaseHTTPRequestHandler):
