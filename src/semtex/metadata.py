@@ -430,11 +430,9 @@ def _simple_symbol(nodes: Sequence[Node], i: int) -> int | None:
     """Length of a simple symbol at nodes[i]: one letter or control
     sequence, optionally with a single sub/superscript."""
     nd = nodes[i] if i < len(nodes) else None
-    if not isinstance(nd, Token):
-        return None
-    if nd.kind is TokenKind.CHAR and not nd.text.isalpha():
-        return None
-    if nd.kind not in (TokenKind.CHAR, TokenKind.CONTROL):
+    if not isinstance(nd, Token) or not (
+        nd.kind is TokenKind.CONTROL or nd.kind is TokenKind.CHAR and nd.text.isalpha()
+    ):
         return None
     j = i + 1
     if (

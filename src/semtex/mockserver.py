@@ -31,6 +31,9 @@ class _Handler(BaseHTTPRequestHandler):
     # every response has a Content-Length, so a client may keep its
     # connection for the next request
     protocol_version = "HTTP/1.1"
+    # the headers and the body are two writes: without this the body
+    # waits for the client to acknowledge the headers
+    disable_nagle_algorithm = True
 
     def do_POST(self) -> None:
         length = int(self.headers.get("Content-Length", "0"))
@@ -63,9 +66,9 @@ class _Server(ThreadingHTTPServer):
 
 def start_server(port: int = 0) -> ThreadingHTTPServer:
     """Start the mock on a background thread; caller shuts it down, which
-    also closes its socket."""
+    also closes its socket.  It polls for shutdown every 50 ms."""
     server = _Server(("127.0.0.1", port), _Handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
     thread.start()
     return server
 

@@ -7,14 +7,16 @@ report are identical for any worker count.
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import re
 import time
 from collections import Counter
+from contextlib import closing
 from pathlib import Path
 from typing import Iterator, Mapping, NamedTuple, Sequence
-from urllib.parse import urlparse
+from urllib.parse import urlsplit
 
 from .canonicalize import _build
 from .engine import ReplacementStats, _replace
@@ -249,9 +251,30 @@ def validate_config(cfg: PipelineConfig) -> None:
         if p is not None and not p.is_file():
             raise ConfigInvalidError(f"{name} file does not exist: {p}")
     if cfg.endpoint is not None:
-        parsed = urlparse(cfg.endpoint)
-        if parsed.scheme not in ("http", "https") or not parsed.netloc:
+        try:
+            parsed = urlsplit(cfg.endpoint)
+            parsed.port  # a port that is no number raises ValueError
+        except ValueError:
+            parsed = None
+        if parsed is None or parsed.scheme not in ("http", "https") or not parsed.netloc:
             raise ConfigInvalidError(f"endpoint is not an absolute URL: {cfg.endpoint}")
+
+
+def _check_outputs(
+    cfg: PipelineConfig, files: Sequence[Path], outputs: Sequence[Path | None], verb: str
+) -> None:
+    """Refuse, before any input is read, an output path that resolves to
+    an input file, the glossary, the bibliography or another output.  A
+    path that is None is unset."""
+    taken = {path.resolve(): f"its input {path}" for path in files}
+    for what, path in (("glossary", cfg.glossary_path), ("bibliography", cfg.bibliography_path)):
+        if path is not None:
+            taken.setdefault(path.resolve(), f"its {what} {path}")
+    for path in filter(None, outputs):
+        key = path.resolve()
+        if key in taken:
+            raise ConfigInvalidError(f"{verb} would overwrite {taken[key]}")
+        taken[key] = f"its output {path}"
 
 
 def _load_glossary(cfg: PipelineConfig) -> Glossary:
@@ -305,9 +328,10 @@ def run_pipeline(cfg: PipelineConfig, write: bool = True) -> RunResult:
 
     Per-formula failures are recorded in the report and skipped; a
     file-level failure drops the file and makes the exit status nonzero.
-    A bad setting, an output path whose directory is missing and two
-    inputs that would give the same formula ids raise ConfigInvalidError
-    before any input is read.
+    A bad setting, an output path whose directory is missing or that
+    would overwrite an input, a setting's file or the other output, and
+    two inputs that would give the same formula ids raise
+    ConfigInvalidError before any input is read.
     """
     validate_config(cfg)
     targets = (cfg.output_path, cfg.report_path) if write else ()
@@ -315,6 +339,7 @@ def run_pipeline(cfg: PipelineConfig, write: bool = True) -> RunResult:
         if path is not None and not path.parent.is_dir():
             raise ConfigInvalidError(f"cannot write {path}: no directory {path.parent}")
     files = expand_inputs(cfg.inputs)
+    _check_outputs(cfg, files, targets, "the run")
     prefixes = _id_prefixes(files)
     # prefixes MediaWiki takes for one would give pages one title
     first: dict[str, Path] = {}
@@ -431,18 +456,14 @@ def replace_files(
     (input path, error message) for each file that failed and was
     skipped.  Files that share a name land at their id-prefix paths, as
     in run_pipeline, each keeping its suffix.  An output that would be
-    an input file raises ConfigInvalidError before anything is written,
-    so the input is left to diff against.
+    an input file or a setting's file raises ConfigInvalidError before
+    anything is read or written, so the input is left to diff against.
     """
     validate_config(cfg)
-    glossary = _load_glossary(cfg)
     files = expand_inputs(cfg.inputs)
     names = [prefix + path.suffix for path, prefix in zip(files, _id_prefixes(files))]
-    inputs = {path.resolve(): path for path in files}
-    for name in names:
-        clash = inputs.get((outdir / name).resolve())
-        if clash is not None:
-            raise ConfigInvalidError(f"replace would overwrite its input {clash}")
+    _check_outputs(cfg, files, [outdir / name for name in names], "replace")
+    glossary = _load_glossary(cfg)
     try:
         outdir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -463,9 +484,9 @@ def replace_files(
         yield name, stats
 
 
-# The longest one request to the rendering service may take.  The
-# timeout given to requests bounds each socket read, not the request, so
-# without it a service that sends a byte at a time could hold a run.
+# The longest one request to the rendering service may take, from
+# connecting to the last byte of the answer: every socket operation waits
+# only for the time left, so a service that trickles cannot hold a run.
 _RENDER_DEADLINE_S = 60.0
 
 
@@ -474,73 +495,122 @@ class RenderedMath(NamedTuple):
     content: str
 
 
+def _left(deadline: float) -> float:
+    """The time left before deadline, the longest a socket operation may
+    wait; none left raises TimeoutError."""
+    left = deadline - time.monotonic()
+    if left <= 0:
+        raise TimeoutError
+    return left
+
+
+class _Timed(io.RawIOBase):
+    """A socket as an http.client response reads it, each read waiting
+    only for the time left.  The socket's own reader keeps it open until
+    the response is closed, even once the connection has let it go."""
+
+    def __init__(self, sock, deadline: float):
+        self._sock, self._deadline = sock, deadline
+        self._raw = sock.makefile("rb", buffering=0)
+
+    def makefile(self, mode: str) -> io.BufferedReader:
+        return io.BufferedReader(self)
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        self._sock.settimeout(_left(self._deadline))
+        return self._raw.readinto(buffer)
+
+    def close(self) -> None:
+        self._raw.close()
+        super().close()
+
+
+def _connection(endpoint: str):
+    import http.client
+
+    try:
+        url = urlsplit(endpoint)
+        kind = http.client.HTTPSConnection if url.scheme == "https" else http.client.HTTPConnection
+        return kind(url.netloc)
+    except (ValueError, http.client.InvalidURL) as exc:
+        raise ServiceUnreachableError(f"{endpoint}: {exc}") from exc
+
+
 def request_mathml(semantic_latex: str, endpoint: str) -> RenderedMath:
     """POST semantic LaTeX to a rendering service.
 
     The service answers with XML holding a presentation and a content
     MathML island; anything else, a body that does not decode included,
-    raises ServiceRejectedError.  Transport failures and a body not
-    complete within _RENDER_DEADLINE_S (checked each time body bytes
-    arrive) raise ServiceUnreachableError.
+    raises ServiceRejectedError.  Transport failures, an endpoint that is
+    no HTTP URL and an answer not complete within _RENDER_DEADLINE_S
+    raise ServiceUnreachableError.
     """
-    import requests
+    with closing(_connection(endpoint)) as conn:
+        return _post_mathml(conn, semantic_latex, endpoint)
 
-    return _post_mathml(requests.post, semantic_latex, endpoint)
 
-
-def _post_mathml(post, semantic_latex: str, endpoint: str) -> RenderedMath:
-    """request_mathml through post, requests.post or a Session's post."""
-    import io
-    import requests
-    import urllib3
+def _post_mathml(conn, semantic_latex: str, endpoint: str) -> RenderedMath:
+    """request_mathml over conn, which an earlier request may have opened."""
+    import http.client
+    import zlib
     from xml.etree import ElementTree
 
     deadline = time.monotonic() + _RENDER_DEADLINE_S
-    raw = bytearray()
+    conn.response_class = lambda sock, *args, **kwargs: http.client.HTTPResponse(
+        _Timed(sock, deadline), *args, **kwargs
+    )
+    url = urlsplit(endpoint)
+    target = (url.path or "/") + (url.query and "?" + url.query)
+    headers = {"Content-Type": "text/plain; charset=utf-8", "Accept-Encoding": "gzip, deflate"}
     try:
-        with post(
-            endpoint,
-            data=semantic_latex.encode("utf-8"),
-            headers={"Content-Type": "text/plain; charset=utf-8"},
-            timeout=30,
-            stream=True,
-        ) as resp:
-            # read1 returns as soon as a socket read yields body bytes, so
-            # the deadline is checked as the body comes.  The bytes are
-            # decoded once complete: a decoder may take many reads (say,
-            # of a gzip header's file name) before it yields any text
-            while chunk := resp.raw.read1(8192, decode_content=False):
-                raw += chunk
-                if time.monotonic() > deadline:
-                    raise ServiceUnreachableError(
-                        f"{endpoint}: no complete answer within {_RENDER_DEADLINE_S:g} s"
-                    )
-    except (requests.RequestException, urllib3.exceptions.HTTPError) as exc:
+        # a kept connection the service has closed unasked is opened again
+        for kept in (conn.sock is not None, False):
+            if not kept:
+                conn.close()
+                conn.timeout = _left(deadline)
+                conn.connect()
+            conn.sock.settimeout(_left(deadline))  # for the sends, not what a read left
+            try:
+                conn.request("POST", target, semantic_latex.encode("utf-8"), headers)
+                resp = conn.getresponse()
+                break
+            except OSError:  # over TLS, an SSLEOFError rather than a ConnectionError
+                if not kept:
+                    raise
+        with resp:
+            body = resp.read()
+    except TimeoutError as exc:
+        msg = f"{endpoint}: no complete answer within {_RENDER_DEADLINE_S:g} s"
+        raise ServiceUnreachableError(msg) from exc
+    except (OSError, http.client.HTTPException) as exc:
         raise ServiceUnreachableError(f"{endpoint}: {exc}") from exc
-    # urllib3 undoes the Content-Encoding, as resp.text would
-    coding = {"Content-Encoding": resp.headers.get("Content-Encoding", "")}
+    coding = resp.getheader("Content-Encoding", "").strip().lower()
     try:
-        body = urllib3.HTTPResponse(io.BytesIO(raw), coding).data
-    except urllib3.exceptions.DecodeError as exc:
-        raise ServiceRejectedError(resp.status_code, f"undecodable response: {exc}") from exc
+        if coding in ("gzip", "x-gzip"):
+            body = zlib.decompress(body, 16 + zlib.MAX_WBITS)
+        elif coding == "deflate":
+            try:  # zlib-wrapped, as RFC 9110 says, or else raw
+                body = zlib.decompress(body)
+            except zlib.error:
+                body = zlib.decompress(body, -zlib.MAX_WBITS)
+    except zlib.error as exc:
+        raise ServiceRejectedError(resp.status, f"undecodable response: {exc}") from exc
     try:
-        text = body.decode(resp.encoding or "utf-8", errors="replace")
-    except LookupError:
+        text = body.decode(resp.msg.get_content_charset() or "utf-8", errors="replace")
+    except (LookupError, ValueError):  # a charset Python does not know
         text = body.decode("utf-8", errors="replace")
-    if resp.status_code != 200:
-        raise ServiceRejectedError(resp.status_code, text[:200])
+    if resp.status != 200:
+        raise ServiceRejectedError(resp.status, text[:200])
     try:
         root = ElementTree.fromstring(text)
     except ElementTree.ParseError as exc:
-        raise ServiceRejectedError(resp.status_code, f"unparseable response: {exc}")
-    pres_wrap = root.find("presentation")
-    cont_wrap = root.find("content")
-    pres = pres_wrap[0] if pres_wrap is not None and len(pres_wrap) else None
-    cont = cont_wrap[0] if cont_wrap is not None and len(cont_wrap) else None
+        raise ServiceRejectedError(resp.status, f"unparseable response: {exc}")
+    pres, cont = root.find("presentation/*"), root.find("content/*")
     if pres is None or cont is None:
-        raise ServiceRejectedError(
-            resp.status_code, "response lacks presentation/content parts"
-        )
+        raise ServiceRejectedError(resp.status, "response lacks presentation/content parts")
     ElementTree.register_namespace("", "http://www.w3.org/1998/Math/MathML")
     return RenderedMath(
         presentation=ElementTree.tostring(pres, encoding="unicode"),
@@ -556,23 +626,20 @@ def verify_render(
     Returns (formula id, status) pairs; service failures become warning
     entries instead of exceptions, so a down service never fails a run.
     Once the service is unreachable the remaining formulae are skipped,
-    so a dead service costs one timeout rather than one per formula.
-    Every request goes through one session, so one connection serves
-    them all while the service keeps it open.
+    so a dead service costs one deadline rather than one per formula.
+    The requests share one connection while the service keeps it open.
+    An endpoint that is no HTTP URL raises ServiceUnreachableError.
     """
-    import requests
-
     out = []
     unreachable = False
-    with requests.Session() as session:
+    with closing(_connection(endpoint)) as conn:
         for f in formulae:
             if unreachable:
                 out.append((f.id, "warning: service unreachable (skipped)"))
                 continue
             try:
-                rendered = _post_mathml(session.post, f.source_semantic, endpoint)
-                ok = rendered.presentation and rendered.content
-                out.append((f.id, "ok" if ok else "warning: empty rendering"))
+                _post_mathml(conn, f.source_semantic, endpoint)
+                out.append((f.id, "ok"))
             except ServiceUnreachableError as exc:
                 out.append((f.id, f"warning: service unreachable: {exc}"))
                 unreachable = True

@@ -1,4 +1,8 @@
+import contextlib
+import ssl
 import sys
+import threading
+from http.server import ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
@@ -6,6 +10,30 @@ import pytest
 from semtex import builtin_glossary
 
 DATA = Path(__file__).parent / "data"
+
+
+# A self-signed certificate for 127.0.0.1 and localhost, valid 2000-2100,
+# and its key: what a local https server in a test presents
+TLS_CERT = DATA / "tls-test-cert.pem"
+TLS_KEY = DATA / "tls-test-key.pem"
+
+
+@contextlib.contextmanager
+def serving(handler, tls=False):
+    """The endpoint of a local server that answers with handler, over
+    https with TLS_CERT when tls is true; it polls for shutdown every
+    50 ms."""
+    server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
+    if tls:
+        context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+        context.load_cert_chain(TLS_CERT, TLS_KEY)
+        server.socket = context.wrap_socket(server.socket, server_side=True)
+    threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True).start()
+    try:
+        yield f"{'https' if tls else 'http'}://127.0.0.1:{server.server_address[1]}/"
+    finally:
+        server.shutdown()
+        server.server_close()
 
 
 @pytest.fixture(scope="session")

@@ -7,6 +7,7 @@ import shutil
 import socket
 import subprocess
 import sys
+from http.server import BaseHTTPRequestHandler
 from pathlib import Path
 from xml.etree import ElementTree
 
@@ -16,7 +17,7 @@ import semtex
 import semtex.cli
 import semtex.glossary
 import semtex.pipeline
-from conftest import DATA
+from conftest import DATA, serving
 from semtex.cli import main
 from semtex.mockserver import start_server
 
@@ -368,6 +369,56 @@ def test_an_unwritable_output_is_a_config_error(tmp_path, capsys, monkeypatch):
     assert err.startswith("config error: ") and str(taken) in err
 
 
+def _snapshot(directory):
+    """The bytes and mtime of every file under directory, by name."""
+    return {
+        p.relative_to(directory).as_posix(): (p.read_bytes(), p.stat().st_mtime_ns)
+        for p in sorted(directory.rglob("*"))
+        if p.is_file()
+    }
+
+
+@pytest.mark.parametrize(
+    "argv, clash",
+    [
+        (["convert", "--out", "a.tex"], "its input a.tex"),
+        (["convert", "--out", "x.xml", "--report", "./a.tex"], "its input a.tex"),
+        (["stats", "--report", "a.tex"], "its input a.tex"),
+        (["convert", "--out", "g.json"], "its glossary g.json"),
+        (["convert", "--out", "x.xml", "--report", "d/../b.json"], "its bibliography b.json"),
+        (["convert", "--out", "same.txt", "--report", "same.txt"], "its output same.txt"),
+        (["replace", "--out", "."], "its input a.tex"),
+        (["replace", "--glossary", "a.tex", "--input", "d", "--out", "."], "its glossary a.tex"),
+    ],
+    ids=[
+        "dump over input", "report over input", "stats report over input",
+        "dump over glossary", "report over bibliography", "dump and report at one path",
+        "replace over input", "replace over glossary",
+    ],
+)
+def test_an_output_that_would_overwrite_a_file_of_the_run_is_a_config_error(
+    tmp_path, capsys, monkeypatch, argv, clash
+):
+    monkeypatch.chdir(tmp_path)
+    Path("d").mkdir()
+    shutil.copy(MINI, "a.tex")
+    shutil.copy(MINI, "d/a.tex")
+    shutil.copy(semtex.glossary.builtin_glossary_path(), "g.json")
+    shutil.copy(BIB, "b.json")
+    Path("same.txt").write_text("kept\n")
+    for p in tmp_path.rglob("*"):
+        os.utime(p, ns=(10**18, 10**18))
+    before = _snapshot(tmp_path)
+    inputs = [] if "--input" in argv else ["--input", "a.tex"]
+    settings = [] if argv[0] == "replace" else ["--glossary", "g.json", "--bib", "b.json"]
+    assert main([*argv, *inputs, *settings]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    verb = "replace" if argv[0] == "replace" else "the run"
+    assert captured.err == f"config error: {verb} would overwrite {clash}\n"
+    assert _snapshot(tmp_path) == before
+
+
 @pytest.mark.parametrize("given", ["directory", "file"])
 @pytest.mark.parametrize("spelled", ["as given", "another way"])
 def test_replace_into_its_own_input_is_a_config_error(tmp_path, capsys, given, spelled):
@@ -558,24 +609,23 @@ def test_verify_render_down_service_warns_but_passes(capsys):
     assert "checked 2 formulae, 2 warnings" in out
 
 
-def test_verify_render_stops_posting_to_a_dead_service(capsys, monkeypatch):
-    with socket.socket() as s:
-        s.bind(("127.0.0.1", 0))
-        port = s.getsockname()[1]
-    import requests
-
+def test_verify_render_stops_posting_to_a_dead_service(capsys):
     attempts = []
-    real = requests.Session.post
 
-    def counting(session, url, **kwargs):
-        attempts.append(kwargs["data"])
-        return real(session, url, **kwargs)
+    class HangUp(BaseHTTPRequestHandler):
+        """Reads a POST and hangs up without an answer."""
 
-    # verify-render posts every formula through one session
-    monkeypatch.setattr(requests.Session, "post", counting)
-    rc = main(
-        ["verify-render", "--input", MINI, "--endpoint", f"http://127.0.0.1:{port}/", "--limit", "3"]
-    )
+        protocol_version = "HTTP/1.1"
+
+        def do_POST(self):
+            attempts.append(self.rfile.read(int(self.headers["Content-Length"])))
+            self.close_connection = True
+
+        def log_message(self, fmt, *args):
+            pass
+
+    with serving(HangUp) as endpoint:
+        rc = main(["verify-render", "--input", MINI, "--endpoint", endpoint, "--limit", "3"])
     assert rc == 0
     assert len(attempts) == 1
     lines = capsys.readouterr().out.splitlines()
@@ -584,6 +634,28 @@ def test_verify_render_stops_posting_to_a_dead_service(capsys, monkeypatch):
         "1.1.3: warning: service unreachable (skipped)",
         "checked 3 formulae, 3 warnings",
     ]
+
+
+def test_verify_render_needs_no_third_party_package(mock_endpoint):
+    # None in sys.modules makes an import of that name fail
+    code = (
+        "import sys; sys.modules['requests'] = sys.modules['urllib3'] = None; "
+        "import semtex.cli; "
+        f"rc = semtex.cli.main(['verify-render', '--input', {MINI!r}, '--endpoint', "
+        f"{mock_endpoint!r}, '--limit', '5']); "
+        "print(rc, sorted({'requests', 'urllib3'} & {m for m, v in sys.modules.items() if v}))"
+    )
+    src = str(Path(semtex.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        check=True,
+    )
+    lines = done.stdout.splitlines()
+    assert [line.split(": ", 1)[1] for line in lines[:5]] == ["ok"] * 5
+    assert lines[5:] == ["checked 5 formulae, 0 warnings", "0 []"]
 
 
 def test_console_script_installed():

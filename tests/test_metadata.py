@@ -319,6 +319,15 @@ def test_unused_symbol_is_not_a_def(glossary):
     assert len(res.formulae) == 2
 
 
+@pytest.mark.parametrize("script", ["^", "_"])
+def test_a_left_side_that_starts_with_a_script_is_no_def(glossary, script):
+    # its head is a SUPERSCRIPT or SUBSCRIPT token, neither a letter nor a
+    # control sequence, though another row uses the same text
+    res = extract(glossary, wrap(f"{script}2=y", f"x{script}2+1"))
+    assert res.defs == []
+    assert [f.source_semantic for f in res.formulae] == [f"{script}2=y", f"x{script}2+1"]
+
+
 def test_glossary_heads_never_define(glossary):
     # \Gamma(z) = ... looks like a function def but the head is converted
     res = extract(glossary, wrap(r"\Gamma(z)=(z-1)\Gamma(z-1)", r"y=\Gamma(z)+1"))

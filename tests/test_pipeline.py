@@ -11,12 +11,12 @@ import struct
 import threading
 import time
 import zlib
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import BaseHTTPRequestHandler
 
 import pytest
 
 import gen
-from conftest import DATA, assert_lexed_once_in_windows, prose_document
+from conftest import DATA, TLS_CERT, assert_lexed_once_in_windows, prose_document, serving
 from semtex.canonicalize import canonicalize
 from semtex.engine import ReplacementStats, replace_all
 from semtex.errors import (
@@ -32,7 +32,7 @@ from semtex.errors import (
 from semtex.glossary import builtin_glossary, builtin_glossary_path, loads_glossary
 from semtex.lexer import extract_math, render
 from semtex.metadata import _line_col
-from semtex.mockserver import response_for, start_server
+from semtex.mockserver import _Handler, response_for, start_server
 from semtex.pages import SiteInfo
 from semtex.pipeline import (
     _WRITE_SLICE,
@@ -131,7 +131,9 @@ def test_validate_config_checks_paths(tmp_path):
         validate_config(cfg)
 
 
-@pytest.mark.parametrize("endpoint", ["ftp://x/", "127.0.0.1:8080", "http://"])
+@pytest.mark.parametrize(
+    "endpoint", ["ftp://x/", "127.0.0.1:8080", "http://", "http://[::1/", "http://h:port/"]
+)
 def test_validate_config_checks_endpoint(endpoint):
     cfg = PipelineConfig(inputs=[DATA / "kls_mini.tex"], endpoint=endpoint)
     with pytest.raises(ConfigInvalidError):
@@ -737,6 +739,14 @@ def test_request_mathml_unreachable():
         request_mathml("x", f"http://127.0.0.1:{port}/")
 
 
+@pytest.mark.parametrize("endpoint", ["http://127.0.0.1:port/", "http://a b/", "http://[::1/"])
+def test_an_endpoint_that_is_no_http_url_is_unreachable(mini_extraction, endpoint):
+    with pytest.raises(ServiceUnreachableError, match=f"^{re.escape(endpoint)}: "):
+        request_mathml("x", endpoint)
+    with pytest.raises(ServiceUnreachableError, match=f"^{re.escape(endpoint)}: "):
+        verify_render(mini_extraction.formulae[:2], endpoint)
+
+
 def test_verify_render_ok(mock_endpoint, mini_extraction):
     sample = mini_extraction.formulae[:3]
     got = verify_render(sample, mock_endpoint)
@@ -774,21 +784,88 @@ def test_verify_render_reuses_one_connection(mini_extraction, monkeypatch):
     assert len(connections) == 1
 
 
+class _Closing(BaseHTTPRequestHandler):
+    """Answers a POST as the mock does, over HTTP/1.0: each connection
+    carries one request and ends once the answer is sent."""
+
+    def do_POST(self):
+        data = self.rfile.read(int(self.headers["Content-Length"])).decode("utf-8")
+        payload = response_for(data).encode("utf-8")
+        self.send_response(200)
+        self.send_header("Content-Type", "application/xml; charset=utf-8")
+        self.end_headers()
+        self.wfile.write(payload)
+
+    def log_message(self, fmt, *args):
+        pass
+
+
+def test_a_service_that_closes_each_connection_answers_every_request(mini_extraction):
+    # the answer has no length: its body is what comes before the close
+    sample = mini_extraction.formulae[:3]
+    with serving(_Closing) as endpoint:
+        assert r"\EulerGamma@{z}" in request_mathml(r"\EulerGamma@{z}", endpoint).presentation
+        assert verify_render(sample, endpoint) == [(f.id, "ok") for f in sample]
+
+
+def test_an_https_service_is_reached_once_its_certificate_is_trusted(mini_extraction, monkeypatch):
+    sample = mini_extraction.formulae[:3]
+    with serving(_Handler, tls=True) as endpoint:
+        # the test certificate is in no system store
+        with pytest.raises(ServiceUnreachableError, match="CERTIFICATE_VERIFY_FAILED"):
+            request_mathml("x", endpoint)
+        # OpenSSL reads the certificates to trust from SSL_CERT_FILE
+        monkeypatch.setenv("SSL_CERT_FILE", str(TLS_CERT))
+        assert "<csymbol>x</csymbol>" in request_mathml("x", endpoint).content
+        assert verify_render(sample, endpoint) == [(f.id, "ok") for f in sample]
+
+
+class _Hanging(_Handler):
+    """Answers a POST as the mock does, and then closes the connection
+    without saying so."""
+
+    connections = []
+
+    def setup(self):
+        self.connections.append(self.client_address)
+        super().setup()
+
+    def do_POST(self):
+        super().do_POST()
+        self.close_connection = True
+
+
+@pytest.mark.parametrize("tls", [False, True], ids=["http", "https"])
+def test_a_kept_connection_the_service_closed_is_opened_again(mini_extraction, monkeypatch, tls):
+    monkeypatch.setattr(_Hanging, "connections", [])
+    monkeypatch.setenv("SSL_CERT_FILE", str(TLS_CERT))
+    sample = mini_extraction.formulae[:3]
+    with serving(_Hanging, tls) as endpoint:
+        got = verify_render(sample, endpoint)
+    assert got == [(f.id, "ok") for f in sample]
+    # each request after the first fails on the closed connection and is
+    # sent again on a new one
+    assert len(_Hanging.connections) == 3
+
+
 def test_verify_render_posts_once_to_a_down_service(mini_extraction, monkeypatch):
-    import requests
+    import semtex.pipeline
 
-    with socket.socket() as s:
-        s.bind(("127.0.0.1", 0))
-        port = s.getsockname()[1]
+    # a listener that never answers: the kernel accepts each connection
+    # into its backlog, where it is counted once the run is over
+    monkeypatch.setattr(semtex.pipeline, "_RENDER_DEADLINE_S", 0.2)
     posts = []
-    real = requests.Session.post
-
-    def counting(session, url, **kwargs):
-        posts.append(url)
-        return real(session, url, **kwargs)
-
-    monkeypatch.setattr(requests.Session, "post", counting)
-    got = verify_render(mini_extraction.formulae[:5], f"http://127.0.0.1:{port}/")
+    with socket.socket() as listener:
+        listener.bind(("127.0.0.1", 0))
+        listener.listen()
+        port = listener.getsockname()[1]
+        got = verify_render(mini_extraction.formulae[:5], f"http://127.0.0.1:{port}/")
+        listener.setblocking(False)
+        with contextlib.suppress(BlockingIOError):
+            while True:
+                posts.append(listener.accept()[0])
+    for conn in posts:
+        conn.close()
     assert len(posts) == 1
     assert got[0][1].startswith("warning: service unreachable: ")
     assert [status for _, status in got[1:]] == ["warning: service unreachable (skipped)"] * 4
@@ -822,112 +899,129 @@ def test_a_trickling_service_is_cut_off_at_the_request_deadline(mini_extraction,
     import semtex.pipeline
 
     monkeypatch.setattr(semtex.pipeline, "_RENDER_DEADLINE_S", 0.3)
-    server = ThreadingHTTPServer(("127.0.0.1", 0), _Trickle)
-    threading.Thread(target=server.serve_forever, daemon=True).start()
-    endpoint = f"http://127.0.0.1:{server.server_address[1]}/"
-    try:
+    with serving(_Trickle) as endpoint:
         began = time.monotonic()
         with pytest.raises(ServiceUnreachableError, match="no complete answer within 0.3 s"):
             request_mathml("x", endpoint)
         got = verify_render(mini_extraction.formulae[:3], endpoint)
         elapsed = time.monotonic() - began
-    finally:
-        server.shutdown()
-        server.server_close()
     # the whole body would take 5 s to arrive
     assert elapsed < 2.5, elapsed
     assert got[0][1].startswith("warning: service unreachable: ")
     assert [status for _, status in got[1:]] == ["warning: service unreachable (skipped)"] * 2
 
 
-class _Gzipped(BaseHTTPRequestHandler):
-    """Answers a POST as the mock does, with the body gzip-compressed."""
-
-    protocol_version = "HTTP/1.1"
-
-    def do_POST(self):
-        data = self.rfile.read(int(self.headers["Content-Length"])).decode("utf-8")
-        payload = gzip.compress(response_for(data).encode("utf-8"))
-        self.send_response(200)
-        self.send_header("Content-Type", "application/xml; charset=utf-8")
-        self.send_header("Content-Encoding", "gzip")
-        self.send_header("Content-Length", str(len(payload)))
-        self.end_headers()
-        self.wfile.write(payload)
-
-    def log_message(self, fmt, *args):
-        pass
-
-
-def test_request_mathml_decodes_a_gzipped_answer():
-    server = ThreadingHTTPServer(("127.0.0.1", 0), _Gzipped)
-    threading.Thread(target=server.serve_forever, daemon=True).start()
-    endpoint = f"http://127.0.0.1:{server.server_address[1]}/"
-    try:
-        rendered = request_mathml(r"\EulerGamma@{z}", endpoint)
-    finally:
-        server.shutdown()
-        server.server_close()
-    assert r"\EulerGamma@{z}" in rendered.presentation
-    assert "<csymbol>" in rendered.content
-
-
-class _BadGzip(BaseHTTPRequestHandler):
-    """Answers a POST with a body said to be gzip that is not."""
+class _HeaderTrickle(BaseHTTPRequestHandler):
+    """Answers a POST with its status line and 40 headers, one line every
+    50 ms, then the mock's body: the head alone takes 2 s."""
 
     protocol_version = "HTTP/1.1"
 
     def do_POST(self):
         data = self.rfile.read(int(self.headers["Content-Length"])).decode("utf-8")
         payload = response_for(data).encode("utf-8")
-        self.send_response(200)
-        self.send_header("Content-Type", "application/xml; charset=utf-8")
-        self.send_header("Content-Encoding", "gzip")
-        self.send_header("Content-Length", str(len(payload)))
-        self.end_headers()
-        self.wfile.write(payload)
+        head = ["HTTP/1.1 200 OK", "Content-Type: application/xml; charset=utf-8"]
+        head += [f"X-Filler-{k}: {k}" for k in range(40)]
+        head += [f"Content-Length: {len(payload)}", ""]
+        try:
+            for line in head:
+                self.wfile.write(line.encode("ascii") + b"\r\n")
+                self.wfile.flush()
+                time.sleep(0.05)
+            self.wfile.write(payload)
+        except OSError:
+            pass
 
     def log_message(self, fmt, *args):
         pass
 
 
-def test_an_undecodable_answer_is_a_rejection_that_stops_nothing(mini_extraction, monkeypatch):
-    import requests
+@pytest.mark.parametrize("tls", [False, True], ids=["http", "https"])
+def test_a_trickling_head_is_cut_off_at_the_request_deadline(monkeypatch, tls):
+    import semtex.pipeline
 
+    monkeypatch.setattr(semtex.pipeline, "_RENDER_DEADLINE_S", 0.3)
+    monkeypatch.setenv("SSL_CERT_FILE", str(TLS_CERT))
+    with serving(_HeaderTrickle, tls) as endpoint:
+        began = time.monotonic()
+        with pytest.raises(ServiceUnreachableError, match="no complete answer within 0.3 s"):
+            request_mathml("x", endpoint)
+        elapsed = time.monotonic() - began
+    assert elapsed < 1.5, elapsed
+
+
+def _encoded(coding, pack):
+    """A handler that answers a POST as the mock does, with the body
+    packed by pack and sent with the Content-Encoding coding."""
+
+    class Encoded(BaseHTTPRequestHandler):
+        protocol_version = "HTTP/1.1"
+
+        def do_POST(self):
+            data = self.rfile.read(int(self.headers["Content-Length"])).decode("utf-8")
+            payload = pack(response_for(data).encode("utf-8"))
+            self.send_response(200)
+            self.send_header("Content-Type", "application/xml; charset=utf-8")
+            self.send_header("Content-Encoding", coding)
+            self.send_header("Content-Length", str(len(payload)))
+            self.end_headers()
+            self.wfile.write(payload)
+
+        def log_message(self, fmt, *args):
+            pass
+
+    return Encoded
+
+
+def _raw_deflate(data):
+    pack = zlib.compressobj(wbits=-zlib.MAX_WBITS)
+    return pack.compress(data) + pack.flush()
+
+
+def test_request_mathml_decodes_a_gzipped_answer():
+    with serving(_encoded("gzip", gzip.compress)) as endpoint:
+        rendered = request_mathml(r"\EulerGamma@{z}", endpoint)
+    assert r"\EulerGamma@{z}" in rendered.presentation
+    assert "<csymbol>" in rendered.content
+
+
+@pytest.mark.parametrize(
+    "coding, pack",
+    [("deflate", zlib.compress), ("deflate", _raw_deflate), ("x-gzip", gzip.compress)],
+    ids=["zlib-wrapped deflate", "raw deflate", "x-gzip"],
+)
+def test_request_mathml_decodes_a_deflated_answer(coding, pack):
+    seen = []
+
+    class Handler(_encoded(coding, pack)):
+        def do_POST(self):
+            seen.append(self.headers["Accept-Encoding"])
+            super().do_POST()
+
+    with serving(Handler) as endpoint:
+        rendered = request_mathml(r"\EulerGamma@{z}", endpoint)
+    assert r"\EulerGamma@{z}" in rendered.presentation
+    assert "<csymbol>" in rendered.content
+    assert seen == ["gzip, deflate"]
+
+
+def test_an_undecodable_answer_is_a_rejection_that_stops_nothing(mini_extraction):
     posts = []
-    real = requests.Session.post
 
-    def counting(session, url, **kwargs):
-        posts.append(url)
-        return real(session, url, **kwargs)
+    # a body said to be gzip that is not
+    class Counting(_encoded("gzip", lambda data: data)):
+        def do_POST(self):
+            posts.append(self.path)
+            super().do_POST()
 
-    monkeypatch.setattr(requests.Session, "post", counting)
-    server = ThreadingHTTPServer(("127.0.0.1", 0), _BadGzip)
-    threading.Thread(target=server.serve_forever, daemon=True).start()
-    endpoint = f"http://127.0.0.1:{server.server_address[1]}/"
-    try:
+    with serving(Counting) as endpoint:
         with pytest.raises(ServiceRejectedError):
             request_mathml(r"\EulerGamma@{z}", endpoint)
+        posts.clear()
         got = verify_render(mini_extraction.formulae[:3], endpoint)
-    finally:
-        server.shutdown()
-        server.server_close()
     rejected = "warning: service rejected: rendering service rejected request: HTTP 200"
     assert [status for _, status in got] == [rejected] * 3
     assert len(posts) == 3
-
-
-@contextlib.contextmanager
-def _serving(handler):
-    """The endpoint of a local server that answers with handler; it
-    polls for shutdown every 50 ms."""
-    server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
-    threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True).start()
-    try:
-        yield f"http://127.0.0.1:{server.server_address[1]}/"
-    finally:
-        server.shutdown()
-        server.server_close()
 
 
 def _canned(content_type, payload):
@@ -966,7 +1060,7 @@ _LACKS = "response lacks presentation/content parts$"
     ids=["not XML", "no content", "no presentation", "empty presentation"],
 )
 def test_an_answer_without_both_islands_is_a_rejection(content_type, payload, message):
-    with _serving(_canned(content_type, payload)) as endpoint:
+    with serving(_canned(content_type, payload)) as endpoint:
         with pytest.raises(ServiceRejectedError) as err:
             request_mathml("z", endpoint)
     assert err.value.status == 200
@@ -975,7 +1069,7 @@ def test_an_answer_without_both_islands_is_a_rejection(content_type, payload, me
 
 def test_an_answer_in_an_unknown_charset_is_read_as_utf8():
     payload = response_for("\\alpha \u00e9").encode("utf-8")
-    with _serving(_canned("application/xml; charset=x-no-such-charset", payload)) as endpoint:
+    with serving(_canned("application/xml; charset=x-no-such-charset", payload)) as endpoint:
         rendered = request_mathml("x", endpoint)
     assert "<mtext>\\alpha \u00e9</mtext>" in rendered.presentation
     assert "<csymbol>\\alpha \u00e9</csymbol>" in rendered.content
@@ -991,8 +1085,7 @@ class _GzipNameTrickle(BaseHTTPRequestHandler):
     def do_POST(self):
         data = self.rfile.read(int(self.headers["Content-Length"])).decode("utf-8")
         raw = response_for(data).encode("utf-8")
-        pack = zlib.compressobj(wbits=-zlib.MAX_WBITS)
-        deflated = pack.compress(raw) + pack.flush()
+        deflated = _raw_deflate(raw)
         # magic, deflate, a file name follows, no mtime, no extra flags,
         # unknown OS; then the name, the data, its CRC and size
         head = b"\x1f\x8b\x08\x08" + bytes(4) + b"\x00\xff"
@@ -1021,17 +1114,11 @@ def test_a_trickling_gzip_header_is_cut_off_at_the_request_deadline(monkeypatch)
     import semtex.pipeline
 
     monkeypatch.setattr(semtex.pipeline, "_RENDER_DEADLINE_S", 0.3)
-    server = ThreadingHTTPServer(("127.0.0.1", 0), _GzipNameTrickle)
-    threading.Thread(target=server.serve_forever, daemon=True).start()
-    endpoint = f"http://127.0.0.1:{server.server_address[1]}/"
-    try:
+    with serving(_GzipNameTrickle) as endpoint:
         began = time.monotonic()
         with pytest.raises(ServiceUnreachableError, match="no complete answer within 0.3 s"):
             request_mathml("x", endpoint)
         elapsed = time.monotonic() - began
-    finally:
-        server.shutdown()
-        server.server_close()
     # the whole name would take 4 s to arrive
     assert elapsed < 1.5, elapsed
 
