@@ -26,7 +26,7 @@ and is the inverse.
 from __future__ import annotations
 
 from collections import Counter
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .canonicalize import _LEAF_KINDS, CanonicalTree
 from .errors import UnknownSemanticMacroError
@@ -43,9 +43,6 @@ from .glossary import (
     MacroRule,
 )
 from .lexer import Group, Node, Token, TokenKind
-
-if TYPE_CHECKING:
-    from fractions import Fraction
 
 # Leaves a single-token/single-group capture refuses: delimiters,
 # separators, operators, relationals, and structural kinds.
@@ -182,14 +179,6 @@ class ReplacementStats:
             f"ReplacementStats(per_rule={self.per_rule!r}, total={self.total!r}, "
             f"formulae={self.formulae!r})"
         )
-
-    @property
-    def avg_per_formula(self) -> Fraction:
-        from fractions import Fraction
-
-        if self.formulae == 0:
-            return Fraction(0)
-        return Fraction(self.total, self.formulae)
 
     @classmethod
     def from_counts(cls, counts: Mapping[str, int], formulae: int) -> "ReplacementStats":

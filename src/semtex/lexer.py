@@ -294,10 +294,6 @@ class MathSpan(NamedTuple):
     # rows split from one alignment share it
     outer: tuple[int, int] = (0, 0)
 
-    @property
-    def is_display(self) -> bool:
-        return self.environment != "inline-dollar"
-
 
 def _match(texts: Sequence[str], j: int) -> int:
     """Index of the } that matches the { at texts[j]."""

@@ -250,7 +250,7 @@ def _row(
     try:
         core = _build(texts, offset, a, b, settings, True, leaves)
     except MismatchedLeftRightError as exc:
-        where = _line_col(source, span[0] if exc.position is None else exc.position)
+        where = _line_col(source, exc.position)
         return fid, f"{type(exc).__name__}: {exc} in the row at line {where}"
     return Formula(
         id=fid,
@@ -268,6 +268,19 @@ def _display_rows(source: str, marks: list[tuple[int, str]]) -> list[tuple]:
     return [r for r in _row_ranges(source, marks) if r[0] != "inline-dollar"]
 
 
+def _rows(source: str, settings: CanonicalSettings, citation_key: str) -> tuple[list, list]:
+    """The headings of a document and, in document order, each display
+    row's (environment extent, _row outcome), every row built with one
+    leaf table."""
+    marks = _marks(source)
+    sections = _scan_sections(source, marks)
+    leaves: dict[str, Token] = {}
+    return sections, [
+        (row[-1], _row(source, row, k, sections, citation_key, settings, leaves))
+        for k, row in enumerate(_display_rows(source, marks), 1)
+    ]
+
+
 def segment_formulae(
     source: str,
     glossary: Glossary,
@@ -282,14 +295,8 @@ def segment_formulae(
     bodies cannot be canonicalized are dropped here; extract_document
     reports them as failures.
     """
-    marks = _marks(source)
-    sections = _scan_sections(source, marks)
-    leaves: dict[str, Token] = {}
-    rows = (
-        _row(source, row, k, sections, citation_key, glossary.settings, leaves)
-        for k, row in enumerate(_display_rows(source, marks), 1)
-    )
-    return [f for f in rows if isinstance(f, Formula)]
+    _, rows = _rows(source, glossary.settings, citation_key)
+    return [f for _, f in rows if isinstance(f, Formula)]
 
 
 def _split_trailing(nodes: Sequence[Node]) -> tuple[tuple[Node, ...], list[tuple[Node, ...]]]:
@@ -724,10 +731,7 @@ def extract_document(
     """
     settings = glossary.settings
     introducers = frozenset(w.lower() for w in introducers)
-    marks = _marks(source)
-    sections = _scan_sections(source, marks)
-    rows = _display_rows(source, marks)
-    leaves: dict[str, Token] = {}
+    sections, rows = _rows(source, settings, citation_key)
     split = cache(_sentences)
     phrase = cache(partial(_match_keyword, patterns=_keyword_patterns(keywords)))
     constraints = cache(partial(_prose_constraints, settings=settings))
@@ -735,7 +739,7 @@ def extract_document(
     ok: list[Formula] = []
     failures: list[tuple[str, str]] = []
     # each environment's extent -> the index of its last row, in order
-    ends = {row[-1]: k for k, row in enumerate(rows)}
+    ends = {outer: k for k, (outer, _) in enumerate(rows)}
     # the sentences of the prose before and after each environment, from
     # one pass over the gaps between them
     before: dict[tuple[int, int], list[str]] = {}
@@ -757,9 +761,7 @@ def extract_document(
             after[prev] = first[:lead]
         if nxt is not None:
             before[nxt] = split(source[sections[j - 1].end : b]) if i < j else first[lead:]
-    for k, row in enumerate(rows):
-        outer = row[-1]
-        f = _row(source, row, k + 1, sections, citation_key, settings, leaves)
+    for k, (outer, f) in enumerate(rows):
         if not isinstance(f, Formula):
             failures.append(f)
             continue
@@ -817,6 +819,41 @@ def extract_document(
     remaining = list(kept.values())
     stats = ReplacementStats.combine(f.stats for f in ok if f.ordinal not in repeated)
     return ExtractionResult(remaining, defs, stats, failures)
+
+
+def replace_text(source: str, glossary: Glossary) -> tuple[str, ReplacementStats]:
+    """Rewrite every math span of a document in place.
+
+    Each span is lexed, canonicalized from its token texts, labels kept,
+    and replaced.  Only the span bodies change, so the output diffs
+    cleanly against the input for review, and semantic macros already in
+    a span keep their form, so a second pass changes nothing.  An
+    @-marked macro the glossary does not read raises
+    UnknownSemanticMacroError naming the span's line:col, and a span
+    whose \\left and \\right do not pair raises MismatchedLeftRightError
+    naming the line:col of the fault.
+    """
+    leaves: dict[str, Token] = {}
+    counts: Counter = Counter()
+    pieces: list[str] = []
+    cursor = 0
+    # every span is found and brace-checked before any is canonicalized,
+    # as extract_math does, so an unterminated or unbalanced span raises
+    # even when an earlier span holds a lone \left
+    spans = list(_row_ranges(source, _marks(source)))
+    for _, texts, offset, a, b, span, _ in spans:
+        try:
+            tree = _build(texts, offset, a, b, glossary.settings, False, leaves)
+            sem = _replace(tree.nodes, glossary, counts, tree.at)
+        except (MismatchedLeftRightError, UnknownSemanticMacroError) as exc:
+            # a mismatch has the offset of its fault, an unknown macro none
+            where = _line_col(source, getattr(exc, "position", span[0]))
+            exc.args = (f"{exc} in the span at line {where}",)
+            raise
+        pieces += (source[cursor : span[0]], render(sem))
+        cursor = span[1]
+    pieces.append(source[cursor:])
+    return "".join(pieces), ReplacementStats.from_counts(counts, formulae=len(spans))
 
 
 def _title_key(title: str) -> str:

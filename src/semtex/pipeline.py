@@ -12,27 +12,22 @@ import json
 import os
 import re
 import time
-from collections import Counter
 from contextlib import closing
 from pathlib import Path
 from typing import Iterator, Mapping, NamedTuple, Sequence
 from urllib.parse import urlsplit
 
-from .canonicalize import _build
-from .engine import ReplacementStats, _replace
+from .engine import ReplacementStats
 from .errors import (
     ConfigInvalidError,
     ForbiddenCharacterError,
-    MismatchedLeftRightError,
     SemtexError,
     ServiceRejectedError,
     ServiceUnreachableError,
     UnbalancedGroupError,
-    UnknownSemanticMacroError,
     UnterminatedEnvironmentError,
 )
 from .glossary import Glossary, builtin_glossary, load_glossary
-from .lexer import Token, _marks, _row_ranges, render
 from .metadata import (
     DEFAULT_INTRODUCERS,
     DEFAULT_KEYWORDS,
@@ -41,6 +36,7 @@ from .metadata import (
     _line_col,
     _title_key,
     extract_document,
+    replace_text,
 )
 from .pages import (
     BibEntry,
@@ -408,44 +404,6 @@ def run_pipeline(cfg: PipelineConfig, write: bool = True) -> RunResult:
         stats=stats,
         failures=failures,
     )
-
-
-def replace_text(source: str, glossary: Glossary) -> tuple[str, ReplacementStats]:
-    """Rewrite every math span of a document in place.
-
-    Each span is lexed, canonicalized from its token texts, labels kept,
-    and replaced.  Only the span bodies change, so the output diffs
-    cleanly against the input for review, and semantic macros already in
-    a span keep their form, so a second pass changes nothing.  An
-    @-marked macro the glossary does not read raises
-    UnknownSemanticMacroError naming the span's line:col, and a span
-    whose \\left and \\right do not pair raises MismatchedLeftRightError
-    naming the line:col of the fault.
-    """
-    leaves: dict[str, Token] = {}
-    counts: Counter = Counter()
-    pieces: list[str] = []
-    cursor = 0
-    # every span is found and brace-checked before any is canonicalized,
-    # as extract_math does, so an unterminated or unbalanced span raises
-    # even when an earlier span holds a lone \left
-    spans = list(_row_ranges(source, _marks(source)))
-    for _, texts, offset, a, b, span, _ in spans:
-        try:
-            tree = _build(texts, offset, a, b, glossary.settings, False, leaves)
-            sem = _replace(tree.nodes, glossary, counts, tree.at)
-        except MismatchedLeftRightError as exc:
-            where = _line_col(source, span[0] if exc.position is None else exc.position)
-            msg = f"{exc} in the span at line {where}"
-            raise MismatchedLeftRightError(exc.position, msg) from None
-        except UnknownSemanticMacroError as exc:
-            where = _line_col(source, span[0])
-            msg = f"{exc} in the span at line {where}"
-            raise UnknownSemanticMacroError(exc.name, msg) from None
-        pieces += (source[cursor : span[0]], render(sem))
-        cursor = span[1]
-    pieces.append(source[cursor:])
-    return "".join(pieces), ReplacementStats.from_counts(counts, formulae=len(spans))
 
 
 def replace_files(

@@ -118,7 +118,7 @@ def test_extract_math_environment_labels():
     spans = extract_math(
         "$x$ \\[y\\] $$z$$ \\begin{equation*}w\\end{equation*}"
     )
-    assert [(m.environment, m.is_display) for m in spans] == [
+    assert [(m.environment, m.environment != "inline-dollar") for m in spans] == [
         ("inline-dollar", False),
         ("bracket-display", True),
         ("bracket-display", True),
@@ -161,8 +161,8 @@ def test_unterminated_environment_raises():
 def test_fixture_span_census(mini_source):
     """The corpus file carries exactly 30 display rows and 9 inline spans."""
     spans = extract_math(mini_source)
-    display = [m for m in spans if m.is_display]
-    inline = [m for m in spans if not m.is_display]
+    display = [m for m in spans if m.environment != "inline-dollar"]
+    inline = [m for m in spans if m.environment == "inline-dollar"]
     assert len(display) == 30
     assert len(inline) == 9
     # one align block contributes three of the display rows

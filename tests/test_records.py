@@ -111,8 +111,9 @@ def test_replacement_stats_compare_by_fields_and_keep_their_own_counts():
     assert ReplacementStats({"sin": 2}, 2, 1) == ReplacementStats(per_rule={"sin": 2}, total=2, formulae=1)
     assert ReplacementStats({"sin": 2}, 2, 1) != ReplacementStats({"sin": 2}, 2, 2)
     assert ReplacementStats().per_rule is not ReplacementStats().per_rule
-    assert ReplacementStats.from_counts({"a": 1}, formulae=3).avg_per_formula == Fraction(1, 3)
-    assert ReplacementStats().avg_per_formula == Fraction(0)
+    assert ReplacementStats.from_counts({"b": 2, "a": 1}, formulae=3) == ReplacementStats(
+        {"a": 1, "b": 2}, 3, 3
+    )
 
 
 def test_a_macro_rule_compares_by_its_fields_not_its_derived_ones(glossary):
