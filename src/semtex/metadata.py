@@ -1,9 +1,15 @@
-"""Formula segmentation and rule-based metadata extraction.
+"""Formula segmentation, rule-based metadata extraction and in-place
+replacement: the one reader of a document's math rows.
 
-Turns a document into Formula records: one per display-math row, with
-trailing constraint clauses split off the body, prose constraints and
-names and notes harvested from surrounding text, and substitution
-definitions detected and inlined into the formulae that use them.
+Both verbs read rows here: extract_document (convert) and replace_text
+(replace) list a document's rows, build them with one leaf table,
+rewrite them and name the line:col of a row that fails.
+
+extract_document turns a document into Formula records: one per
+display-math row, with trailing constraint clauses split off the body,
+prose constraints and names and notes harvested from surrounding text,
+and substitution definitions detected and inlined into the formulae
+that use them.
 
 Prose is cut at display environments into gaps.  The leading
 introducer sentences of a gap give constraints to the last row of the

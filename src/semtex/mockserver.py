@@ -2,7 +2,8 @@
 
 POST a non-empty LaTeX string to any path and the server answers with
 canned presentation and content MathML wrapping the input; empty bodies
-get a 400.  Run directly with `python -m semtex.mockserver --port N`.
+get a 400.  Run directly with `python -m semtex.mockserver --port N`;
+port 0 picks a free one, and the URL printed names it.
 """
 
 from __future__ import annotations
@@ -78,7 +79,8 @@ def main(argv=None) -> int:
     parser.add_argument("--port", type=int, default=8765)
     args = parser.parse_args(argv)
     server = ThreadingHTTPServer(("127.0.0.1", args.port), _Handler)
-    print(f"mock rendering service on http://127.0.0.1:{args.port}/")
+    # port 0 binds a free port, so the URL names the one bound
+    print(f"mock rendering service on http://127.0.0.1:{server.server_address[1]}/", flush=True)
     try:
         server.serve_forever()
     except KeyboardInterrupt:

@@ -1,5 +1,6 @@
-"""Pipeline orchestration: config, per-file conversion, dump and report
-assembly, per-file replace, and the optional rendering-service client.
+"""Pipeline orchestration: config, the run over input files with
+metadata.extract_document, dump and report assembly, replace over files
+with metadata.replace_text, and the optional rendering-service client.
 
 Files are converted one after another, in input order, so the dump and
 report are identical for any worker count.
@@ -98,6 +99,8 @@ class PipelineConfig:
 # The characters XML 1.0 does not allow, even as references.  Strict
 # UTF-8 decoding already rejects surrogates.
 _NOT_XML = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ufffe\uffff]")
+# The characters http.client refuses in a URL: controls, space and DEL
+_NOT_URL = re.compile("[\x00-\x20\x7f]")
 
 
 def _string(value, key: str) -> str:
@@ -247,6 +250,9 @@ def validate_config(cfg: PipelineConfig) -> None:
         if p is not None and not p.is_file():
             raise ConfigInvalidError(f"{name} file does not exist: {p}")
     if cfg.endpoint is not None:
+        bad = _NOT_URL.search(cfg.endpoint)
+        if bad:
+            raise ConfigInvalidError(f"endpoint holds {bad.group()!r}, which a URL does not allow")
         try:
             parsed = urlsplit(cfg.endpoint)
             parsed.port  # a port that is no number raises ValueError
@@ -325,9 +331,10 @@ def run_pipeline(cfg: PipelineConfig, write: bool = True) -> RunResult:
     Per-formula failures are recorded in the report and skipped; a
     file-level failure drops the file and makes the exit status nonzero.
     A bad setting, an output path whose directory is missing or that
-    would overwrite an input, a setting's file or the other output, and
-    two inputs that would give the same formula ids raise
-    ConfigInvalidError before any input is read.
+    would overwrite an input, a setting's file or the other output, two
+    inputs that would give the same formula ids and, in a run over
+    several files, an id prefix that holds ':' raise ConfigInvalidError
+    before any input is read.
     """
     validate_config(cfg)
     targets = (cfg.output_path, cfg.report_path) if write else ()
@@ -337,9 +344,15 @@ def run_pipeline(cfg: PipelineConfig, write: bool = True) -> RunResult:
     files = expand_inputs(cfg.inputs)
     _check_outputs(cfg, files, targets, "the run")
     prefixes = _id_prefixes(files)
-    # prefixes MediaWiki takes for one would give pages one title
+    # prefixes MediaWiki takes for one would give pages one title, and so
+    # may a prefix with a ':' (a:b.tex's \label{c} and a.tex's \label{b:c})
+    multi = len(files) > 1
     first: dict[str, Path] = {}
     for path, prefix in zip(files, prefixes):
+        if multi and ":" in prefix:
+            raise ConfigInvalidError(
+                f"input {path} would prefix its formula ids with {prefix!r}, which holds ':'"
+            )
         key = _title_key(prefix)
         if first.setdefault(key, path) != path:
             raise ConfigInvalidError(
@@ -352,7 +365,6 @@ def run_pipeline(cfg: PipelineConfig, write: bool = True) -> RunResult:
         else {cfg.citation_key: BibEntry(key=cfg.citation_key, author="", title="")}
     )
 
-    multi = len(files) > 1
     formulae: list[Formula] = []
     defs: list[SubstitutionDef] = []
     failures: list[tuple[str, str]] = []

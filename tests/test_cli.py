@@ -198,6 +198,24 @@ def test_stats(capsys):
     assert "  littleqLaguerre: 14" in out
 
 
+def test_stats_writes_no_dump_and_only_the_report_it_is_given(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    argv = ["stats", "--input", MINI, "--bib", BIB]
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    assert list(tmp_path.iterdir()) == []
+    assert main([*argv, "--report", "r.txt"]) == 0
+    assert capsys.readouterr().out == printed
+    assert [p.name for p in tmp_path.iterdir()] == ["r.txt"]
+    assert (tmp_path / "r.txt").read_text(encoding="utf-8") == printed
+    # an output key names a dump, which stats never writes
+    Path("cfg.json").write_text(json.dumps({"report": "k.txt", "output": "d.xml"}))
+    assert main([*argv, "--config", "cfg.json"]) == 0
+    assert capsys.readouterr().out == printed
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "k.txt", "r.txt"]
+    assert (tmp_path / "k.txt").read_text(encoding="utf-8") == printed
+
+
 def test_replace(tmp_path, capsys):
     rc = main(["replace", "--input", MINI, "--out", str(tmp_path)])
     assert rc == 0
@@ -266,6 +284,31 @@ def test_inputs_whose_prefixes_mediawiki_takes_for_one_are_a_config_error(tmp_pa
         f"config error: inputs {tmp_path / 'a b.tex'} and {tmp_path / 'a_b.tex'} "
         "share the formula id prefix 'a_b'\n"
     )
+
+
+def test_a_prefix_that_holds_a_colon_in_a_run_over_several_files_is_a_config_error(
+    tmp_path, capsys, monkeypatch
+):
+    # a.tex's b:c and a:b.tex's c would both be the page Formula:KLS:a:b:c
+    colon = tmp_path / "colon"
+    colon.mkdir()
+    (colon / "a.tex").write_text("\\[ x+1 \\label{b:c} \\]\n")
+    (colon / "a:b.tex").write_text("\\[ y+2 \\label{c} \\]\n")
+    out = tmp_path / "o.xml"
+    extracted = []
+    with monkeypatch.context() as patch:
+        patch.setattr(semtex.pipeline, "extract_document", lambda *a, **k: extracted.append(a))
+        for argv in (["convert", "--out", str(out)], ["stats"]):
+            assert main([*argv, "--input", str(colon)]) == 2
+            assert capsys.readouterr().err == (
+                f"config error: input {colon / 'a:b.tex'} would prefix its formula ids "
+                "with 'a:b', which holds ':'\n"
+            )
+    assert extracted == [] and not out.exists()
+    # alone, a file prefixes no id
+    assert main(["convert", "--input", str(colon / "a:b.tex"), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert "<title>Formula:KLS:c</title>" in out.read_text(encoding="utf-8")
 
 
 def test_replace_reports_an_undecodable_file(tmp_path, capsys):
@@ -538,6 +581,7 @@ def test_workers_flag_is_checked_like_the_config_key(tmp_path, capsys):
         ("convert", "--out", "output", "missing/d.xml"),
         ("stats", "--report", "report", "missing/r.txt"),
         ("verify-render", "--endpoint", "endpoint", "ftp://x/"),
+        ("verify-render", "--endpoint", "endpoint", "http://a b/"),
         ("convert", "--prefix", "corpus_prefix", "K\x01"),
         ("stats", "--citation-key", "citation_key", "\x0b"),
     ],

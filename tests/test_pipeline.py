@@ -6,12 +6,17 @@ import gzip
 import os
 import random
 import re
+import select
+import signal
 import socket
 import struct
+import subprocess
+import sys
 import threading
 import time
 import zlib
 from http.server import BaseHTTPRequestHandler
+from pathlib import Path
 
 import pytest
 
@@ -132,7 +137,11 @@ def test_validate_config_checks_paths(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "endpoint", ["ftp://x/", "127.0.0.1:8080", "http://", "http://[::1/", "http://h:port/"]
+    "endpoint",
+    [
+        "ftp://x/", "127.0.0.1:8080", "http://", "http://[::1/", "http://h:port/",
+        "http://a b/", "http://h/\x01",
+    ],
 )
 def test_validate_config_checks_endpoint(endpoint):
     cfg = PipelineConfig(inputs=[DATA / "kls_mini.tex"], endpoint=endpoint)
@@ -724,6 +733,34 @@ def test_request_mathml(mock_endpoint):
     assert 'xmlns="http://www.w3.org/1998/Math/MathML"' in rendered.presentation
     assert r"\EulerGamma@{z}" in rendered.presentation
     assert "<csymbol>" in rendered.content
+
+
+def test_the_mock_run_as_a_module_prints_the_port_it_bound():
+    import semtex.mockserver
+
+    src = str(Path(semtex.mockserver.__file__).resolve().parent.parent)
+    with subprocess.Popen(
+        [sys.executable, "-m", "semtex.mockserver", "--port", "0"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+    ) as proc:
+        try:
+            # the URL is printed before serving, not when the mock exits
+            assert select.select([proc.stdout], [], [], 10)[0], "no URL printed"
+            line = proc.stdout.readline()
+            endpoint = line.rsplit(" ", 1)[-1].rstrip("\n")
+            assert re.fullmatch(r"http://127\.0\.0\.1:[1-9][0-9]*/", endpoint), line
+            assert "<csymbol>x</csymbol>" in request_mathml("x", endpoint).content
+        finally:
+            proc.send_signal(signal.SIGINT)
+            try:
+                out, err = proc.communicate(timeout=10)
+            except subprocess.TimeoutExpired:
+                proc.kill()
+                raise
+    assert (proc.returncode, out, err) == (0, "", "")
 
 
 def test_request_mathml_rejected(mock_endpoint):
